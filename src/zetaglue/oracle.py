@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-from scipy.optimize import brentq
+import numpy as np
 
 from .cylinder import DIRICHLET, NEUMANN, ROBIN, BoundaryCondition
 from .errors import ValidationError
@@ -61,30 +61,34 @@ class RelativeLogDet:
     zero_modes: Tuple[int, int]  # excluded from (problem, reference)
 
 
-def _secular_function(p: SecularProblem) -> Callable[[float], float]:
-    """g(k) whose positive roots are the eigenfrequencies (mu = k^2)."""
+def _secular_function(
+    p: SecularProblem, sin: Callable = math.sin, cos: Callable = math.cos
+) -> Callable:
+    """g(k) whose positive roots are the eigenfrequencies (mu = k^2).
+
+    ``sin`` and ``cos`` are ``math``'s for scalar k or numpy's for an
+    array of k; the formula is the same either way.
+    """
     L = p.length
     kl, kr = p.bc_left, p.bc_right
     al, ar = kl.alpha, kr.alpha
     pair = (kl.kind, kr.kind)
     if pair == (DIRICHLET, DIRICHLET):
-        return lambda k: math.sin(k * L)
+        return lambda k: sin(k * L)
     if pair in ((NEUMANN, NEUMANN), (DIRICHLET, NEUMANN), (NEUMANN, DIRICHLET)):
         if pair == (NEUMANN, NEUMANN):
-            return lambda k: math.sin(k * L)
-        return lambda k: math.cos(k * L)
+            return lambda k: sin(k * L)
+        return lambda k: cos(k * L)
     if pair == (DIRICHLET, ROBIN):
-        return lambda k: k * math.cos(k * L) + ar * math.sin(k * L)
+        return lambda k: k * cos(k * L) + ar * sin(k * L)
     if pair == (ROBIN, DIRICHLET):
-        return lambda k: k * math.cos(k * L) + al * math.sin(k * L)
+        return lambda k: k * cos(k * L) + al * sin(k * L)
     if pair == (NEUMANN, ROBIN):
-        return lambda k: ar * math.cos(k * L) - k * math.sin(k * L)
+        return lambda k: ar * cos(k * L) - k * sin(k * L)
     if pair == (ROBIN, NEUMANN):
-        return lambda k: al * math.cos(k * L) - k * math.sin(k * L)
+        return lambda k: al * cos(k * L) - k * sin(k * L)
     if pair == (ROBIN, ROBIN):
-        return lambda k: (k * k - al * ar) * math.sin(k * L) - k * (al + ar) * math.cos(
-            k * L
-        )
+        return lambda k: (k * k - al * ar) * sin(k * L) - k * (al + ar) * cos(k * L)
     raise ValidationError(f"unsupported boundary pair {pair}")
 
 
@@ -106,6 +110,10 @@ def segment_eigenvalues(p: SecularProblem, count: int) -> List[float]:
 
     Trigonometric pairs are exact; Robin pairs are certified bracketed
     roots (sign change verified, then brentq refined to ~1e-13 relative).
+    Each pi/L cell of the frequency axis is sampled at 25 points, all
+    cells at once; every exact zero and every sign change between
+    neighbouring samples of a cell is a root.  One root per cell is
+    expected for non-negative alpha, but every sign change is taken.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
@@ -113,36 +121,46 @@ def segment_eigenvalues(p: SecularProblem, count: int) -> List[float]:
     if ROBIN not in pair:
         return _closed_form_roots(p, count)
 
+    from scipy.optimize import brentq
+
     g = _secular_function(p)
-    L = p.length
-    cell = math.pi / L
+    g_scan = _secular_function(p, np.sin, np.cos)
+    cell = math.pi / p.length
+    n_scan = 24
+    max_cells = 10 * count + 100
+    steps = np.arange(1, n_scan + 1)
     roots: List[float] = []
-    j = 0
+    first = 0
     while len(roots) < count:
-        lo, hi = j * cell, (j + 1) * cell
-        # scan each pi/L cell; one root per cell for non-negative alpha,
-        # but scan finely anyway and take every sign change
-        n_scan = 24
-        prev_t = lo + (1e-12 if j == 0 else 0.0) * cell
-        prev_v = g(prev_t)
-        found_in_cell = []
-        for i in range(1, n_scan + 1):
-            t = lo + (hi - lo) * i / n_scan
-            v = g(t)
-            if prev_v == 0.0:
-                found_in_cell.append(prev_t)
-            elif v != 0.0 and (prev_v < 0.0) != (v < 0.0):
-                if not (g(prev_t) * g(t) < 0.0):
-                    raise ValidationError(
-                        f"root bracketing failure on [{prev_t}, {t}]"
-                    )
-                root = brentq(g, prev_t, t, xtol=1e-15, rtol=1e-15, maxiter=200)
-                found_in_cell.append(root)
-            prev_t, prev_v = t, v
-        roots.extend(found_in_cell)
-        j += 1
-        if j > 10 * count + 100:
+        if first >= max_cells:
             raise ValidationError("root search exhausted its scan range")
+        need = count - len(roots)
+        j = np.arange(first, min(first + need + 1, max_cells))
+        lo, hi = j * cell, (j + 1) * cell
+        t = np.empty((len(j), n_scan + 1))
+        t[:, 0] = lo
+        t[:, 1:] = lo[:, None] + (hi - lo)[:, None] * steps / n_scan
+        if first == 0:
+            t[0, 0] = 1e-12 * cell  # step off k = 0, a root of g unless an end is Neumann
+        v = g_scan(t)
+        prev_v, next_v = v[:, :-1], v[:, 1:]
+        zero = prev_v == 0.0
+        change = ~zero & (next_v != 0.0) & ((prev_v < 0.0) != (next_v < 0.0))
+        cells, points = np.nonzero(zero | change)
+        if len(cells) >= need:
+            # finish the cell that holds the last root needed
+            last = np.searchsorted(cells, cells[need - 1], side="right")
+            cells, points = cells[:last], points[:last]
+        for c, i in zip(cells.tolist(), points.tolist()):
+            a = float(t[c, i])
+            if zero[c, i]:
+                roots.append(a)
+                continue
+            b = float(t[c, i + 1])
+            if not (g(a) * g(b) < 0.0):
+                raise ValidationError(f"root bracketing failure on [{a}, {b}]")
+            roots.append(brentq(g, a, b, xtol=1e-15, rtol=1e-15, maxiter=200))
+        first = int(j[-1]) + 1
     return [k * k for k in roots[:count]]
 
 

@@ -48,19 +48,25 @@ def hurwitz_zeta(s: float, a: float, with_derivative_at_0: bool = False):
         raise SingularParameterError("hurwitz zeta has a pole at s = 1")
     with mp.workdps(_DPS):
         val = float(mp.zeta(mp.mpf(s), mp.mpf(a)))
-        if not with_derivative_at_0:
-            return val
-        dval = float(mp.zeta(mp.mpf(0), mp.mpf(a), 1))
-    return val, dval
+    if not with_derivative_at_0:
+        return val
+    return val, hurwitz_zeta_sderiv(0.0, a)
 
 
 def hurwitz_zeta_sderiv(s: float, a: float) -> float:
-    """d/ds zeta_H(s, a) at real s != 1, a > 0."""
+    """d/ds zeta_H(s, a) at real s != 1, a > 0.
+
+    At s = 0 Lerch's formula zeta_H'(0, a) = ln Gamma(a) - (1/2) ln 2 pi
+    (DLMF 25.11.18) replaces the Hurwitz series; both sides are evaluated
+    at the same working precision and rounded once.
+    """
     if a <= 0:
         raise ValidationError(f"hurwitz zeta requires a > 0, got a = {a}")
     if s == 1.0:
         raise SingularParameterError("hurwitz zeta has a pole at s = 1")
     with mp.workdps(_DPS):
+        if s == 0.0:
+            return float(mp.loggamma(mp.mpf(a)) - mp.log(2 * mp.pi) / 2)
         return float(mp.zeta(mp.mpf(s), mp.mpf(a), 1))
 
 
@@ -69,14 +75,6 @@ def log_gamma(a: float) -> float:
     if a <= 0:
         raise ValidationError(f"log_gamma requires a > 0, got a = {a}")
     return math.lgamma(a)
-
-
-def digamma(s: float) -> float:
-    """psi(s) = Gamma'(s)/Gamma(s) away from the non-positive integers."""
-    if s <= 0 and s == int(s):
-        raise SingularParameterError(f"digamma has a pole at s = {s}")
-    with mp.workdps(_DPS):
-        return float(mp.digamma(mp.mpf(s)))
 
 
 @lru_cache(maxsize=None)
@@ -108,4 +106,3 @@ def odd_harmonic(n: int) -> float:
 
 
 EULER_GAMMA = float(mp.euler)
-LN_2PI = math.log(2.0 * math.pi)

@@ -4,8 +4,8 @@ Supported cross-sections: a single point, a circle of circumference ell,
 a flat rectangular torus, and an explicitly supplied truncated spectrum
 with heat metadata.  All types are immutable and all operations are pure
 functions; multiplicity bookkeeping is exact (integer lattice enumeration
-for the torus, rational keys for degeneracy merging), never floating-point
-deduplication.
+for the torus, exact integer keys for degeneracy merging), never
+floating-point deduplication.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -222,11 +221,15 @@ def enumerate_spectrum(cs: CrossSection, cutoff: float) -> list:
 
 
 def _torus_entries(cs: FlatTorus, cutoff: float) -> list:
-    # Exact degeneracy merging: group lattice points by the rational value
-    # j^2/ell1^2 + k^2/ell2^2 built from the exact binary fractions of the
-    # side lengths, so equal float eigenvalues always merge.
-    w1 = Fraction(cs.ell1) ** 2
-    w2 = Fraction(cs.ell2) ** 2
+    # Exact degeneracy merging: with ell_i = n_i/d_i the exact binary
+    # fractions of the side lengths, the integer
+    # j^2 (n2 d1)^2 + k^2 (n1 d2)^2 = (ell1 ell2 d1 d2 / 2 pi)^2 mu
+    # is proportional to mu, so lattice points with equal exact
+    # eigenvalues share a key and the keys sort as the eigenvalues do.
+    n1, d1 = cs.ell1.as_integer_ratio()
+    n2, d2 = cs.ell2.as_integer_ratio()
+    w1 = (n1 * d2) ** 2
+    w2 = (n2 * d1) ** 2
     c1 = 2.0 * math.pi / cs.ell1
     c2 = 2.0 * math.pi / cs.ell2
     jmax = int(math.floor(math.sqrt(cutoff) / c1 + 1e-12))
@@ -240,16 +243,14 @@ def _torus_entries(cs: FlatTorus, cutoff: float) -> list:
             mu = (c1 * j) ** 2 + (c2 * k) ** 2
             if mu > cutoff:
                 continue
-            key = j * j * w2 + k * k * w1  # proportional to mu, exact
+            key = j * j * w2 + k * k * w1
             mult = (1 if j == 0 else 2) * (1 if k == 0 else 2)
-            if key in groups:
-                groups[key][1] += mult
-            else:
+            group = groups.get(key)
+            if group is None:
                 groups[key] = [mu, mult]
-    out = [
-        SpectrumEntry(v[0], v[1]) for _, v in sorted(groups.items(), key=lambda t: t[0])
-    ]
-    return out
+            else:
+                group[1] += mult
+    return [SpectrumEntry(mu, mult) for _, (mu, mult) in sorted(groups.items())]
 
 
 def heat_coefficients(cs: CrossSection, order: int = 0) -> HeatExpansion:

@@ -28,7 +28,6 @@ from typing import Optional
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ConvergenceError,
@@ -559,6 +558,9 @@ class _NumericBackend:
         key = ("int", s)
         if key in self._cache:
             return self._cache[key]
+        # deferred: only explicit spectra need scipy, and its import costs more
+        # than the rest of the library's
+        from scipy.integrate import quad
 
         # R(t) falls off superexponentially towards small t; skip the part
         # below double-precision relevance and book a bound for it

@@ -116,6 +116,24 @@ class TestReportContracts:
 
 
 class TestProcessInterface:
+    def test_closed_form_checks_load_no_scipy(self):
+        # scipy serves only the numeric backend and the oracle, and its
+        # import would dominate a CLI call's start-up
+        code = (
+            "import math, sys\n"
+            "import zetaglue.cli\n"
+            "from zetaglue.gluing import GluingConfig, glue_robin_check\n"
+            "from zetaglue.spectra import Circle, FlatTorus\n"
+            "glue_robin_check(GluingConfig(Circle(2 * math.pi), 2.0, 0.7, 0.3))\n"
+            "glue_robin_check(GluingConfig(FlatTorus(2.0, 3.0), 2.0, 0.7, 0.3))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_det_example(self):
         proc = run_cli(["det", "--cross", "point", "--L", "1", "--bc", "dd"])
         assert proc.returncode == 0

@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from scipy.optimize import brentq
 
-from zetaglue.cylinder import BoundaryCondition as BC, CylinderSpec, log_det_cylinder
+from zetaglue import oracle
+from zetaglue.cylinder import ROBIN, BoundaryCondition as BC, CylinderSpec, log_det_cylinder
 from zetaglue.errors import ValidationError
 from zetaglue.oracle import SecularProblem, relative_log_det, segment_eigenvalues
 from zetaglue.spectra import Point
@@ -14,7 +16,64 @@ def closed_log_det(L, bl, br):
     return log_det_cylinder(CylinderSpec(Point(), L, bl, br)).log_det
 
 
+def scalar_scan_eigenvalues(p, count):
+    """Reference: the root search one sample and one cell at a time."""
+    if ROBIN not in (p.bc_left.kind, p.bc_right.kind):
+        return oracle._closed_form_roots(p, count)
+    g = oracle._secular_function(p)
+    cell = math.pi / p.length
+    roots = []
+    j = 0
+    while len(roots) < count:
+        lo, hi = j * cell, (j + 1) * cell
+        n_scan = 24
+        prev_t = lo + (1e-12 if j == 0 else 0.0) * cell
+        prev_v = g(prev_t)
+        for i in range(1, n_scan + 1):
+            t = lo + (hi - lo) * i / n_scan
+            v = g(t)
+            if prev_v == 0.0:
+                roots.append(prev_t)
+            elif v != 0.0 and (prev_v < 0.0) != (v < 0.0):
+                assert g(prev_t) * g(t) < 0.0
+                roots.append(brentq(g, prev_t, t, xtol=1e-15, rtol=1e-15, maxiter=200))
+            prev_t, prev_v = t, v
+        j += 1
+        assert j <= 10 * count + 100
+    return [k * k for k in roots[:count]]
+
+
+PAIRS = {
+    "RR": lambda a: (BC.robin(a), BC.robin(a)),
+    "NR": lambda a: (BC.neumann(), BC.robin(a)),
+    "RN": lambda a: (BC.robin(a), BC.neumann()),
+    "DR": lambda a: (BC.dirichlet(), BC.robin(a)),
+    "RD": lambda a: (BC.robin(a), BC.dirichlet()),
+}
+
+
 class TestSegmentEigenvalues:
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.9, 3.0])
+    @pytest.mark.parametrize("L", [1.0, 2.5])
+    def test_matches_scalar_scan(self, pair, alpha, L):
+        p = SecularProblem(L, *PAIRS[pair](alpha))
+        assert segment_eigenvalues(p, 300) == scalar_scan_eigenvalues(p, 300)
+
+    def test_scalar_check_of_each_bracket(self, monkeypatch):
+        # the array scan finds the brackets, the scalar g must confirm them
+        secular = oracle._secular_function
+
+        def scan_only(p, sin=math.sin, cos=math.cos):
+            if sin is math.sin:
+                return lambda k: 1.0
+            return secular(p, sin, cos)
+
+        monkeypatch.setattr(oracle, "_secular_function", scan_only)
+        p = SecularProblem(1.0, BC.robin(0.5), BC.robin(0.5))
+        with pytest.raises(ValidationError, match="root bracketing failure"):
+            segment_eigenvalues(p, 4)
+
     def test_dirichlet_pair(self):
         got = segment_eigenvalues(SecularProblem(1.0, BC.dirichlet(), BC.dirichlet()), 3)
         assert got == pytest.approx(

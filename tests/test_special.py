@@ -1,7 +1,9 @@
 """Special-function primitives against independent identities."""
 
 import math
+import random
 
+import mpmath as mp
 import pytest
 
 from zetaglue.errors import SingularParameterError, ValidationError
@@ -44,6 +46,23 @@ class TestHurwitzZeta:
         _, dval = hurwitz_zeta(0.0, a, with_derivative_at_0=True)
         expect = math.lgamma(a) - 0.5 * math.log(2.0 * math.pi)
         assert abs(dval - expect) < 1e-12
+
+    def test_sderiv_at_zero_equals_hurwitz_series(self):
+        # Lerch's formula must round to the same doubles as mpmath's
+        # derivative of the Hurwitz series at the library's 30 digits
+        rng = random.Random(7)
+        grid = [rng.uniform(0.05, 5.0) for _ in range(300)]
+        grid += [1e-3, 0.05, 0.3, 1.0, 1.5, 2.0, 2.5, 7.3, 40.0, 1e3]
+        with mp.workdps(30):
+            expect = [float(mp.zeta(0, mp.mpf(a), 1)) for a in grid]
+        assert [hurwitz_zeta_sderiv(0.0, a) for a in grid] == expect
+        assert [hurwitz_zeta(0.0, a, with_derivative_at_0=True)[1] for a in grid] == expect
+
+    @pytest.mark.parametrize("s, a", [(-0.5, 0.7), (0.5, 2.5), (2.0, 1.0)])
+    def test_sderiv_away_from_zero(self, s, a):
+        with mp.workdps(30):
+            expect = float(mp.zeta(mp.mpf(s), mp.mpf(a), 1))
+        assert hurwitz_zeta_sderiv(s, a) == expect
 
     def test_sderiv_at_one(self):
         assert hurwitz_zeta_sderiv(0.0, 1.0) == pytest.approx(

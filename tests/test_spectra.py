@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,33 @@ TWO_PI = 2.0 * math.pi
 
 def entries_as_pairs(entries):
     return [(e.eigenvalue, e.multiplicity) for e in entries]
+
+
+def fraction_keyed_torus_entries(cs, cutoff):
+    """Reference torus merge: group lattice points by the exact rational
+    j^2 ell2^2 + k^2 ell1^2, which is proportional to mu."""
+    w1 = Fraction(cs.ell1) ** 2
+    w2 = Fraction(cs.ell2) ** 2
+    c1 = 2.0 * math.pi / cs.ell1
+    c2 = 2.0 * math.pi / cs.ell2
+    jmax = int(math.floor(math.sqrt(cutoff) / c1 + 1e-12))
+    groups = {}
+    for j in range(0, jmax + 1):
+        rem = cutoff - (c1 * j) ** 2
+        if rem < 0:
+            break
+        kmax = int(math.floor(math.sqrt(max(rem, 0.0)) / c2 + 1e-12))
+        for k in range(0, kmax + 1):
+            mu = (c1 * j) ** 2 + (c2 * k) ** 2
+            if mu > cutoff:
+                continue
+            key = j * j * w2 + k * k * w1
+            mult = (1 if j == 0 else 2) * (1 if k == 0 else 2)
+            if key in groups:
+                groups[key][1] += mult
+            else:
+                groups[key] = [mu, mult]
+    return [SpectrumEntry(mu, mult) for _, (mu, mult) in sorted(groups.items())]
 
 
 class TestEnumerate:
@@ -71,6 +99,15 @@ class TestEnumerate:
         with pytest.raises(InsufficientSpectrumError) as exc:
             enumerate_spectrum(cs, 100.0)
         assert exc.value.max_trusted == 25.0
+
+    @pytest.mark.parametrize("ell1, ell2", [
+        (2.0, 2.0), (1.0, 2.0), (1.0, 3.0), (TWO_PI, 3.0),
+        (1.0488088481701514, 3.1464265445104544),
+    ])
+    @pytest.mark.parametrize("cutoff", [16.0, 100.0, 1e3, 5e3])
+    def test_torus_matches_rational_key_merge(self, ell1, ell2, cutoff):
+        cs = FlatTorus(ell1, ell2)
+        assert enumerate_spectrum(cs, cutoff) == fraction_keyed_torus_entries(cs, cutoff)
 
     @given(
         st.floats(min_value=0.5, max_value=20.0),
