@@ -12,9 +12,7 @@ Reports are JSON on stdout (newline-terminated, deterministic except for
 the ``timestamp`` field; floats use exact round-trip encoding);
 diagnostics go to stderr.  Exit codes: 0 success, 2 validation error,
 3 numerical non-convergence, 4 inadmissible (singular) parameters.
-A config file mirroring the flags can be passed with ``--config``; the
-environment variable ``ZETAGLUE_THREADS`` caps the numeric thread pools
-(the library itself reduces deterministically regardless).
+A config file mirroring the flags can be passed with ``--config``.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -361,18 +358,6 @@ def _render_table(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("ZETAGLUE_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="zetaglue",
@@ -467,7 +452,6 @@ def _config_from_args(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     ap = build_parser()
     args = ap.parse_args(argv)
     if not args.command and not getattr(args, "config", None):

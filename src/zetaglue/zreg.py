@@ -22,12 +22,19 @@ identities can be compared modulo 2*pi*i exactly.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import to_fixed
+from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 from .errors import (
     ConvergenceError,
@@ -195,13 +202,20 @@ _STANDARD_S = (-0.5,) + tuple(k / 2.0 for k in range(1, 16))
 
 
 class _BesselK:
-    """K_nu(z) at a fixed set of real orders, all from one trapezoid sum.
+    """K_nu(z) at a fixed set of real orders from two trapezoid sums per class.
 
     For z > 0 and real nu, K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt.
     The integrand f is even in t, so on the nodes t_j = j h the trapezoid
-    rule reads h (f(0)/2 + sum_{j>=1} f(t_j)).  One exp(-z cosh t_j) per
-    node serves every order; the tables cosh(nu t_j) do not depend on z, and
-    steps from a coarse ladder let calls at nearby z share one table.
+    rule reads h (f(0)/2 + sum_{j>=1} f(t_j)).
+
+    Orders.  The orders are grouped by their residue mod 1.  In each class
+    only the lowest order nu0 and nu0 + 1 are integrated; the others follow
+    from K_{nu+1} = K_{nu-1} + (2 nu / z) K_nu (DLMF 10.29.1), whose terms
+    are all positive.  The relative error of a sum of positive terms is at
+    most the largest relative error of its terms, so K_{nu0+n} is within
+    the error of the two integrated orders plus 3 n roundings at p + 40
+    bits (a quotient, a product and a sum per step).  Below, nu* is the
+    largest integrated order.
 
     Step.  On the strip |Im t| <= a < pi/2,
     |f(x + ib)| <= exp(-z cos(a) cosh x) cosh(nu x), so the line integral
@@ -211,33 +225,63 @@ class _BesselK:
     K_nu(y) <= (z/y)^max(|nu|, 1/2) e^(z-y) K_nu(z) for 0 < y <= z, so the
     relative error is at most
 
-        4 sec(a)^max(|nu|, 1/2) exp(z (1 - cos a) - 2 pi a / h).
+        4 sec(a)^max(nu*, 1/2) exp(z (1 - cos a) - 2 pi a / h).
 
     Each call takes the largest step h = 2^(-k/2) for which some a makes
     this at most eps = 2^-(p + 8), p the caller's precision in bits.
 
-    Truncation.  d/dt ln f <= |nu| - z sinh t, so beyond the first node
-    with z sinh t_j >= nu_max + 1/h the summands fall by a factor e at
-    least per node and the rest of the sum is below 0.6 f(t_j).  Every
-    partial sum exceeds f(0)/2 = e^-z / 2, so stopping at the first such
-    node with exp(-z (cosh t_j - 1)) cosh(nu_max t_j) <= eps/2 bounds the
-    truncation of every order by 0.3 eps relative.
+    Truncation.  d/dt ln f <= nu* - z sinh t, so beyond the first node
+    with z sinh t_j >= nu* + 1/h the summands fall by a factor e at least
+    per node and the rest of the sum is below 0.6 f(t_j).  With the common
+    factor e^-z taken out, every sum is at least f(0)/2 = 1/2, so stopping
+    at the first such node with exp(-z (cosh t_j - 1)) cosh(nu* t_j) <=
+    eps/2 bounds the truncation of every integrated order by 0.6 eps
+    relative.  The node count n is found in floating point, with a margin
+    that covers its rounding, before any sum is formed.
 
-    Rounding.  The recurrence of ``_CoshTable`` loses at most about
-    2 log2(j) bits by node j, and exp(-z cosh t_j) another log2(z cosh t_j);
-    with 40 guard bits both stay below eps/4 for rules of up to 2^10 nodes
-    and weights with z cosh t_j <= 2^10, so every value lies within
-    1.6 eps relative of K_nu(z).
+    Rounding.  The sums are integer dot products of fixed-point numbers
+    with P fraction bits (``_CoshTable``): table entries within one unit,
+    weights exp(-z (cosh t_j - 1)) from ``exp_fixed`` within
+    3 (z + 1) C1 + 8 units relative plus one unit, where C1 = cosh t_(n-1)
+    is the largest weight argument.  With C the largest table entry of an
+    integrated order, the rounding of a sum is at most
+    B = 2 (3 (z + 1) C1 + n (C + 2) + 9) units relative (the factor 2
+    because the sum is at least 1/2).  The guard G = P - p is 10 plus the
+    bit length of B, rounded up to a multiple of 16 so that calls share
+    tables; this keeps the rounding below eps/4.
+
+    Every value therefore lies within (1 + 0.6 + 0.25) eps plus a few
+    roundings at p + 40 bits, below 2 eps, relative of K_nu(z).
     """
 
     def __init__(self, orders):
-        self.orders = [abs(mp.mpf(nu)) for nu in orders]
-        self.numax = float(max(self.orders))
-        self.top = 1 + self.orders.index(max(self.orders))
-        self.prec = mp.mp.prec + 40
-        self.log_eps = -(mp.mp.prec + 8) * math.log(2.0)
-        self.half_eps = mp.ldexp(mp.mpf(1), -(mp.mp.prec + 9))
-        self._tables: dict = {}  # step -> _CoshTable
+        orders = [_exact(abs(mp.mpf(nu))) for nu in orders]
+        self.p = mp.mp.prec
+        self.prec = self.p + 40
+        self.log_eps = -(self.p + 8) * math.log(2.0)
+        top = {}  # lowest order of each residue class -> its highest order
+        for nu in sorted(set(orders)):
+            lo = next((lo for lo in top if (nu - lo).denominator == 1), nu)
+            top[lo] = nu
+        # every order of every class, lowest first; the first one or two of
+        # each class are integrated, the others recur:
+        # K[dst] = K[dst - 2] + (2 nu / z) K[dst - 1], nu = ladder[dst - 1]
+        ladder, integrated, recur = [], [], []
+        with mp.workprec(self.prec):
+            for lo, hi in top.items():
+                for i in range(int(hi - lo) + 1):
+                    if i < 2:
+                        integrated.append(len(ladder))
+                    else:
+                        nu = ladder[-1]
+                        recur.append((len(ladder), mp.mpf(2 * nu.numerator) / nu.denominator))
+                    ladder.append(lo + i)
+        self.integrated = tuple(ladder[i] for i in integrated)
+        self._integrated_at = integrated
+        self._recur = recur
+        self._out = [ladder.index(nu) for nu in orders]
+        self._size = len(ladder)
+        self.numax = float(max(self.integrated))
 
     def _step(self, z: float) -> float:
         nu = max(self.numax, 0.5)
@@ -248,53 +292,126 @@ class _BesselK:
         )
         return 2.0 ** (-math.ceil(-2.0 * math.log2(hmax)) / 2.0)
 
+    def _nodes(self, z: float, h: float):
+        """(node count, guard bits) for the trapezoid sums at z."""
+        nu = self.numax
+        limit = self.log_eps - math.log(2.0) - 1e-9
+        j = 1
+        while True:
+            t = j * h
+            if (
+                z * math.sinh(t) >= nu + 1.0 / h
+                and math.log(math.cosh(nu * t)) - 2.0 * z * math.sinh(t / 2.0) ** 2 <= limit
+            ):
+                break
+            j += 1
+        bound = 2.0 * (3.0 * (z + 1.0) * math.cosh(t) + (j + 1) * (math.cosh(nu * t) + 2.0) + 9.0)
+        guard = 10 + math.ceil(bound).bit_length()
+        return j + 1, -(-guard // 16) * 16
+
     def __call__(self, z):
         """[K_nu(z) for nu in orders]."""
         with mp.workprec(self.prec):
             z = mp.mpf(z)
             zf = float(z)
             h = self._step(zf)
-            table = self._tables.get(h)
-            if table is None:
-                table = self._tables[h] = _CoshTable([1] + self.orders, h)
-            # weights exp(-z (cosh t_j - 1)): the common factor e^-z comes out
-            weights = [mp.mpf(0.5)]
-            j = 1
-            while True:
-                row = table.row(j)
-                w = mp.exp(-z * (row[0] - 1))
-                weights.append(w)
-                if (
-                    zf * math.sinh(j * h) >= self.numax + 1.0 / h
-                    and w * row[self.top] <= self.half_eps
-                ):
-                    break
-                j += 1
-            scale = h * mp.exp(-z)
-            rows = table.rows[: j + 1]
-            return [
-                scale * mp.fdot(weights, [row[i] for row in rows])
-                for i in range(1, len(self.orders) + 1)
-            ]
+            n, guard = self._nodes(zf, h)
+            table = _cosh_table(self.integrated, h, self.p + guard)
+            # the common factor e^-z of the weights comes out of the sums
+            scale = mp.ldexp(h * mp.exp(-z), -2 * table.bits)
+            k = [None] * self._size
+            for i, total in zip(self._integrated_at, table.sums(z, n)):
+                k[i] = scale * total
+            for dst, two_nu in self._recur:
+                k[dst] = k[dst - 2] + two_nu / z * k[dst - 1]
+            return [k[i] for i in self._out]
+
+
+def _exact(x) -> Fraction:
+    """The exact value of an mpf as a Fraction."""
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
 
 
 class _CoshTable:
-    """cosh(nu t_j) on the nodes t_j = j h for fixed orders, grown on demand.
+    """Fixed-point rows [cosh t_j, cosh(nu t_j) for each order] on t_j = j h.
 
-    Rows follow from cosh((j+1) x) = 2 cosh(x) cosh(j x) - cosh((j-1) x),
-    one product per entry.
+    Entries are round(2^bits cosh(.)), each within one unit: they are
+    evaluated at bits + 64 + 3/2 nu t_j bits, where the argument nu t_j is
+    exact (nu has at most p + 8 significant bits, t_j at most 64, and
+    bits >= p + 16) and 2^(3/2 nu t_j) exceeds cosh(nu t_j).  Rows are
+    appended on demand under a lock, so every torus and thread asking for
+    the same (orders, step, bits) shares one table.
     """
 
-    def __init__(self, orders, h: float):
-        first = [mp.cosh(nu * h) for nu in orders]
-        self.twice = [2 * c for c in first]
-        self.rows = [[mp.mpf(1)] * len(orders), first]
+    def __init__(self, orders, h: float, bits: int):
+        self.orders = orders
+        self.h = h
+        self.bits = bits
+        self.columns = [[] for _ in range(len(orders) + 1)]
+        self._lock = threading.Lock()
 
-    def row(self, j: int):
-        rows = self.rows
-        while len(rows) <= j:
-            rows.append([k * c - b for k, c, b in zip(self.twice, rows[-1], rows[-2])])
-        return rows[j]
+    def _grow(self, n: int):
+        nus = [Fraction(1)] + list(self.orders)
+        with self._lock:
+            while len(self.columns[-1]) < n:
+                j = len(self.columns[-1])
+                with mp.workprec(self.bits + 64 + int(1.5 * float(max(nus)) * j * self.h)):
+                    t = j * mp.mpf(self.h)
+                    for col, nu in zip(self.columns, nus):
+                        c = mp.cosh(mp.mpf(nu.numerator) / nu.denominator * t)
+                        col.append(int(mp.nint(mp.ldexp(c, self.bits))))
+
+    def sums(self, z, n: int):
+        """sum'_{j<n} exp(-z (cosh t_j - 1)) cosh(nu t_j) per order, at 2 bits.
+
+        The first node carries the trapezoid weight 1/2.
+        """
+        if len(self.columns[-1]) < n:
+            self._grow(n)
+        bits = self.bits
+        one = 1 << bits
+        zfix = to_fixed(z._mpf_, bits)
+        ln2 = ln2_fixed(bits)
+        weights = [one >> 1] + [
+            exp_fixed(-((zfix * (c - one)) >> bits), bits, ln2)
+            for c in self.columns[0][1:n]
+        ]
+        return [sum(map(operator.mul, weights, col)) for col in self.columns[1:]]
+
+
+@functools.lru_cache(maxsize=64)
+def _cosh_table(orders, h: float, bits: int) -> _CoshTable:
+    return _CoshTable(orders, h, bits)
+
+
+@functools.lru_cache(maxsize=64)
+def _torus_constants(s: float, prec: int) -> tuple:
+    """The torus-independent factors of ``_TorusBackend`` at s, at prec bits.
+
+    s = 1: (2 sqrt(pi), Gamma(1/2), psi(1/2) - psi(1), zeta_R(2), 8 pi);
+    s = 1/2: (gamma/2 - ln 2 pi + psi(1/2)/2,);
+    otherwise: (zeta_R(2s), 2 sqrt(pi), 1/Gamma(s), G(s), 8 pi^s / Gamma(s))
+    with G(s) = Gamma(s - 1/2) zeta_R(2s - 1), or its limit
+    (-1)^n 2 zeta_R'(-2n) / n! at s = 1/2 - n, n >= 1, where the pole of
+    Gamma meets a trivial zero of zeta_R.
+    """
+    with mp.workprec(prec):
+        if s == 0.5:
+            return (mp.euler / 2 - mp.log(2 * mp.pi) + mp.digamma(mp.mpf(0.5)) / 2,)
+        two_sqrt_pi = 2 * mp.sqrt(mp.pi)
+        if s == 1.0:
+            psi_diff = mp.digamma(mp.mpf(0.5)) - mp.digamma(1)
+            return two_sqrt_pi, mp.gamma(mp.mpf(0.5)), psi_diff, mp.zeta(2), 8 * mp.pi
+        ss = mp.mpf(s)
+        n = 0.5 - s
+        if n == round(n) and n >= 1:
+            n = int(round(n))
+            gz = mp.mpf(2) * (-1) ** n * mp.zeta(-2 * mp.mpf(n), derivative=1) / mp.factorial(n)
+        else:
+            gz = mp.gamma(ss - mp.mpf(0.5)) * mp.zeta(2 * ss - 1)
+        rgamma_s = mp.rgamma(ss)
+        return mp.zeta(2 * ss), two_sqrt_pi, rgamma_s, gz, 8 * mp.power(mp.pi, ss) * rgamma_s
 
 
 class _TorusBackend:
@@ -314,13 +431,15 @@ class _TorusBackend:
     Chowla-Selberg form of the Epstein zeta).  Simple poles at s = 1
     (spectral) and a removable pole pair at s = 1/2.
 
-    Each shell is visited once per pass, and one trapezoid sum of
-    K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt gives every order
-    there (``_BesselK``), with relative error at most
-    4 sec(a)^max(nu, 1/2) exp(z (1 - cos a) - 2 pi a / h) for the step h
-    and any strip half-width a < pi/2, kept below 2^-(p + 8) at precision
-    p.  The first request for an s of ``_STANDARD_S`` sums B for the whole
-    set in one pass; only the per-s sums are kept.
+    Each shell is visited once per pass.  ``_BesselK`` gives every order
+    there from two trapezoid sums of
+    K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt per residue class of
+    the orders mod 1 and the upward recurrence, each value within 2^-(p + 7)
+    relative at precision p.  For the standard s the exponent 2s - 1 is an
+    integer, so sigma_{2s-1}(m) is an exact integer or rational and
+    (r m)^(1/2-s) an integer power of 1/sqrt(r m).  The first request for
+    an s of ``_STANDARD_S`` sums B for the whole set in one pass; only the
+    per-s sums are kept.
     """
 
     achieved = 1e-14
@@ -351,6 +470,9 @@ class _TorusBackend:
         ss = [mp.mpf(s) for s in svals]
         orders = sorted({abs(x - mp.mpf(0.5)) for x in ss})
         slot = [orders.index(abs(x - mp.mpf(0.5))) for x in ss]
+        # the divisor-sum exponent 2s - 1 is an integer for every standard s
+        expo = [int(2 * s - 1) if 2 * s == int(2 * s) else None for s in svals]
+        exact = set(expo) - {None}
         besselk = _BesselK(orders)
         tol = mp.mpf(10) ** (-_DPS - 2)
         totals = [mp.mpf(0)] * len(ss)
@@ -359,12 +481,22 @@ class _TorusBackend:
             z = 2 * mp.pi * r * m
             kv = besselk(z)
             divisors = [d for d in range(1, m + 1) if m % d == 0]
+            # (r m)^(1/2 - s) sigma_{2s-1}(m) = u^e sigma_e(m) with e = 2s - 1,
+            # sigma_e(m) an integer, or sigma_-e(m) / m^-e for e < 0
+            u = 1 / mp.sqrt(r * m)
+            weight = {}
+            for e in exact:
+                sigma = sum(d ** abs(e) for d in divisors)
+                weight[e] = u**e * sigma if e >= 0 else u**e * sigma / m**-e
             # once z > nu the envelope m^nu K_nu(2 pi r m) of every term
             # falls with m, so a small term is not followed by a large one
             settled = z > orders[-1] + 1
             for i, x in enumerate(ss):
-                sigma = mp.fsum(mp.power(d, 2 * x - 1) for d in divisors)
-                term = mp.power(r * m, mp.mpf(0.5) - x) * sigma * kv[slot[i]]
+                if expo[i] is None:
+                    sigma = mp.fsum(mp.power(d, 2 * x - 1) for d in divisors)
+                    term = mp.power(r * m, mp.mpf(0.5) - x) * sigma * kv[slot[i]]
+                else:
+                    term = weight[expo[i]] * kv[slot[i]]
                 totals[i] += term
                 settled = settled and abs(term) < tol * (1 + abs(totals[i]))
             if settled:
@@ -386,51 +518,35 @@ class _TorusBackend:
         c2 = mp.mpf(self.c2)
         if s == 0.0:
             return mp.mpf(-1), mp.mpf(0)
+        const = _torus_constants(s, mp.mp.prec)
         if s == 1.0:
             # pole of zeta_R(2s-1); residue pi/(c1 c2) = area/(4 pi)
-            d1 = 2 * mp.sqrt(mp.pi) / c1 * mp.gamma(mp.mpf(0.5)) / c2
-            dlog = mp.digamma(mp.mpf(0.5)) - mp.digamma(1) - 2 * mp.log(c2)
+            two_sqrt_pi, gamma_half, psi_diff, zeta2, eight_pi = const
+            d1 = two_sqrt_pi / c1 * gamma_half / c2
+            dlog = psi_diff - 2 * mp.log(c2)
+            c1_pow = mp.power(c1, -2)
             fp = (
-                2 * mp.power(c1, -2) * mp.zeta(2)
+                2 * c1_pow * zeta2
                 + d1 * mp.euler
                 + d1 * dlog / 2
-                + 8 * mp.pi * mp.power(c1, -2) * self._bessel_sum(1.0)
+                + eight_pi * c1_pow * self._bessel_sum(1.0)
             )
             return fp, mp.pi / (c1 * c2)
         if s == 0.5:
             # the prefactor pole of Gamma(s-1/2) cancels the zeta_R(2s) pole
-            psi_half = mp.digamma(mp.mpf(0.5))
+            (offset,) = const
             val = (
                 2 / c1 * (mp.euler - mp.log(c1))
-                + 2
-                / c1
-                * (mp.euler / 2 - mp.log(2 * mp.pi) + psi_half / 2 + mp.log(c2))
+                + 2 / c1 * (offset + mp.log(c2))
                 + 8 / c1 * self._bessel_sum(0.5)
             )
             return val, mp.mpf(0)
         ss = mp.mpf(s)
-        t1 = 2 * mp.power(c1, -2 * ss) * mp.zeta(2 * ss)
-        n = 0.5 - s
-        if n == round(n) and n >= 1:
-            # Gamma(s-1/2) pole killed by the trivial zero of zeta(2s-1):
-            # the product tends to (-1)^n * 2 zeta'(-2n) / n!
-            n = int(round(n))
-            gz = (
-                mp.mpf(2)
-                * (-1) ** n
-                * mp.zeta(-2 * mp.mpf(n), derivative=1)
-                / mp.factorial(n)
-            )
-        else:
-            gz = mp.gamma(ss - mp.mpf(0.5)) * mp.zeta(2 * ss - 1)
-        t2 = 2 * mp.sqrt(mp.pi) / c1 * mp.rgamma(ss) * mp.power(c2, 1 - 2 * ss) * gz
-        t3 = (
-            8
-            * mp.power(mp.pi, ss)
-            * mp.rgamma(ss)
-            * mp.power(c1, -2 * ss)
-            * self._bessel_sum(s)
-        )
+        zeta_2s, two_sqrt_pi, rgamma_s, gz, eight_pi_s_rgamma = const
+        c1_pow = mp.power(c1, -2 * ss)
+        t1 = 2 * c1_pow * zeta_2s
+        t2 = two_sqrt_pi / c1 * rgamma_s * mp.power(c2, 1 - 2 * ss) * gz
+        t3 = eight_pi_s_rgamma * c1_pow * self._bessel_sum(s)
         return t1 + t2 + t3, mp.mpf(0)
 
     def point(self, s: float) -> ZetaPoint:
@@ -710,7 +826,12 @@ def _explicit_heat_order(cs: CrossSection) -> int:
 # backend dispatch
 # ----------------------------------------------------------------------------
 
-_backend_cache: dict = {}
+# the most recently used backends, least recent first; every backend keeps
+# its own value caches, so an unbounded map would grow with every new
+# cross-section of a sweep
+_BACKEND_CACHE_SIZE = 32
+_backend_cache: OrderedDict = OrderedDict()
+_backend_lock = threading.Lock()
 
 
 def _get_backend(cs: CrossSection, backend: str = "auto", split_point: float = 1.0):
@@ -719,9 +840,11 @@ def _get_backend(cs: CrossSection, backend: str = "auto", split_point: float = 1
     if backend == "auto":
         backend = "closed" if _is_flat(cs) else "numeric"
     key = (cs, backend, split_point)
-    hit = _backend_cache.get(key)
-    if hit is not None:
-        return hit
+    with _backend_lock:
+        hit = _backend_cache.get(key)
+        if hit is not None:
+            _backend_cache.move_to_end(key)
+            return hit
     if backend == "closed":
         if isinstance(cs, Point):
             b = _PointBackend()
@@ -735,7 +858,11 @@ def _get_backend(cs: CrossSection, backend: str = "auto", split_point: float = 1
             )
     else:
         b = _NumericBackend(cs, split_point=split_point)
-    _backend_cache[key] = b
+    with _backend_lock:
+        b = _backend_cache.setdefault(key, b)
+        _backend_cache.move_to_end(key)
+        while len(_backend_cache) > _BACKEND_CACHE_SIZE:
+            _backend_cache.popitem(last=False)
     return b
 
 

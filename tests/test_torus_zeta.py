@@ -5,6 +5,7 @@ mpmath's ``besselk``; the grouped sum must reproduce them bit for bit.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
@@ -35,6 +36,48 @@ GOLDEN = [
                          ids=["square", "aspect1.5", "aspect3", "2pi-x-3", "2pi-x-3-neumann"])
 def test_gluing_reports_bit_identical(check, cs, L, a, alpha, expected):
     rep = check(GluingConfig(cs, L, a, alpha))
+    assert (rep.lhs, rep.rhs, rep.residual) == expected
+
+
+# Tori drawn like the benchmark's torus-shapes stream: aspects 1 to 3, areas
+# 3 and 5 with a Robin check at each sign of alpha, and a Neumann check at
+# area 4.  (aspect, area, L, a, alpha) -> (lhs, rhs, residual), recorded
+# before the Bessel kernel was rewritten in fixed point.
+WIDE_GOLDEN = [
+    (1.0, 3.0, 2.21, 1.26, 0.32, (2.3195377409225872, 2.319537740922587, 4.440892098500626e-16)),
+    (1.0, 3.0, 2.83, 1.34, -0.49, (1.6527054050261263, 1.6527054050261267, 4.440892098500626e-16)),
+    (1.0, 5.0, 1.9, 0.8, 0.53, (0.8554953911153147, 0.8554953911153147, 0.0)),
+    (1.0, 5.0, 2.25, 1.07, -0.49, (1.1701364491050188, 1.1701364491050188, 0.0)),
+    (1.0, 4.0, 2.94, 1.3, 0.0, (-0.5362921196437389, -0.5362921196437387, 2.220446049250313e-16)),
+    (1.5, 3.0, 2.56, 1.29, 0.49, (1.6163869159983508, 1.6163869159983513, 4.440892098500626e-16)),
+    (1.5, 3.0, 3.0, 1.24, -0.5, (1.7304616774374049, 1.7304616774374053, 4.440892098500626e-16)),
+    (1.5, 5.0, 2.2, 1.24, 0.55, (0.989145720642597, 0.989145720642597, 0.0)),
+    (1.5, 5.0, 1.72, 0.71, -0.36, (1.775083789911367, 1.775083789911367, 0.0)),
+    (1.5, 4.0, 1.59, 0.72, 0.0, (0.21985494487959353, 0.21985494487959342, 1.1102230246251565e-16)),
+    (2.0, 3.0, 2.12, 0.82, 0.5, (1.5387639641331126, 1.5387639641331123, 2.220446049250313e-16)),
+    (2.0, 3.0, 2.64, 1.23, -0.34, (2.554013018527449, 2.5540130185274497, 4.440892098500626e-16)),
+    (2.0, 5.0, 1.8, 0.86, 0.33, (2.093357643885199, 2.093357643885199, 0.0)),
+    (2.0, 5.0, 1.82, 1.11, -0.29, (2.3915628632904844, 2.3915628632904844, 0.0)),
+    (2.0, 4.0, 1.56, 0.65, 0.0, (0.4543261199147789, 0.4543261199147788, 1.1102230246251565e-16)),
+    (2.5, 3.0, 1.53, 0.93, 0.54, (1.4432271681366706, 1.4432271681366706, 0.0)),
+    (2.5, 3.0, 1.98, 1.26, -0.52, (1.5908551684622523, 1.5908551684622518, 4.440892098500626e-16)),
+    (2.5, 5.0, 2.13, 0.82, 0.54, (1.3843188690757764, 1.3843188690757762, 2.220446049250313e-16)),
+    (2.5, 5.0, 2.41, 1.01, -0.6, (1.3097330467160482, 1.3097330467160477, 4.440892098500626e-16)),
+    (2.5, 4.0, 2.05, 0.84, 0.0, (0.25809455693324534, 0.25809455693324523, 1.1102230246251565e-16)),
+    (3.0, 3.0, 2.24, 1.35, 0.26, (3.3369817873362075, 3.3369817873362075, 0.0)),
+    (3.0, 3.0, 2.08, 0.94, -0.58, (1.62694304666863, 1.62694304666863, 0.0)),
+    (3.0, 5.0, 3.0, 1.47, 0.27, (3.2663252876861817, 3.266325287686182, 4.440892098500626e-16)),
+    (3.0, 5.0, 2.54, 1.55, -0.33, (2.740617397563156, 2.740617397563156, 0.0)),
+    (3.0, 4.0, 1.81, 1.01, 0.0, (0.6124742286471215, 0.6124742286471215, 0.0)),
+]
+
+
+@pytest.mark.parametrize("aspect, area, L, a, alpha, expected", WIDE_GOLDEN,
+                         ids=[f"{r[0]}x{r[1]}-{r[4]:+}" for r in WIDE_GOLDEN])
+def test_torus_shapes_reports_bit_identical(aspect, area, L, a, alpha, expected):
+    side = math.sqrt(area / aspect)
+    check = glue_robin_check if alpha else glue_neumann_check
+    rep = check(GluingConfig(FlatTorus(side, side * aspect), L, a, alpha))
     assert (rep.lhs, rep.rhs, rep.residual) == expected
 
 
@@ -102,3 +145,62 @@ def test_standard_set_is_one_pass_without_besselk(monkeypatch):
     assert shells and len(shells) == len(set(shells))
     step = 2 * mp.pi * mp.mpf(backend.ratio)
     assert [mp.nint(z / step) for z in shells] == list(range(1, len(shells) + 1))
+
+
+def _assert_matches_besselk(orders, z):
+    with mp.workdps(zreg._DPS):
+        values = zreg._BesselK(orders)(z)
+    with mp.workdps(60):
+        for nu, got in zip(orders, values):
+            ref = mp.besselk(nu, z)
+            assert abs(got - ref) <= 1e-28 * ref, (nu, z)
+
+
+@pytest.mark.parametrize("z", [1.0, TWO_PI, 6 * TWO_PI, 20 * TWO_PI])
+def test_generic_class_recurrence_matches_besselk(z):
+    # one residue class mod 1: 0.3 and 1.3 are integrated, the rest recur
+    with mp.workdps(zreg._DPS):
+        orders = [mp.mpf(0.3) + k for k in range(8)]
+        nu0 = Fraction(0.3)  # the double 0.3, exactly
+        assert zreg._BesselK(orders).integrated == (nu0, nu0 + 1)
+    _assert_matches_besselk(orders, mp.mpf(z))
+
+
+def test_standard_orders_at_last_shell_of_square_torus(monkeypatch):
+    shells = []
+    real_call = zreg._BesselK.__call__
+
+    def counted(self, z):
+        shells.append(z)
+        return real_call(self, z)
+
+    monkeypatch.setattr(zreg._BesselK, "__call__", counted)
+    with mp.workdps(zreg._DPS):
+        zreg._TorusBackend(FlatTorus(2.0, 2.0)).point_mp(0.5)
+    assert shells[-1] > 11 * TWO_PI
+    _assert_matches_besselk([abs(mp.mpf(s) - 0.5) for s in zreg._STANDARD_S], shells[-1])
+
+
+def test_tables_are_shared_and_two_orders_per_class_are_summed(monkeypatch):
+    built, summed = [], []
+    real_init, real_sums = zreg._CoshTable.__init__, zreg._CoshTable.sums
+
+    def init(self, orders, h, bits):
+        built.append((orders, h, bits))
+        real_init(self, orders, h, bits)
+
+    def sums(self, z, n):
+        summed.append(self.orders)
+        return real_sums(self, z, n)
+
+    monkeypatch.setattr(zreg._CoshTable, "__init__", init)
+    monkeypatch.setattr(zreg._CoshTable, "sums", sums)
+    zreg._cosh_table.cache_clear()
+    with mp.workdps(zreg._DPS):
+        zreg._TorusBackend(FlatTorus(2.0, 3.4)).point_mp(0.5)
+        first = len(built)
+        # the same aspect ratio at another size has the same shells and steps
+        zreg._TorusBackend(FlatTorus(1.0, 1.7)).point_mp(0.5)
+    assert first > 0 and len(built) == first
+    half = Fraction(1, 2)
+    assert set(summed) == {(Fraction(0), Fraction(1), half, 1 + half)}

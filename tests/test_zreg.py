@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from zetaglue import zreg
 from zetaglue.errors import SingularParameterError, ValidationError
 from zetaglue.spectra import (
     Circle,
@@ -177,3 +178,20 @@ class TestPowerTailBound:
         )
         assert power_tail_bound(CIRCLE, lam, p) >= exact
         assert power_tail_bound(CIRCLE, lam, p) < 10.0 * exact
+
+
+class TestBackendCache:
+    def test_fresh_tori_stay_within_the_cap(self):
+        for k in range(200):
+            zeta_point(FlatTorus(1.0 + k / 256.0, 2.0), 0.0)
+        assert len(zreg._backend_cache) <= zreg._BACKEND_CACHE_SIZE
+
+    def test_hit_returns_same_backend_and_refreshes_recency(self):
+        first = zreg._get_backend(TORUS_ASYM)
+        for k in range(zreg._BACKEND_CACHE_SIZE - 1):
+            zreg._get_backend(FlatTorus(3.0 + k / 256.0, 2.0))
+        # the oldest entry is now TORUS_ASYM; a hit makes it the newest
+        assert zreg._get_backend(TORUS_ASYM) is first
+        zreg._get_backend(FlatTorus(7.0, 2.0))
+        assert zreg._get_backend(TORUS_ASYM) is first
+        assert next(reversed(zreg._backend_cache))[0] == TORUS_ASYM
