@@ -24,7 +24,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .cylinder import DIRICHLET, NEUMANN, ROBIN, BoundaryCondition
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 
 __all__ = [
     "SecularProblem",
@@ -105,6 +105,42 @@ def _closed_form_roots(p: SecularProblem, count: int) -> List[float]:
     raise ValidationError("no closed form for this pair")
 
 
+def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f in [xa, xb] by Brent's method: a port of scipy's ``brentq.c``
+    with the same float operations in the same order, so the same root bit
+    for bit.  Exhausting ``maxiter`` raises :class:`ConvergenceError`."""
+    xpre, xcur, xblk, fblk, spre, scur = xa, xb, 0.0, 0.0, 0.0, 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValidationError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre < 0) != (fcur < 0):  # fpre != 0, and fcur == 0 returns below
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    other = xpre if (fpre < 0) != (fcur < 0) else xblk
+    raise ConvergenceError(f"brentq did not converge in {maxiter} iterations", abs(other - xcur))
+
+
 def segment_eigenvalues(p: SecularProblem, count: int) -> List[float]:
     """First ``count`` eigenvalues, ascending.
 
@@ -120,8 +156,6 @@ def segment_eigenvalues(p: SecularProblem, count: int) -> List[float]:
     pair = (p.bc_left.kind, p.bc_right.kind)
     if ROBIN not in pair:
         return _closed_form_roots(p, count)
-
-    from scipy.optimize import brentq
 
     g = _secular_function(p)
     g_scan = _secular_function(p, np.sin, np.cos)
@@ -159,7 +193,7 @@ def segment_eigenvalues(p: SecularProblem, count: int) -> List[float]:
             b = float(t[c, i + 1])
             if not (g(a) * g(b) < 0.0):
                 raise ValidationError(f"root bracketing failure on [{a}, {b}]")
-            roots.append(brentq(g, a, b, xtol=1e-15, rtol=1e-15, maxiter=200))
+            roots.append(_brentq(g, a, b, 1e-15, 1e-15, 200))
         first = int(j[-1]) + 1
     return [k * k for k in roots[:count]]
 

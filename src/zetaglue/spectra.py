@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -196,20 +199,21 @@ class ExplicitSpectrum(CrossSection):
 # ----------------------------------------------------------------------------
 
 
+# recent circles and tori, oldest first, with (top cutoff, entries, lows, highs)
+_SPECTRUM_CACHE_SIZE = 32
+_spectrum_cache: OrderedDict = OrderedDict()
+_spectrum_lock = threading.Lock()
+
+
 def enumerate_spectrum(cs: CrossSection, cutoff: float) -> list:
-    """All eigenvalues <= cutoff with exact multiplicities, sorted ascending."""
+    """All eigenvalues <= cutoff with exact multiplicities, sorted ascending,
+    in a new list (circles and tori bisect a cached spectrum)."""
     if not (cutoff > 0):
         raise ValidationError(f"cutoff must be > 0, got {cutoff}")
     if isinstance(cs, Point):
         return [SpectrumEntry(0.0, 1)]
-    if isinstance(cs, Circle):
-        c = cs.wavenumber
-        kmax = int(math.floor(math.sqrt(cutoff) / c + 1e-12))
-        out = [SpectrumEntry(0.0, 1)]
-        out.extend(SpectrumEntry((c * k) ** 2, 2) for k in range(1, kmax + 1))
-        return [e for e in out if e.eigenvalue <= cutoff]
-    if isinstance(cs, FlatTorus):
-        return _torus_entries(cs, cutoff)
+    if isinstance(cs, (Circle, FlatTorus)):
+        return _cached_entries(cs, cutoff)
     if isinstance(cs, ExplicitSpectrum):
         if cs.max_eigenvalue < cutoff:
             raise InsufficientSpectrumError(
@@ -220,7 +224,41 @@ def enumerate_spectrum(cs: CrossSection, cutoff: float) -> list:
     raise ValidationError(f"unknown cross-section type {type(cs).__name__}")
 
 
-def _torus_entries(cs: FlatTorus, cutoff: float) -> list:
+def _cached_entries(cs: CrossSection, cutoff: float) -> list:
+    with _spectrum_lock:
+        hit = _spectrum_cache.get(cs)
+        if hit is not None:
+            _spectrum_cache.move_to_end(cs)
+    if hit is not None and cutoff <= hit[0]:
+        _, entries, lows, highs = hit
+        # the entries <= cutoff are a prefix unless the floats of one
+        # degenerate group straddle the cutoff; then enumerate afresh
+        n = bisect_right(highs, cutoff)
+        return entries[:n] if n == bisect_right(lows, cutoff) else _entries(cs, cutoff)[0]
+    entries, lows, highs = _entries(cs, cutoff)
+    # bisection needs ascending bounds, which near-equal distinct eigenvalues can break
+    if lows == sorted(lows) and highs == sorted(highs):
+        with _spectrum_lock:
+            if _spectrum_cache.get(cs, (0.0,))[0] < cutoff:
+                _spectrum_cache[cs] = (cutoff, entries, lows, highs)
+            _spectrum_cache.move_to_end(cs)
+            while len(_spectrum_cache) > _SPECTRUM_CACHE_SIZE:
+                _spectrum_cache.popitem(last=False)
+    return list(entries)
+
+
+def _entries(cs: CrossSection, cutoff: float):
+    """(entries, lows, highs): the spectrum <= cutoff and, per entry, the
+    least and the largest float of the lattice points merged into it."""
+    if isinstance(cs, FlatTorus):
+        return _torus_entries(cs, cutoff)
+    c = cs.wavenumber
+    kmax = int(math.floor(math.sqrt(cutoff) / c + 1e-12))
+    mus = [mu for mu in [0.0] + [(c * k) ** 2 for k in range(1, kmax + 1)] if mu <= cutoff]
+    return [SpectrumEntry(mu, 2 if k else 1) for k, mu in enumerate(mus)], mus, mus
+
+
+def _torus_entries(cs: FlatTorus, cutoff: float):
     # Exact degeneracy merging: with ell_i = n_i/d_i the exact binary
     # fractions of the side lengths, the integer
     # j^2 (n2 d1)^2 + k^2 (n1 d2)^2 = (ell1 ell2 d1 d2 / 2 pi)^2 mu
@@ -247,10 +285,14 @@ def _torus_entries(cs: FlatTorus, cutoff: float) -> list:
             mult = (1 if j == 0 else 2) * (1 if k == 0 else 2)
             group = groups.get(key)
             if group is None:
-                groups[key] = [mu, mult]
+                groups[key] = [mu, mult, mu, mu]
             else:
                 group[1] += mult
-    return [SpectrumEntry(mu, mult) for _, (mu, mult) in sorted(groups.items())]
+                group[2] = min(group[2], mu)
+                group[3] = max(group[3], mu)
+    groups = [group for _, group in sorted(groups.items())]
+    entries = [SpectrumEntry(mu, mult) for mu, mult, _, _ in groups]
+    return entries, [g[2] for g in groups], [g[3] for g in groups]
 
 
 def heat_coefficients(cs: CrossSection, order: int = 0) -> HeatExpansion:

@@ -175,6 +175,7 @@ class _CircleBackend:
     def __init__(self, cs: Circle):
         self.c = cs.wavenumber
         self.ell = cs.circumference
+        self._points: dict = {}
 
     def point_mp(self, s: float):
         """(finite part, residue) as mpmath values at the working precision."""
@@ -187,9 +188,12 @@ class _CircleBackend:
         return 2 * mp.power(c, -2 * ss) * mp.zeta(2 * ss), mp.mpf(0)
 
     def point(self, s: float) -> ZetaPoint:
-        with mp.workdps(_DPS):
-            val, res = self.point_mp(s)
-            return ZetaPoint(s, float(val), float(res))
+        hit = self._points.get(s)
+        if hit is None:
+            with mp.workdps(_DPS):
+                val, res = self.point_mp(s)
+                hit = self._points[s] = ZetaPoint(s, float(val), float(res))
+        return hit
 
     def derivative0(self) -> float:
         return -2.0 * math.log(self.ell)
@@ -830,6 +834,7 @@ def _explicit_heat_order(cs: CrossSection) -> int:
 # its own value caches, so an unbounded map would grow with every new
 # cross-section of a sweep
 _BACKEND_CACHE_SIZE = 32
+_SHIFTED_CACHE_SIZE = 16  # shifted determinants kept per backend
 _backend_cache: OrderedDict = OrderedDict()
 _backend_lock = threading.Lock()
 
@@ -858,6 +863,7 @@ def _get_backend(cs: CrossSection, backend: str = "auto", split_point: float = 1
             )
     else:
         b = _NumericBackend(cs, split_point=split_point)
+    b.shifted = OrderedDict()
     with _backend_lock:
         b = _backend_cache.setdefault(key, b)
         _backend_cache.move_to_end(key)
@@ -1080,8 +1086,16 @@ def log_det_shifted(
     if isinstance(cs, Point):
         lm, ph = signed_log(alpha)
         return RegularizedDet(lm, ph, 0)
-    if method == "closed" or (method == "auto" and isinstance(cs, Circle) and backend in ("auto", "closed")):
-        if not isinstance(cs, Circle):
-            raise ValidationError("closed-form shifted determinant needs a circle")
-        return _shifted_circle_closed(cs, alpha)
-    return _shifted_via_series(cs, alpha, _get_backend(cs, backend, split_point))
+    closed = method == "closed" or (method == "auto" and isinstance(cs, Circle) and backend in ("auto", "closed"))
+    if closed and not isinstance(cs, Circle):
+        raise ValidationError("closed-form shifted determinant needs a circle")
+    # kept on the backend, so evicted with it; refusals raise above each time
+    b = _get_backend(cs, "closed" if closed else backend, split_point)
+    det = b.shifted.get((alpha, closed))
+    if det is None:
+        det = _shifted_circle_closed(cs, alpha) if closed else _shifted_via_series(cs, alpha, b)
+        with _backend_lock:
+            b.shifted[alpha, closed] = det
+            while len(b.shifted) > _SHIFTED_CACHE_SIZE:
+                b.shifted.popitem(last=False)
+    return det

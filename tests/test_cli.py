@@ -134,6 +134,24 @@ class TestProcessInterface:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_oracle_loads_no_scipy_optimize(self):
+        # the oracle's root search is its own Brent port; scipy.optimize
+        # would add about 47 MB and 0.4 s to a run that checks it
+        code = (
+            "import sys\n"
+            "from zetaglue.cylinder import BoundaryCondition as BC\n"
+            "from zetaglue.oracle import SecularProblem, relative_log_det\n"
+            "rr = SecularProblem(1.0, BC.robin(0.25), BC.robin(0.25))\n"
+            "dd = SecularProblem(1.0, BC.dirichlet(), BC.dirichlet())\n"
+            "relative_log_det(rr, dd, count=1024)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_det_example(self):
         proc = run_cli(["det", "--cross", "point", "--L", "1", "--bc", "dd"])
         assert proc.returncode == 0

@@ -1,13 +1,14 @@
 """Root-finding oracle vs the closed-form segment determinants."""
 
 import math
+import random
 
 import pytest
 from scipy.optimize import brentq
 
 from zetaglue import oracle
 from zetaglue.cylinder import ROBIN, BoundaryCondition as BC, CylinderSpec, log_det_cylinder
-from zetaglue.errors import ValidationError
+from zetaglue.errors import ConvergenceError, ValidationError
 from zetaglue.oracle import SecularProblem, relative_log_det, segment_eigenvalues
 from zetaglue.spectra import Point
 
@@ -121,6 +122,73 @@ class TestSegmentEigenvalues:
     def test_rejects_negative_robin(self):
         with pytest.raises(ValidationError):
             SecularProblem(1.0, BC.robin(-1.0), BC.robin(-1.0))
+
+
+GENERIC = [
+    lambda x: x**3 - 2.0,
+    lambda x: math.exp(x) - 3.0,
+    lambda x: math.tanh(4.0 * (x - 1.1)),
+    lambda x: math.sin(x) - 0.3 * x,
+    lambda x: math.atan(x - 0.7) + 1e-3 * (x - 0.7) ** 3,
+    lambda x: (x - 1.3) ** 5,
+    lambda x: math.log(x) - 0.2,
+    lambda x: x - 0.5,
+]
+
+
+def robin_brackets(rng, per_problem):
+    """Sign-changing brackets of every Robin secular function of the
+    oracle, with widths from 1e-9 to a whole pi/L cell."""
+    out = []
+    for pair in sorted(PAIRS):
+        for alpha in (0.0, 0.25, 0.9, 3.0):
+            for L in (1.0, 2.5):
+                g = oracle._secular_function(SecularProblem(L, *PAIRS[pair](alpha)))
+                cell = math.pi / L
+                found = 0
+                while found < per_problem:
+                    a = rng.uniform(1e-6, 60.0 * cell)
+                    b = a + cell * 10.0 ** rng.uniform(-9.0, 0.0)
+                    if g(a) * g(b) < 0.0:
+                        out.append((g, a, b))
+                        found += 1
+    return out
+
+
+def generic_brackets(rng, per_function):
+    out = []
+    for f in GENERIC:
+        found = 0
+        while found < per_function:
+            a, b = sorted(rng.uniform(0.05, 4.0) for _ in range(2))
+            if f(a) * f(b) < 0.0:
+                out.append((f, a, b))
+                found += 1
+    return out
+
+
+class TestBrentPort:
+    def test_bitwise_equal_to_scipy(self):
+        rng = random.Random(20240611)
+        cases = robin_brackets(rng, 500) + generic_brackets(rng, 250)
+        # roots at an end point and a root hit exactly by interpolation
+        cases += [(GENERIC[-1], 0.5, 2.0), (GENERIC[-1], -1.0, 0.5), (GENERIC[-1], 0.0, 1.0)]
+        assert len(cases) >= 20_000
+        for f, a, b in cases:
+            want = brentq(f, a, b, xtol=1e-15, rtol=1e-15, maxiter=200)
+            assert oracle._brentq(f, a, b, 1e-15, 1e-15, 200).hex() == want.hex(), (a, b)
+
+    def test_exhausted_iterations_raise_convergence_error(self):
+        g = oracle._secular_function(SecularProblem(1.0, BC.robin(0.9), BC.robin(0.9)))
+        a, b = 0.5, math.pi
+        with pytest.raises(RuntimeError):
+            brentq(g, a, b, xtol=1e-15, rtol=1e-15, maxiter=3)
+        with pytest.raises(ConvergenceError):
+            oracle._brentq(g, a, b, 1e-15, 1e-15, 3)
+
+    def test_same_signs_rejected(self):
+        with pytest.raises(ValidationError):
+            oracle._brentq(GENERIC[-1], 1.0, 2.0, 1e-15, 1e-15, 200)
 
 
 class TestRelativeLogDet:

@@ -2,12 +2,14 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaglue import spectra
 from zetaglue.errors import (
     HeatDataRequiredError,
     InsufficientSpectrumError,
@@ -118,6 +120,67 @@ class TestEnumerate:
         small = entries_as_pairs(enumerate_spectrum(Circle(ell), lam))
         big = entries_as_pairs(enumerate_spectrum(Circle(ell), 2.0 * lam))
         assert big[: len(small)] == small
+
+
+def direct_circle_entries(cs, cutoff):
+    """Reference circle spectrum: every k with (c k)^2 <= cutoff, uncached."""
+    c = cs.wavenumber
+    out = [SpectrumEntry(0.0, 1)]
+    k = 1
+    while (c * k) ** 2 <= cutoff:
+        out.append(SpectrumEntry((c * k) ** 2, 2))
+        k += 1
+    return out
+
+
+def direct_entries(cs, cutoff):
+    if isinstance(cs, Circle):
+        return direct_circle_entries(cs, cutoff)
+    return fraction_keyed_torus_entries(cs, cutoff)
+
+
+def seeded_cutoffs(cs, seed, top):
+    """Cutoffs at every eigenvalue below ``top``, one ulp either side, and
+    in between, in small -> large -> small order."""
+    rng = random.Random(seed)
+    cuts = [rng.uniform(1.0, top) for _ in range(20)]
+    for e in direct_entries(cs, top)[1:]:
+        cuts += [e.eigenvalue, math.nextafter(e.eigenvalue, 0.0), math.nextafter(e.eigenvalue, math.inf)]
+    rng.shuffle(cuts)
+    small = [c for c in cuts if c < top / 8]
+    large = [c for c in cuts if c >= top / 8]
+    return small[: len(small) // 2] + sorted(large) + [top] + small[len(small) // 2 :] + large
+
+
+class TestSpectrumCache:
+    # the square torus of side 3 merges lattice points whose floats differ
+    # by an ulp (first at 109.66), so cutoffs at its eigenvalues split
+    # degenerate groups; on the sqrt(2) x sqrt(28) torus distinct
+    # eigenvalues a hair apart have their floats in the other order
+    @pytest.mark.parametrize("seed, cs, top", [
+        (1, Circle(TWO_PI), 1e3), (2, Circle(3.7), 1e3), (3, FlatTorus(3.0, 3.0), 1e3),
+        (4, FlatTorus(TWO_PI, TWO_PI), 250.0), (5, FlatTorus(1.0, 2.37), 1e3),
+        (6, FlatTorus(TWO_PI, 3.0), 300.0), (7, FlatTorus(math.sqrt(2.0), math.sqrt(28.0)), 1e3),
+    ], ids=["circle", "circle-3.7", "square", "square-2pi", "1:2.37", "2pi-x-3", "unordered"])
+    def test_cached_equals_direct_enumeration(self, seed, cs, top):
+        spectra._spectrum_cache.pop(cs, None)
+        for cutoff in seeded_cutoffs(cs, seed, top):
+            assert enumerate_spectrum(cs, cutoff) == direct_entries(cs, cutoff), cutoff
+
+    def test_returned_list_is_a_copy(self):
+        cs = FlatTorus(1.5, 2.5)
+        first = enumerate_spectrum(cs, 200.0)
+        want = list(first)
+        first.clear()
+        smaller = enumerate_spectrum(cs, 50.0)
+        smaller.append(SpectrumEntry(1e9, 1))
+        assert enumerate_spectrum(cs, 200.0) == want
+        assert enumerate_spectrum(cs, 50.0) == [e for e in want if e.eigenvalue <= 50.0]
+
+    def test_fresh_tori_stay_within_the_cap(self):
+        for k in range(200):
+            enumerate_spectrum(FlatTorus(1.0 + k / 256.0, 2.0), 50.0)
+        assert len(spectra._spectrum_cache) <= 32
 
 
 class TestHeatData:

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from zetaglue import zreg
+from zetaglue import spectra, zreg
 from zetaglue.errors import SingularParameterError, ValidationError
+from zetaglue.gluing import GluingConfig, glue_robin_check
 from zetaglue.spectra import (
     Circle,
     FlatTorus,
@@ -195,3 +196,62 @@ class TestBackendCache:
         zreg._get_backend(FlatTorus(7.0, 2.0))
         assert zreg._get_backend(TORUS_ASYM) is first
         assert next(reversed(zreg._backend_cache))[0] == TORUS_ASYM
+
+
+def forget(cs):
+    """Drop every cached spectrum and backend of ``cs``."""
+    spectra._spectrum_cache.pop(cs, None)
+    for key in [k for k in zreg._backend_cache if k[0] == cs]:
+        zreg._backend_cache.pop(key)
+
+
+def counting(monkeypatch, module, name):
+    """Wrap ``module.name`` and return the list its calls are appended to."""
+    calls = []
+    inner = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestComputedOnce:
+    def test_lattice_builds_per_torus_check(self, monkeypatch):
+        torus = FlatTorus(TWO_PI, 3.0)
+        forget(torus)
+        builds = counting(monkeypatch, spectra, "_torus_entries")
+        glue_robin_check(GluingConfig(torus, 2.5, 0.75, -0.3))
+        assert len(builds) <= 3
+        builds.clear()
+        glue_robin_check(GluingConfig(torus, 1.5, 1.05, 0.7))
+        assert len(builds) <= 1
+
+    def test_hurwitz_calls_per_circle_check(self, monkeypatch):
+        circle = Circle(5.3)
+        forget(circle)
+        calls = counting(monkeypatch, zreg, "hurwitz_zeta_sderiv")
+        glue_robin_check(GluingConfig(circle, 2.5, 0.75, 0.4137))
+        assert len(calls) <= 2
+        calls.clear()
+        glue_robin_check(GluingConfig(circle, 1.5, 0.6, 0.4137))
+        assert calls == []
+
+    @pytest.mark.parametrize("cs, alpha", [
+        (CIRCLE, -1.0), (CIRCLE, 0.0), (TORUS_ASYM, -1.0), (TORUS_ASYM, 0.0),
+    ], ids=["circle-root", "circle-zero", "torus-root", "torus-zero"])
+    def test_refusal_is_raised_again(self, monkeypatch, cs, alpha):
+        checks = counting(monkeypatch, zreg, "_check_shift_admissible")
+        for _ in range(2):
+            with pytest.raises(SingularParameterError):
+                log_det_shifted(cs, alpha)
+        assert len(checks) == 2
+
+    def test_shifted_map_is_bounded(self):
+        circle = Circle(4.1)
+        forget(circle)
+        for k in range(3 * zreg._SHIFTED_CACHE_SIZE):
+            log_det_shifted(circle, 0.1 + k / 64.0)
+        assert len(zreg._get_backend(circle).shifted) == zreg._SHIFTED_CACHE_SIZE
