@@ -16,6 +16,7 @@ import threading
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -199,7 +200,7 @@ class ExplicitSpectrum(CrossSection):
 # ----------------------------------------------------------------------------
 
 
-# recent circles and tori, oldest first, with (top cutoff, entries, lows, highs)
+# recent circles and tori, oldest first: (top cutoff, entries, bounds of their floats)
 _SPECTRUM_CACHE_SIZE = 32
 _spectrum_cache: OrderedDict = OrderedDict()
 _spectrum_lock = threading.Lock()
@@ -230,20 +231,22 @@ def _cached_entries(cs: CrossSection, cutoff: float) -> list:
         if hit is not None:
             _spectrum_cache.move_to_end(cs)
     if hit is not None and cutoff <= hit[0]:
-        _, entries, lows, highs = hit
-        # the entries <= cutoff are a prefix unless the floats of one
-        # degenerate group straddle the cutoff; then enumerate afresh
+        _, entries, highs, lows = hit
+        # bisecting running maxima of the highs counts the leading entries wholly
+        # <= cutoff, and running minima of the lows from the end reach the last
+        # entry with a float <= cutoff: they differ inside a split degenerate
+        # group or a pair of distinct eigenvalues whose floats are out of order
         n = bisect_right(highs, cutoff)
         return entries[:n] if n == bisect_right(lows, cutoff) else _entries(cs, cutoff)[0]
     entries, lows, highs = _entries(cs, cutoff)
-    # bisection needs ascending bounds, which near-equal distinct eigenvalues can break
-    if lows == sorted(lows) and highs == sorted(highs):
-        with _spectrum_lock:
-            if _spectrum_cache.get(cs, (0.0,))[0] < cutoff:
-                _spectrum_cache[cs] = (cutoff, entries, lows, highs)
-            _spectrum_cache.move_to_end(cs)
-            while len(_spectrum_cache) > _SPECTRUM_CACHE_SIZE:
-                _spectrum_cache.popitem(last=False)
+    highs = list(accumulate(highs, max))
+    lows = list(accumulate(reversed(lows), min))[::-1]
+    with _spectrum_lock:
+        if _spectrum_cache.get(cs, (0.0,))[0] < cutoff:
+            _spectrum_cache[cs] = (cutoff, entries, highs, lows)
+        _spectrum_cache.move_to_end(cs)
+        while len(_spectrum_cache) > _SPECTRUM_CACHE_SIZE:
+            _spectrum_cache.popitem(last=False)
     return list(entries)
 
 

@@ -217,9 +217,8 @@ class _BesselK:
     from K_{nu+1} = K_{nu-1} + (2 nu / z) K_nu (DLMF 10.29.1), whose terms
     are all positive.  The relative error of a sum of positive terms is at
     most the largest relative error of its terms, so K_{nu0+n} is within
-    the error of the two integrated orders plus 3 n roundings at p + 40
-    bits (a quotient, a product and a sum per step).  Below, nu* is the
-    largest integrated order.
+    the error of the two integrated orders plus the roundings of n steps.
+    Below, nu* is the largest integrated order.
 
     Step.  On the strip |Im t| <= a < pi/2,
     |f(x + ib)| <= exp(-z cos(a) cosh x) cosh(nu x), so the line integral
@@ -231,8 +230,9 @@ class _BesselK:
 
         4 sec(a)^max(nu*, 1/2) exp(z (1 - cos a) - 2 pi a / h).
 
-    Each call takes the largest step h = 2^(-k/2) for which some a makes
-    this at most eps = 2^-(p + 8), p the caller's precision in bits.
+    A grid takes the largest step h = 2^(-k/2) for which some a makes this
+    at most eps = 2^-(p + 8) at its largest z, p the precision in bits; the
+    bound grows with z, so the step serves every smaller z too.
 
     Truncation.  d/dt ln f <= nu* - z sinh t, so beyond the first node
     with z sinh t_j >= nu* + 1/h the summands fall by a factor e at least
@@ -243,24 +243,23 @@ class _BesselK:
     relative.  The node count n is found in floating point, with a margin
     that covers its rounding, before any sum is formed.
 
-    Rounding.  The sums are integer dot products of fixed-point numbers
-    with P fraction bits (``_CoshTable``): table entries within one unit,
-    weights exp(-z (cosh t_j - 1)) from ``exp_fixed`` within
-    3 (z + 1) C1 + 8 units relative plus one unit, where C1 = cosh t_(n-1)
-    is the largest weight argument.  With C the largest table entry of an
-    integrated order, the rounding of a sum is at most
-    B = 2 (3 (z + 1) C1 + n (C + 2) + 9) units relative (the factor 2
-    because the sum is at least 1/2).  The guard G = P - p is 10 plus the
-    bit length of B, rounded up to a multiple of 16 so that calls share
-    tables; this keeps the rounding below eps/4.
+    Rounding.  ``shell`` works on integers scaled by 2^P: weights within
+    rho units relative plus A units, table entries within one unit, and a
+    recurrence step rounding once.  With C the largest table entry and L
+    steps, every value is within R = rho + 4 n A (C + 1) + 3 L + 2 units
+    relative at the fixed-point z (the sums are at least 2^(2P) / 2).
+    ``exp_fixed`` weights have rho = 3 (z + 1) cosh t_(n-1) + 8 and A = 1.
+    ``_guard`` makes P - p = 10 plus the bit length of 2 R and the pass's
+    other roundings, rounded up to a multiple of 16 so that grids share
+    tables: the rounding stays below eps/4.
 
     Every value therefore lies within (1 + 0.6 + 0.25) eps plus a few
     roundings at p + 40 bits, below 2 eps, relative of K_nu(z).
     """
 
-    def __init__(self, orders):
-        orders = [_exact(abs(mp.mpf(nu))) for nu in orders]
-        self.p = mp.mp.prec
+    def __init__(self, orders, p=None):
+        self.orders = orders = tuple(nu if isinstance(nu, Fraction) else _exact(abs(mp.mpf(nu))) for nu in orders)
+        self.p = mp.mp.prec if p is None else p
         self.prec = self.p + 40
         self.log_eps = -(self.p + 8) * math.log(2.0)
         top = {}  # lowest order of each residue class -> its highest order
@@ -269,21 +268,21 @@ class _BesselK:
             top[lo] = nu
         # every order of every class, lowest first; the first one or two of
         # each class are integrated, the others recur:
-        # K[dst] = K[dst - 2] + (2 nu / z) K[dst - 1], nu = ladder[dst - 1]
+        # K[dst] = K[dst - 2] + (2 nu / z) K[dst - 1], nu = ladder[dst - 1],
+        # kept as 2 nu = num / 2^t
         ladder, integrated, recur = [], [], []
-        with mp.workprec(self.prec):
-            for lo, hi in top.items():
-                for i in range(int(hi - lo) + 1):
-                    if i < 2:
-                        integrated.append(len(ladder))
-                    else:
-                        nu = ladder[-1]
-                        recur.append((len(ladder), mp.mpf(2 * nu.numerator) / nu.denominator))
-                    ladder.append(lo + i)
+        for lo, hi in top.items():
+            for i in range(int(hi - lo) + 1):
+                if i < 2:
+                    integrated.append(len(ladder))
+                else:
+                    two_nu = 2 * ladder[-1]
+                    recur.append((len(ladder), two_nu.numerator, two_nu.denominator.bit_length() - 1))
+                ladder.append(lo + i)
         self.integrated = tuple(ladder[i] for i in integrated)
         self._integrated_at = integrated
         self._recur = recur
-        self._out = [ladder.index(nu) for nu in orders]
+        self.out = [ladder.index(nu) for nu in orders]
         self._size = len(ladder)
         self.numax = float(max(self.integrated))
 
@@ -296,22 +295,42 @@ class _BesselK:
         )
         return 2.0 ** (-math.ceil(-2.0 * math.log2(hmax)) / 2.0)
 
-    def _nodes(self, z: float, h: float):
-        """(node count, guard bits) for the trapezoid sums at z."""
+    def _nodes(self, z: float, h: float, least: int = 2) -> int:
+        """Node count at z, at least ``least`` (say the count at a larger z)."""
         nu = self.numax
         limit = self.log_eps - math.log(2.0) - 1e-9
-        j = 1
+        j = least - 1
         while True:
             t = j * h
             if (
                 z * math.sinh(t) >= nu + 1.0 / h
                 and math.log(math.cosh(nu * t)) - 2.0 * z * math.sinh(t / 2.0) ** 2 <= limit
             ):
-                break
+                return j + 1
             j += 1
-        bound = 2.0 * (3.0 * (z + 1.0) * math.cosh(t) + (j + 1) * (math.cosh(nu * t) + 2.0) + 9.0)
-        guard = 10 + math.ceil(bound).bit_length()
-        return j + 1, -(-guard // 16) * 16
+
+    def _guard(self, z1: float, h: float, counts) -> int:
+        """P - p for the shells z = m z1 with counts[m - 1] nodes: shell m's
+        weights are m-th powers (rho = m (3 (z1 + 1) C1 + 8), A = 2m - 1), and
+        a pass rounds its terms and z (the last two sums of ``bound``)."""
+        t = (counts[0] - 1) * h
+        c1, top, nu, shells = math.cosh(t), math.cosh(self.numax * t), float(max(self.orders)), len(counts)
+        bound = 2 * max(
+            m * (3 * (z1 + 1) * c1 + 8) + 4 * n * (2 * m - 1) * (top + 1) + 3 * len(self._recur) + 2
+            for m, n in enumerate(counts, 1)
+        ) + sum(2 * m ** (nu + 2) + 3 for m in range(1, shells + 1)) + 2 * shells + nu + 2
+        return -(-(10 + math.ceil(bound).bit_length()) // 16) * 16
+
+    def shell(self, table, weights, zfix: int) -> list:
+        """2^P e^z K_nu(z) / h per ladder order at z = zfix / 2^P, P = table.bits."""
+        bits = table.bits
+        k = [0] * self._size
+        for i, col in zip(self._integrated_at, table.columns[1:]):
+            k[i] = sum(map(operator.mul, weights, col)) >> bits
+        inv = (1 << 3 * bits) // zfix
+        for dst, two_nu, t in self._recur:
+            k[dst] = k[dst - 2] + ((two_nu * inv * k[dst - 1]) >> (2 * bits + t))
+        return k
 
     def __call__(self, z):
         """[K_nu(z) for nu in orders]."""
@@ -319,16 +338,13 @@ class _BesselK:
             z = mp.mpf(z)
             zf = float(z)
             h = self._step(zf)
-            n, guard = self._nodes(zf, h)
-            table = _cosh_table(self.integrated, h, self.p + guard)
+            n = self._nodes(zf, h)
+            table = _cosh_table(self.integrated, h, self.p + self._guard(zf, h, [n]))
+            zfix = to_fixed(z._mpf_, table.bits)
+            k = self.shell(table, table.weights(zfix, n), zfix)
             # the common factor e^-z of the weights comes out of the sums
-            scale = mp.ldexp(h * mp.exp(-z), -2 * table.bits)
-            k = [None] * self._size
-            for i, total in zip(self._integrated_at, table.sums(z, n)):
-                k[i] = scale * total
-            for dst, two_nu in self._recur:
-                k[dst] = k[dst - 2] + two_nu / z * k[dst - 1]
-            return [k[i] for i in self._out]
+            scale = mp.ldexp(h * mp.exp(-z), -table.bits)
+            return [scale * k[i] for i in self.out]
 
 
 def _exact(x) -> Fraction:
@@ -366,27 +382,64 @@ class _CoshTable:
                         c = mp.cosh(mp.mpf(nu.numerator) / nu.denominator * t)
                         col.append(int(mp.nint(mp.ldexp(c, self.bits))))
 
-    def sums(self, z, n: int):
-        """sum'_{j<n} exp(-z (cosh t_j - 1)) cosh(nu t_j) per order, at 2 bits.
-
-        The first node carries the trapezoid weight 1/2.
-        """
+    def weights(self, zfix: int, n: int) -> list:
+        """[2^bits exp(-z (cosh t_j - 1)) for j < n] from ``exp_fixed``, the
+        first halved (the trapezoid weight 1/2), z = zfix / 2^bits."""
         if len(self.columns[-1]) < n:
             self._grow(n)
         bits = self.bits
         one = 1 << bits
-        zfix = to_fixed(z._mpf_, bits)
         ln2 = ln2_fixed(bits)
-        weights = [one >> 1] + [
+        return [one >> 1] + [
             exp_fixed(-((zfix * (c - one)) >> bits), bits, ln2)
             for c in self.columns[0][1:n]
         ]
-        return [sum(map(operator.mul, weights, col)) for col in self.columns[1:]]
 
 
 @functools.lru_cache(maxsize=64)
 def _cosh_table(orders, h: float, bits: int) -> _CoshTable:
     return _CoshTable(orders, h, bits)
+
+
+_bessel_plan = functools.lru_cache(maxsize=64)(_BesselK)
+
+
+@functools.lru_cache(maxsize=1024)
+def _divisor_weights(plan: _BesselK, m: int, bits: int) -> tuple:
+    """[2^bits m^-nu sigma_2nu(m) for nu in plan.orders] within 2 units, for
+    integer 2 nu = k as isqrt(2^(2 bits) sigma_k(m)^2 // m^k), sigma exact."""
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    out = []
+    for nu in plan.orders:
+        if (2 * nu).denominator == 1:
+            sigma = sum(d ** int(2 * nu) for d in divisors)
+            out.append(math.isqrt((sigma * sigma << 2 * bits) // m ** int(2 * nu)))
+        else:
+            with mp.workprec(bits + 16):
+                x = mp.mpf(nu.numerator) / nu.denominator
+                out.append(to_fixed((mp.fsum(d ** (2 * x) for d in divisors) / m**x)._mpf_, bits))
+    return tuple(out)
+
+
+def _settle_shifts(p: int, nu: float, z1: float) -> list:
+    """Shift k_m for the shells m = 1, ..., M of a pass at orders up to nu.
+
+    A term t_n = n^-nu sigma_2nu(n) K_nu(n z1) is at most n^(nu + 1)
+    e^(-(n - m) z1) / m^nu times t_m (cosh t >= 1), so the terms after shell
+    m add at most t_m C_m, C_m <= (m + 1) q / (1 - q)^2, q = exp(nu/m - z1).
+    A pass stops after shell m once every term has 2^k_m t_m <= its total,
+    k_m = p + 8 + log2 C_m rounded up (None where q >= 1): the rest is below
+    eps = 2^-(p + 8) relative.  A total is at least t_1, so this holds at M,
+    where m^(nu + 1) e^(-(m - 1) z1) C_m <= eps/2, and the pass ends there.
+    """
+    shifts, m, ln2 = [], 1, math.log(2.0)
+    while True:
+        q = math.exp(nu / m - z1)
+        log_c = math.log((m + 1) * q) - 2.0 * math.log1p(-q) if q < 1.0 else math.inf
+        shifts.append(max(0, p + 8 + math.ceil(log_c / ln2)) if q < 1.0 else None)
+        if (nu + 1.0) * math.log(m) - (m - 1) * z1 + log_c <= -(p + 9) * ln2:
+            return shifts
+        m += 1
 
 
 @functools.lru_cache(maxsize=64)
@@ -435,15 +488,17 @@ class _TorusBackend:
     Chowla-Selberg form of the Epstein zeta).  Simple poles at s = 1
     (spectral) and a removable pole pair at s = 1/2.
 
-    Each shell is visited once per pass.  ``_BesselK`` gives every order
-    there from two trapezoid sums of
+    Each shell is visited once per fixed-point pass (``_bessel_pass``).
+    ``_BesselK`` gives every order there from two trapezoid sums of
     K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt per residue class of
-    the orders mod 1 and the upward recurrence, each value within 2^-(p + 7)
-    relative at precision p.  For the standard s the exponent 2s - 1 is an
-    integer, so sigma_{2s-1}(m) is an exact integer or rational and
-    (r m)^(1/2-s) an integer power of 1/sqrt(r m).  The first request for
-    an s of ``_STANDARD_S`` sums B for the whole set in one pass; only the
-    per-s sums are kept.
+    the orders mod 1 and the upward recurrence.  With nu = |s - 1/2|,
+    (r m)^(1/2-s) sigma_{2s-1}(m) = r^(1/2-s) m^-nu sigma_{2nu}(m), an
+    exact integer divisor sum for the standard s.  Each B(s) lies within
+    2^-(p + 6) relative at precision p; with the values of
+    ``_torus_constants`` within a unit each, ``point_mp`` is within
+    2^-(p + 6) |t_B| + 2^-(p - 4) sum |t_i| of Z(s), t_i the ``terms`` and
+    t_B the last.  The first request for an s of ``_STANDARD_S`` sums B
+    for the whole set in one pass; only the per-s sums are kept.
     """
 
     achieved = 1e-14
@@ -469,43 +524,55 @@ class _TorusBackend:
         return total
 
     def _bessel_pass(self, svals):
-        """B(s) for every s of svals, each shell m visited once."""
-        r = mp.mpf(self.ratio)
-        ss = [mp.mpf(s) for s in svals]
-        orders = sorted({abs(x - mp.mpf(0.5)) for x in ss})
-        slot = [orders.index(abs(x - mp.mpf(0.5))) for x in ss]
-        # the divisor-sum exponent 2s - 1 is an integer for every standard s
-        expo = [int(2 * s - 1) if 2 * s == int(2 * s) else None for s in svals]
-        exact = set(expo) - {None}
-        besselk = _BesselK(orders)
-        tol = mp.mpf(10) ** (-_DPS - 2)
-        totals = [mp.mpf(0)] * len(ss)
-        m = 1
-        while True:
-            z = 2 * mp.pi * r * m
-            kv = besselk(z)
-            divisors = [d for d in range(1, m + 1) if m % d == 0]
-            # (r m)^(1/2 - s) sigma_{2s-1}(m) = u^e sigma_e(m) with e = 2s - 1,
-            # sigma_e(m) an integer, or sigma_-e(m) / m^-e for e < 0
-            u = 1 / mp.sqrt(r * m)
-            weight = {}
-            for e in exact:
-                sigma = sum(d ** abs(e) for d in divisors)
-                weight[e] = u**e * sigma if e >= 0 else u**e * sigma / m**-e
-            # once z > nu the envelope m^nu K_nu(2 pi r m) of every term
-            # falls with m, so a small term is not followed by a large one
-            settled = z > orders[-1] + 1
-            for i, x in enumerate(ss):
-                if expo[i] is None:
-                    sigma = mp.fsum(mp.power(d, 2 * x - 1) for d in divisors)
-                    term = mp.power(r * m, mp.mpf(0.5) - x) * sigma * kv[slot[i]]
-                else:
-                    term = weight[expo[i]] * kv[slot[i]]
+        """B(s) for every s of svals in one fixed-point pass over the shells.
+
+        B(s) = r^(1/2-s) h e^(-z1) A_nu, nu = |s - 1/2|, z_m = m z1 = 2 pi r m,
+        A_nu = sum_m m^-nu sigma_2nu(m) e^(-(m-1) z1) e^(z_m) K_nu(z_m) / h
+        >= 1/2 at any aspect ratio.  One node grid (the step of the last
+        shell) serves all; shell m's weights are m-th powers of shell 1's.
+        B(s) is within 3 eps = 3 * 2^-(p + 8) < 2^-(p + 6) relative: step
+        and node truncation 1.6 eps per K_nu(z_m), kept by positive terms;
+        later shells eps (``_settle_shifts``); the powers (m roundings in
+        shell m), recurrence, accumulation and z (z_m within m units) below
+        eps/4 (``_BesselK._guard``); the final products a few units more.
+        """
+        orders = sorted({abs(Fraction(s) - Fraction(1, 2)) for s in svals})
+        besselk = _bessel_plan(tuple(orders), mp.mp.prec)
+        z1f = 2.0 * math.pi * self.ratio
+        shifts = _settle_shifts(besselk.p, float(orders[-1]), z1f)
+        h = besselk._step(len(shifts) * z1f)
+        counts = [besselk._nodes(len(shifts) * z1f, h)]
+        for m in range(len(shifts) - 1, 0, -1):
+            counts.insert(0, besselk._nodes(m * z1f, h, counts[0]))
+        table = _cosh_table(besselk.integrated, h, besselk.p + besselk._guard(z1f, h, counts))
+        bits = table.bits
+        with mp.workprec(bits + 16):
+            z1 = 2 * mp.pi * mp.mpf(self.ratio)
+        zfix = to_fixed(z1._mpf_, bits)
+        weights = table.weights(zfix, counts[0])
+        powers = [1 << bits] + weights[1:]  # b_0 = 1 keeps w_0 halved
+        e1, decay = exp_fixed(-zfix, bits, ln2_fixed(bits)), 1 << bits
+        totals = [0] * len(besselk.orders)
+        for m, (n, shift) in enumerate(zip(counts, shifts), 1):
+            if m > 1:
+                weights = [(w * b) >> bits for w, b in zip(weights, powers[:n])]
+                decay = (decay * e1) >> bits
+            k = besselk.shell(table, weights, m * zfix)
+            settled = shift is not None
+            for i, (j, w) in enumerate(zip(besselk.out, _divisor_weights(besselk, m, bits))):
+                term = (k[j] * w * decay) >> (2 * bits)
                 totals[i] += term
-                settled = settled and abs(term) < tol * (1 + abs(totals[i]))
+                settled = settled and term << shift <= totals[i]
             if settled:
-                return totals
-            m += 1
+                break
+        with mp.workprec(besselk.prec):
+            u = 1 / mp.sqrt(mp.mpf(self.ratio))  # r^(1/2 - s) = u^(2s - 1)
+            scale = mp.ldexp(h * mp.exp(-z1), -bits)
+            return [
+                scale * totals[orders.index(abs(Fraction(s) - Fraction(1, 2)))]
+                * (u ** int(2 * s - 1) if 2 * s == int(2 * s) else mp.power(u, 2 * s - 1))
+                for s in svals
+            ]
 
     def point_mp(self, s: float):
         """(finite part, residue) as mpmath values; cached per location."""
@@ -513,45 +580,35 @@ class _TorusBackend:
         hit = self._mp_cache.get(key)
         if hit is not None:
             return hit
-        out = self._point_mp_uncached(s)
-        self._mp_cache[key] = out
+        terms, res = self.terms(s)
+        out = self._mp_cache[key] = sum(terms), res
         return out
 
-    def _point_mp_uncached(self, s: float):
+    def terms(self, s: float):
+        """(terms, residue): the finite part is sum(terms), added in order."""
         c1 = mp.mpf(self.c1)
         c2 = mp.mpf(self.c2)
         if s == 0.0:
-            return mp.mpf(-1), mp.mpf(0)
+            return [mp.mpf(-1)], mp.mpf(0)
         const = _torus_constants(s, mp.mp.prec)
         if s == 1.0:
             # pole of zeta_R(2s-1); residue pi/(c1 c2) = area/(4 pi)
             two_sqrt_pi, gamma_half, psi_diff, zeta2, eight_pi = const
             d1 = two_sqrt_pi / c1 * gamma_half / c2
             dlog = psi_diff - 2 * mp.log(c2)
-            c1_pow = mp.power(c1, -2)
-            fp = (
-                2 * c1_pow * zeta2
-                + d1 * mp.euler
-                + d1 * dlog / 2
-                + eight_pi * c1_pow * self._bessel_sum(1.0)
-            )
-            return fp, mp.pi / (c1 * c2)
+            c1_pow = c1**-2
+            return [2 * c1_pow * zeta2, d1 * mp.euler, d1 * dlog / 2,
+                    eight_pi * c1_pow * self._bessel_sum(1.0)], mp.pi / (c1 * c2)
         if s == 0.5:
             # the prefactor pole of Gamma(s-1/2) cancels the zeta_R(2s) pole
             (offset,) = const
-            val = (
-                2 / c1 * (mp.euler - mp.log(c1))
-                + 2 / c1 * (offset + mp.log(c2))
-                + 8 / c1 * self._bessel_sum(0.5)
-            )
-            return val, mp.mpf(0)
-        ss = mp.mpf(s)
+            return [2 / c1 * (mp.euler - mp.log(c1)), 2 / c1 * (offset + mp.log(c2)),
+                    8 / c1 * self._bessel_sum(0.5)], mp.mpf(0)
         zeta_2s, two_sqrt_pi, rgamma_s, gz, eight_pi_s_rgamma = const
-        c1_pow = mp.power(c1, -2 * ss)
-        t1 = 2 * c1_pow * zeta_2s
-        t2 = two_sqrt_pi / c1 * rgamma_s * mp.power(c2, 1 - 2 * ss) * gz
-        t3 = eight_pi_s_rgamma * c1_pow * self._bessel_sum(s)
-        return t1 + t2 + t3, mp.mpf(0)
+        k = int(2 * s) if 2 * s == int(2 * s) else 2 * mp.mpf(s)  # an integer exponent when 2s is one
+        c1_pow = c1**-k
+        return [2 * c1_pow * zeta_2s, two_sqrt_pi / c1 * rgamma_s * c2 ** (1 - k) * gz,
+                eight_pi_s_rgamma * c1_pow * self._bessel_sum(s)], mp.mpf(0)
 
     def point(self, s: float) -> ZetaPoint:
         with mp.workdps(_DPS):

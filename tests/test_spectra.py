@@ -167,6 +167,25 @@ class TestSpectrumCache:
         for cutoff in seeded_cutoffs(cs, seed, top):
             assert enumerate_spectrum(cs, cutoff) == direct_entries(cs, cutoff), cutoff
 
+    def test_out_of_order_torus_is_cached_above_100(self, monkeypatch):
+        cs = FlatTorus(math.sqrt(2.0), math.sqrt(28.0))
+        spectra._spectrum_cache.pop(cs, None)
+        enumerate_spectrum(cs, 1e3)
+        builds = []
+        inner = spectra._torus_entries
+
+        def spy(*args):
+            builds.append(args[1])
+            return inner(*args)
+
+        monkeypatch.setattr(spectra, "_torus_entries", spy)
+        cutoffs = [c for c in seeded_cutoffs(cs, 8, 1e3) if c > 100.0]
+        for cutoff in cutoffs:
+            assert enumerate_spectrum(cs, cutoff) == direct_entries(cs, cutoff), cutoff
+        assert spectra._spectrum_cache[cs][0] == 1e3
+        # only cutoffs between the floats of an out-of-order pair enumerate
+        assert 0 < len(builds) < len(cutoffs) / 10
+
     def test_returned_list_is_a_copy(self):
         cs = FlatTorus(1.5, 2.5)
         first = enumerate_spectrum(cs, 200.0)

@@ -4,7 +4,9 @@ The golden values were produced by the ungrouped (k, n) double sum with
 mpmath's ``besselk``; the grouped sum must reproduce them bit for bit.
 """
 
+import hashlib
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -81,25 +83,105 @@ def test_torus_shapes_reports_bit_identical(aspect, area, L, a, alpha, expected)
     assert (rep.lhs, rep.rhs, rep.residual) == expected
 
 
+# Every s the library evaluates and five generic ones; the half-integers
+# below -1/2 take the even-exponent route of the divisor sums.
+ALL_S = zreg._STANDARD_S + (0.3, 2.7, -1.3, -1.5, -2.5)
+
+
+def seeded_tori(count=40, seed=20261018):
+    """Tori of aspect 1 to 8 (log-uniform) and area 2 to 6."""
+    rng = random.Random(seed)
+    tori = []
+    for _ in range(count):
+        aspect = math.exp(rng.uniform(0.0, math.log(8.0)))
+        side = math.sqrt(rng.uniform(2.0, 6.0) / aspect)
+        tori.append(FlatTorus(side, side * aspect))
+    return tori
+
+
+def test_zeta_points_bit_identical():
+    # 40 tori x 21 s, recorded before the Bessel pass moved to fixed point;
+    # the joined float.hex strings are pinned by their SHA-256
+    hexes = [zreg.zeta_point(cs, s).value.hex() for cs in seeded_tori() for s in ALL_S]
+    assert (hexes[0], hexes[-1]) == ("-0x1.c83e23ae01a53p+1", "-0x1.8f75117547e14p+7")
+    digest = hashlib.sha256(",".join(hexes).encode()).hexdigest()
+    assert digest == "eabd72201d10b3cde69d96d8d25b503099d06062ac2a56f6e784a5306e6bdae8"
+
+
+# aspect 8 (shell 1 at e^(-2 pi 8)) and a near-square torus; recorded
+# before the Bessel pass moved to fixed point
+# (ell1, ell2, L, a, alpha) -> (lhs, rhs, residual)
+ASPECT_GOLDEN = [
+    (1.0, 8.0, 2.0, 0.9, 0.45, (6.831419801941572, 6.831419801941572, 0.0)),
+    (1.0, 8.0, 1.6, 0.7, -0.35, (9.091725417267737, 9.091725417267735, 1.7763568394002505e-15)),
+    (1.0, 1.05, 2.0, 0.9, 0.45, (2.0534698266014706, 2.05346982660147, 4.440892098500626e-16)),
+    (1.0, 1.05, 1.6, 0.7, -0.35, (2.3525070415791087, 2.3525070415791087, 0.0)),
+]
+
+
+@pytest.mark.parametrize("ell1, ell2, L, a, alpha, expected", ASPECT_GOLDEN,
+                         ids=[f"{r[0]}x{r[1]}-{r[4]:+}" for r in ASPECT_GOLDEN])
+def test_aspect_robin_reports_bit_identical(ell1, ell2, L, a, alpha, expected):
+    rep = glue_robin_check(GluingConfig(FlatTorus(ell1, ell2), L, a, alpha))
+    assert (rep.lhs, rep.rhs, rep.residual) == expected
+
+
 class _DoubleSumTorus(zreg._TorusBackend):
-    """The Bessel block as the ungrouped (k, n) double sum with mp.besselk."""
+    """The Bessel block as the ungrouped (k, n) double sum with mp.besselk,
+    summed until a term falls below 10^-digits of the total."""
+
+    digits = 32
+    besselk = staticmethod(mp.besselk)
 
     def _bessel_sum(self, s):
-        r, x, tol = mp.mpf(self.ratio), mp.mpf(s) - mp.mpf(0.5), mp.mpf(10) ** -32
-        besselk = lru_cache(maxsize=None)(lambda m: mp.besselk(x, 2 * mp.pi * r * m))
+        r, x, tol = mp.mpf(self.ratio), mp.mpf(s) - mp.mpf(0.5), mp.mpf(10) ** -self.digits
+        besselk = lru_cache(maxsize=None)(lambda m: self.besselk(x, 2 * mp.pi * r * m))
         total, k = mp.mpf(0), 1
         while True:
             inner, n = mp.mpf(0), 1
             while True:
                 term = mp.power(r * k, -x) * mp.power(n, x) * besselk(n * k)
                 inner += term
-                if abs(term) < tol * (1 + abs(total)):
+                if abs(term) < tol * abs(total + inner):
                     break
                 n += 1
             total += inner
-            if abs(inner) < tol * (1 + abs(total)):
+            if abs(inner) < tol * abs(total):
                 return total
             k += 1
+
+
+@lru_cache(maxsize=None)
+def trapezoid_besselk(nu, z):
+    """K_nu(z) at the working precision from a trapezoid sum in mp floats.
+
+    The step 1/32 and a = 1 in the bound of ``zreg._BesselK`` give an
+    error below 1e-44 relative for nu <= 7 and z <= 200; the sum stops once
+    z sinh t >= nu + 32 and a summand is below mp.eps of the sum.
+    """
+    nu, h = abs(nu), mp.mpf(1) / 32
+    total, j = mp.mpf(0.5), 1  # with e^-z taken out
+    while True:
+        t = j * h
+        term = mp.exp(-z * (mp.cosh(t) - 1)) * mp.cosh(nu * t)
+        total += term
+        if z * mp.sinh(t) >= nu + 32 and term < mp.eps * total:
+            return h * mp.exp(-z) * total
+        j += 1
+
+
+class _TrapezoidDoubleSum(_DoubleSumTorus):
+    """The double sum to 45 digits with K_nu from ``trapezoid_besselk``.
+
+    mp.besselk takes 0.1 to 0.3 s per integer order at 60 digits for z
+    between about 12 and 95, which puts a 60-digit double sum at 10 to 20 s
+    per torus.
+    This K shares no code with the library's kernel: mp floats, no
+    recurrence, no weight powers and no fixed point.
+    """
+
+    digits = 45
+    besselk = staticmethod(trapezoid_besselk)
 
 
 @pytest.mark.parametrize("ells", [(2.0, 2.0), (1.3, 1.3 * 2.37)], ids=["square", "aspect2.37"])
@@ -112,6 +194,49 @@ def test_grouped_block_matches_double_sum(ells):
                 assert abs(got - ref) <= 1e-25 * abs(ref), s
 
 
+class _RecordingTorus(zreg._TorusBackend):
+    """The library's backend, keeping every Bessel block B(s) it uses."""
+
+    def __init__(self, cs):
+        super().__init__(cs)
+        self.blocks = {}
+
+    def _bessel_sum(self, s):
+        self.blocks[s] = super()._bessel_sum(s)
+        return self.blocks[s]
+
+
+@pytest.mark.parametrize("aspect", [1.0, 1.5, 3.0, 8.0])
+def test_point_within_stated_bound_of_double_sum(aspect):
+    # at aspect 8 the first shell is e^(-2 pi 8) small: the pass keeps its
+    # relative precision only with that factor taken out
+    cs = FlatTorus(1.1, 1.1 * aspect)
+    got = _RecordingTorus(cs)
+    with mp.workdps(zreg._DPS):
+        p = mp.mp.prec
+        points = {s: got.point_mp(s)[0] for s in ALL_S}
+    reference = _TrapezoidDoubleSum(cs)
+    with mp.workdps(60):
+        for s in ALL_S:
+            terms, _ = reference.terms(s)
+            block = reference._bessel_sum(s)
+            # B(s) within 2^-(p + 6) relative, and point_mp within that
+            # share of the Bessel term plus 16 units of 2^-p of the terms
+            assert abs(got.blocks[s] - block) <= mp.ldexp(block, -(p + 6)), s
+            bound = mp.ldexp(abs(terms[-1]), -(p + 6)) + mp.ldexp(mp.fsum(map(abs, terms)), 4 - p)
+            assert abs(points[s] - mp.fsum(terms)) <= bound, s
+
+
+def test_trapezoid_reference_matches_besselk():
+    # where mp.besselk is fast: half-integer orders, and z past its slow range
+    with mp.workdps(60):
+        for nu, z in [(0.5, TWO_PI), (3.5, TWO_PI), (0, 40 * TWO_PI / 2), (1, 20 * TWO_PI),
+                      (2.2, 20 * TWO_PI), (7, 20 * TWO_PI), (0.2, 32 * TWO_PI)]:
+            nu, z = mp.mpf(nu), mp.mpf(z)
+            ref = mp.besselk(nu, z)
+            assert abs(trapezoid_besselk(nu, z) - ref) <= 1e-44 * ref, (nu, z)
+
+
 @pytest.mark.parametrize("z", [TWO_PI, 3 * TWO_PI, 20 * TWO_PI], ids=["2pi", "6pi", "40pi"])
 def test_quadrature_matches_besselk(z):
     with mp.workdps(zreg._DPS):
@@ -122,25 +247,35 @@ def test_quadrature_matches_besselk(z):
             assert abs(got - ref) <= 1e-28 * ref, nu
 
 
+def spy_shells(monkeypatch):
+    """Record (plan, table, z, values) of every ``_BesselK.shell`` call."""
+    calls = []
+    real_shell = zreg._BesselK.shell
+
+    def shell(self, table, weights, zfix):
+        k = real_shell(self, table, weights, zfix)
+        calls.append((self, table, mp.mpf(zfix) / 2**table.bits, k))
+        return k
+
+    monkeypatch.setattr(zreg._BesselK, "shell", shell)
+    return calls
+
+
 def test_standard_set_is_one_pass_without_besselk(monkeypatch):
     calls = {"besselk": 0}
-    shells = []
 
     def no_besselk(*args, **kwargs):
         calls["besselk"] += 1
         return real_besselk(*args, **kwargs)
 
-    def counted(self, z):
-        shells.append(z)
-        return real_call(self, z)
-
-    real_besselk, real_call = mp.besselk, zreg._BesselK.__call__
+    real_besselk = mp.besselk
     monkeypatch.setattr(mp, "besselk", no_besselk)
-    monkeypatch.setattr(zreg._BesselK, "__call__", counted)
+    recorded = spy_shells(monkeypatch)
     backend = zreg._TorusBackend(FlatTorus(2.0, 2.0 * 1.7))
     with mp.workdps(zreg._DPS):
         for s in zreg._STANDARD_S:
             backend.point_mp(s)
+    shells = [z for _, _, z, _ in recorded]
     assert calls["besselk"] == 0
     assert shells and len(shells) == len(set(shells))
     step = 2 * mp.pi * mp.mpf(backend.ratio)
@@ -167,34 +302,32 @@ def test_generic_class_recurrence_matches_besselk(z):
 
 
 def test_standard_orders_at_last_shell_of_square_torus(monkeypatch):
-    shells = []
-    real_call = zreg._BesselK.__call__
-
-    def counted(self, z):
-        shells.append(z)
-        return real_call(self, z)
-
-    monkeypatch.setattr(zreg._BesselK, "__call__", counted)
+    # the values the pass itself forms at its last shell, from the m-th
+    # powers of the first shell's weights
+    recorded = spy_shells(monkeypatch)
     with mp.workdps(zreg._DPS):
         zreg._TorusBackend(FlatTorus(2.0, 2.0)).point_mp(0.5)
-    assert shells[-1] > 11 * TWO_PI
-    _assert_matches_besselk([abs(mp.mpf(s) - 0.5) for s in zreg._STANDARD_S], shells[-1])
+    plan, table, z, k = recorded[-1]
+    assert z > 11 * TWO_PI
+    orders = [abs(Fraction(s) - Fraction(1, 2)) for s in zreg._STANDARD_S]
+    with mp.workdps(60):
+        scale = mp.mpf(table.h) * mp.exp(-z) / 2**table.bits
+        for nu in orders:
+            got = scale * k[plan.out[plan.orders.index(nu)]]
+            ref = mp.besselk(mp.mpf(nu.numerator) / nu.denominator, z)
+            assert abs(got - ref) <= 1e-28 * ref, nu
 
 
 def test_tables_are_shared_and_two_orders_per_class_are_summed(monkeypatch):
-    built, summed = [], []
-    real_init, real_sums = zreg._CoshTable.__init__, zreg._CoshTable.sums
+    built = []
+    real_init = zreg._CoshTable.__init__
 
     def init(self, orders, h, bits):
         built.append((orders, h, bits))
         real_init(self, orders, h, bits)
 
-    def sums(self, z, n):
-        summed.append(self.orders)
-        return real_sums(self, z, n)
-
     monkeypatch.setattr(zreg._CoshTable, "__init__", init)
-    monkeypatch.setattr(zreg._CoshTable, "sums", sums)
+    recorded = spy_shells(monkeypatch)
     zreg._cosh_table.cache_clear()
     with mp.workdps(zreg._DPS):
         zreg._TorusBackend(FlatTorus(2.0, 3.4)).point_mp(0.5)
@@ -203,4 +336,5 @@ def test_tables_are_shared_and_two_orders_per_class_are_summed(monkeypatch):
         zreg._TorusBackend(FlatTorus(1.0, 1.7)).point_mp(0.5)
     assert first > 0 and len(built) == first
     half = Fraction(1, 2)
-    assert set(summed) == {(Fraction(0), Fraction(1), half, 1 + half)}
+    summed = {table.orders for _, table, _, _ in recorded}
+    assert summed == {(Fraction(0), Fraction(1), half, 1 + half)}

@@ -229,6 +229,18 @@ class TestComputedOnce:
         glue_robin_check(GluingConfig(torus, 1.5, 1.05, 0.7))
         assert len(builds) <= 1
 
+    def test_lattice_builds_on_out_of_order_torus(self, monkeypatch):
+        # distinct eigenvalues a hair apart have their floats in the other
+        # order (114.2 here); the spectrum is still cached and bisected
+        torus = FlatTorus(math.sqrt(2.0), math.sqrt(28.0))
+        forget(torus)
+        builds = counting(monkeypatch, spectra, "_torus_entries")
+        glue_robin_check(GluingConfig(torus, 2.5, 0.75, -0.3))
+        assert len(builds) <= 3
+        builds.clear()
+        glue_robin_check(GluingConfig(torus, 1.5, 1.05, 0.7))
+        assert len(builds) <= 1
+
     def test_hurwitz_calls_per_circle_check(self, monkeypatch):
         circle = Circle(5.3)
         forget(circle)
