@@ -21,7 +21,6 @@ from .cylinder import (
     BoundaryCondition,
     CylinderSpec,
     DetReport,
-    bose_series,
     log_det_cylinder,
     series_sum,
 )
@@ -94,7 +93,7 @@ __all__ = [
     "a0_constant", "b0_constant", "asym_constants",
     # cylinder
     "BoundaryCondition", "CylinderSpec", "DetReport", "log_det_cylinder",
-    "bose_series", "series_sum",
+    "series_sum",
     # interface
     "InterfaceSpectrum", "qd_matrix_segment", "qd_det_segment", "qd0_det_segment",
     "spec_interface", "log_det_interface", "spec_RS0", "log_det_star_RS0",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -34,7 +33,7 @@ from .errors import (
     ZetaGlueError,
 )
 from .gluing import GluingConfig, glue_neumann_check, glue_robin_check
-from .interface_ops import log_det_interface, spec_interface, spec_RS0
+from .interface_ops import log_det_interface, spec_interface
 from .oracle import SecularProblem, relative_log_det
 from .spectra import Circle, FlatTorus, Point, explicit_from_json, kernel_dim
 from .zreg import log_det_shifted, log_det_star, zeta_point
@@ -70,7 +69,6 @@ _CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "target": {"type": "number", "exclusiveMinimum": 0},
-                "cutoff": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
         },

@@ -17,22 +17,20 @@ with empty series and vanishing zeta terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .asymptotics import s_alpha
-from .errors import SingularParameterError, ValidationError
+from .errors import InsufficientSpectrumError, SingularParameterError, ValidationError
 from .spectra import (
     CrossSection,
-    ExplicitSpectrum,
-    Point,
     enumerate_spectrum,
     exp_tail_bound,
     heat_coefficients,
     kernel_dim,
 )
 from .zreg import (
-    RegularizedDet,
+    _check_admissible,
     log_det_shifted,
     log_det_star,
     signed_log,
@@ -45,7 +43,6 @@ __all__ = [
     "DetReport",
     "SeriesResult",
     "log_det_cylinder",
-    "bose_series",
     "series_sum",
 ]
 
@@ -161,23 +158,15 @@ def _primitive_factor(kind: str, x: float, length: float, alpha: float) -> float
         return 1.0 - e
     if kind == "one_plus_exp":
         return 1.0 + e
+    if x + alpha == 0.0 and kind in ("one_minus_ratio_exp", "one_minus_ratio2_exp", "qd_corr"):
+        raise SingularParameterError(
+            f"singular series term: sqrt(mu) = {x} collides with -alpha"
+        )
     if kind == "one_minus_ratio_exp":
-        if x + alpha == 0.0:
-            raise SingularParameterError(
-                f"singular series term: sqrt(mu) = {x} collides with -alpha"
-            )
         return 1.0 - (x - alpha) / (x + alpha) * e
     if kind == "one_minus_ratio2_exp":
-        if x + alpha == 0.0:
-            raise SingularParameterError(
-                f"singular series term: sqrt(mu) = {x} collides with -alpha"
-            )
         return 1.0 - ((x - alpha) / (x + alpha)) ** 2 * e
     if kind == "qd_corr":
-        if x + alpha == 0.0:
-            raise SingularParameterError(
-                f"singular series term: sqrt(mu) = {x} collides with -alpha"
-            )
         return 1.0 + 4.0 * alpha * x / ((x + alpha) ** 2 * math.expm1(2.0 * length * x))
     raise ValidationError(f"unknown series primitive {kind!r}")
 
@@ -248,9 +237,6 @@ def series_sum(
         if a is None or not (0 < a < length):
             raise ValidationError("pair forms need a cut 0 < a < L")
     prims = _FORM_PRIMITIVES[form](length, alpha, a if a is not None else length)
-    if isinstance(cs, Point):
-        return SeriesResult(0.0, 0, 0.0, 0.0)
-
     min_len = min(p[1] for p in prims)
     lam = max((abs(alpha) + 1.0) ** 2 * 4.0, (8.0 / min_len) ** 2, 16.0, min_cutoff or 0.0)
     while True:
@@ -266,23 +252,19 @@ def series_sum(
             break
         lam *= 2.0
         if lam > 1e14:
-            from .errors import InsufficientSpectrumError
-
-            if isinstance(cs, ExplicitSpectrum):
+            if cs.max_trusted < math.inf:
                 raise InsufficientSpectrumError(
                     "stored spectrum cannot certify the series tail",
-                    max_trusted=cs.max_eigenvalue,
+                    max_trusted=cs.max_trusted,
                 )
             raise ValidationError("series tail bound did not converge")
 
-    if isinstance(cs, ExplicitSpectrum):
-        # entries beyond the stored list are covered by the model tail bound
-        entries = [e for e in cs.entries if e.eigenvalue <= lam]
-    else:
-        entries = enumerate_spectrum(cs, lam)
+    # entries beyond a stored list are covered by its model tail bound; a
+    # list of zero modes alone has nothing to sum
+    top = min(lam, cs.max_trusted)
     terms = []
     phase = 0
-    for entry in entries:
+    for entry in enumerate_spectrum(cs, top) if top > 0 else ():
         if entry.eigenvalue <= 0.0:
             continue
         x = math.sqrt(entry.eigenvalue)
@@ -296,21 +278,19 @@ def series_sum(
     return SeriesResult(math.fsum(terms), phase, bound, lam)
 
 
-def bose_series(
-    cs: CrossSection,
-    length: float,
-    form: str,
-    alpha: float = 0.0,
-    a: Optional[float] = None,
-    tol: float = 1e-12,
-) -> float:
-    """Real part of the convergent boundary series (see ``series_sum``)."""
-    return series_sum(cs, length, form, alpha, a, tol).value
-
-
 # ----------------------------------------------------------------------------
 # interface-spectrum admissibility
 # ----------------------------------------------------------------------------
+
+
+def _both_ends_values(x: float, length: float, alpha: float):
+    """The two eigenvalues of the both-ends operator over the mode sqrt(mu) = x."""
+    if x == 0.0:
+        return (alpha, 2.0 / length + alpha)
+    return (
+        x + alpha - 2.0 * x / (math.exp(length * x) + 1.0),
+        x + alpha + 2.0 * x / math.expm1(length * x),
+    )
 
 
 def _check_robin_admissible(cs: CrossSection, length: float, alpha: float, both_ends: bool):
@@ -323,24 +303,12 @@ def _check_robin_admissible(cs: CrossSection, length: float, alpha: float, both_
         raise SingularParameterError(
             "singular Robin parameter: alpha = 0 makes the interface operator singular"
         )
-    lam = (2.0 * abs(alpha) + 2.0 / length + 1.0) ** 2
-    for e in enumerate_spectrum(cs, lam):
-        x = math.sqrt(e.eigenvalue)
-        if both_ends:
-            if x == 0.0:
-                vals = (alpha, 2.0 / length + alpha)
-            else:
-                vals = (
-                    x + alpha - 2.0 * x / (math.exp(length * x) + 1.0),
-                    x + alpha + 2.0 * x / math.expm1(length * x),
-                )
-        else:
-            vals = (x * math.tanh(length * x) + alpha,) if x > 0 else (alpha,)
-        for v in vals:
-            if v == 0.0 or abs(v) < 1e-14 * max(1.0, abs(alpha)):
-                raise SingularParameterError(
-                    f"singular Robin parameter: interface eigenvalue vanishes at mu = {e.eigenvalue}"
-                )
+    _check_admissible(
+        cs, alpha, (2.0 * abs(alpha) + 2.0 / length + 1.0) ** 2,
+        (lambda x: _both_ends_values(x, length, alpha)) if both_ends
+        else (lambda x: (x * math.tanh(length * x) + alpha,)),
+        lambda mu: f"singular Robin parameter: interface eigenvalue vanishes at mu = {mu}",
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -372,7 +340,9 @@ def log_det_cylinder(
     q0 = kernel_dim(cs)
     kinds = (bl.kind, br.kind)
 
-    if kinds == (DIRICHLET, DIRICHLET):
+    if kinds in ((DIRICHLET, DIRICHLET), (NEUMANN, NEUMANN)):
+        # the two differ in the sign of the cross-section term and the kernel
+        neumann = kinds[0] == NEUMANN
         res_t, fp_t = _zeta_terms(cs, L, backend)
         star = log_det_star(cs, backend=backend)
         ser = series_sum(cs, L, "log1m_exp", tol=tol)
@@ -380,23 +350,10 @@ def log_det_cylinder(
             "zero_modes": q0 * math.log(2.0 * L),
             "residue_term": res_t,
             "finite_part_term": fp_t,
-            "cross_det_half": -0.5 * star.log_modulus,
+            "cross_det_half": (0.5 if neumann else -0.5) * star.log_modulus,
             "series": ser.value,
         }
-        return DetReport.assemble(terms, ser.phase, 0, ser.tail_bound)
-
-    if kinds == (NEUMANN, NEUMANN):
-        res_t, fp_t = _zeta_terms(cs, L, backend)
-        star = log_det_star(cs, backend=backend)
-        ser = series_sum(cs, L, "log1m_exp", tol=tol)
-        terms = {
-            "zero_modes": q0 * math.log(2.0 * L),
-            "residue_term": res_t,
-            "finite_part_term": fp_t,
-            "cross_det_half": +0.5 * star.log_modulus,
-            "series": ser.value,
-        }
-        return DetReport.assemble(terms, ser.phase, q0, ser.tail_bound)
+        return DetReport.assemble(terms, ser.phase, q0 if neumann else 0, ser.tail_bound)
 
     if set(kinds) == {NEUMANN, DIRICHLET}:
         res_t, fp_t = _zeta_terms(cs, L, backend)

@@ -22,14 +22,14 @@ from .errors import SingularParameterError, ValidationError
 from .special import harmonic
 from .spectra import (
     CrossSection,
-    Point,
     enumerate_spectrum,
     heat_coefficients,
     kernel_dim,
 )
-from .cylinder import SeriesResult, series_sum
+from .cylinder import _both_ends_values, series_sum
 from .zreg import (
     RegularizedDet,
+    _check_admissible,
     log_det_shifted,
     log_det_star,
     signed_log,
@@ -158,15 +158,6 @@ def qd0_det_segment(alpha: float, length: float) -> float:
 # ----------------------------------------------------------------------------
 # interface spectra over a general cross-section
 # ----------------------------------------------------------------------------
-
-
-def _both_ends_values(x: float, length: float, alpha: float):
-    if x == 0.0:
-        return (alpha, 2.0 / length + alpha)
-    return (
-        x + alpha - 2.0 * x / (math.exp(length * x) + 1.0),
-        x + alpha + 2.0 * x / math.expm1(length * x),
-    )
 
 
 def _left_neumann_value(x: float, length: float):
@@ -308,16 +299,12 @@ def log_det_interface(
 
 
 def _check_rs0_admissible(cs: CrossSection, alpha: float):
-    if alpha == 0.0:
-        return
-    lam = alpha * alpha * (1.0 + 1e-9) + 1.0
-    for e in enumerate_spectrum(cs, lam):
-        root = math.sqrt(e.eigenvalue)
-        if abs(root - abs(alpha)) < 1e-14 * max(1.0, abs(alpha)):
-            raise SingularParameterError(
-                f"singular parameter: alpha = {alpha} collides with the sqrt-spectrum "
-                f"(eigenvalue {e.eigenvalue})"
-            )
+    if alpha != 0.0:
+        _check_admissible(
+            cs, alpha, alpha * alpha * (1.0 + 1e-9) + 1.0, lambda x: (x - abs(alpha),),
+            lambda mu: f"singular parameter: alpha = {alpha} collides with the sqrt-spectrum "
+            f"(eigenvalue {mu})",
+        )
 
 
 def rs0_eigenvalue(mu: float, length: float, a: float, alpha: float) -> float:

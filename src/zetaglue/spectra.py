@@ -17,13 +17,14 @@ from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Optional
 
 import mpmath as mp
 
 from .errors import (
     HeatDataRequiredError,
     InsufficientSpectrumError,
+    MissingHeatCoefficientError,
     ValidationError,
 )
 
@@ -97,33 +98,91 @@ class HeatExpansion:
             return float(self.coeffs[j])
         if self.exact:
             return 0.0
-        from .errors import MissingHeatCoefficientError
-
         raise MissingHeatCoefficientError(j)
 
 
 class CrossSection:
-    """Base class for the closed manifold factor of the product cylinder."""
+    """Base class for the closed manifold factor Y of the product cylinder.
+
+    The library sees Y only through its Laplace spectrum, its small-time
+    heat expansion and its kernel dimension.  A cross-section class
+    provides them as:
+
+    * ``dim`` and ``heat``, the ``HeatExpansion`` (None when unknown);
+    * ``max_trusted``, the largest eigenvalue the spectrum is known up
+      to: ``math.inf`` when it is known in full;
+    * ``enumerate_spectrum(cutoff)``, the entries <= cutoff in a new list;
+    * ``kernel_dim()`` and ``heat_trace(t)``;
+    * ``exp_tail_bound(lam, rate)``, ``heat_tail_bound(lam, t)`` and
+      ``power_tail_bound(lam, p)``, upper bounds on the sums of
+      m_j exp(-rate sqrt(mu_j)), m_j exp(-t mu_j) and m_j mu_j^-p over
+      the eigenvalues mu_j > lam.
+
+    The module functions of the same names check their arguments and call
+    these methods, and the rest of the library calls the functions, so a
+    wrapper of a function sees every call.  The
+    point, the circle and the flat torus have closed-form zeta backends;
+    every other cross-section runs on the numeric one.
+    """
 
     dim: int
+    heat: Optional[HeatExpansion] = None
+    max_trusted = math.inf
 
-    # subclasses implement: _entries_below, _heat, kernel dimension, trace
+    def heat_coefficients(self, order: int) -> HeatExpansion:
+        heat = self.heat
+        if heat is None:
+            raise HeatDataRequiredError(
+                "cross-section carries no heat expansion; heat data required"
+            )
+        if heat.order < order and not heat.exact:
+            raise MissingHeatCoefficientError(order)
+        coeffs = tuple(heat.coeff(j) for j in range(order + 1))
+        return HeatExpansion(self.dim, coeffs, exact=heat.exact)
+
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
 
+class _FlatSection(CrossSection):
+    """The flat built-ins: heat trace a0 t^(-dim/2) + O(t^inf), one zero mode.
+
+    Subclasses give ``a0``; circles and tori give ``_lattice`` and share
+    the spectrum cache.
+    """
+
+    @property
+    def heat(self) -> HeatExpansion:
+        return HeatExpansion(self.dim, (self.a0,), exact=True)
+
+    def kernel_dim(self) -> int:
+        return 1
+
+    def enumerate_spectrum(self, cutoff: float) -> list:
+        return _cached_entries(self, cutoff)
+
+
 @dataclass(frozen=True, repr=False)
-class Point(CrossSection):
+class Point(_FlatSection):
     """Zero-dimensional cross-section: the Laplacian is 0 on a line."""
 
     dim: int = field(default=0, init=False)
+    a0 = 1.0
 
-    def __repr__(self):
-        return "Point()"
+    def enumerate_spectrum(self, cutoff: float) -> list:
+        return [SpectrumEntry(0.0, 1)]
+
+    def heat_trace(self, t: float) -> float:
+        return 1.0
+
+    def exp_tail_bound(self, lam: float, rate: float) -> float:
+        return 0.0
+
+    heat_tail_bound = power_tail_bound = exp_tail_bound
 
 
 @dataclass(frozen=True, repr=False)
-class Circle(CrossSection):
+class Circle(_FlatSection):
     """Circle of circumference ell; eigenvalues (2*pi*k/ell)^2, k in Z."""
 
     circumference: float
@@ -137,12 +196,45 @@ class Circle(CrossSection):
     def wavenumber(self) -> float:
         return 2.0 * math.pi / self.circumference
 
+    @property
+    def a0(self) -> float:
+        return self.circumference / (2.0 * math.sqrt(math.pi))
+
     def __repr__(self):
         return f"Circle(ell={self.circumference!r})"
 
+    def _lattice(self, cutoff: float):
+        c = self.wavenumber
+        kmax = int(math.floor(math.sqrt(cutoff) / c + 1e-12))
+        mus = [mu for mu in [0.0] + [(c * k) ** 2 for k in range(1, kmax + 1)] if mu <= cutoff]
+        return [SpectrumEntry(mu, 2 if k else 1) for k, mu in enumerate(mus)], mus, mus
+
+    def _first_mode_above(self, lam: float) -> int:
+        return int(math.floor(math.sqrt(max(lam, 0.0)) / self.wavenumber)) + 1
+
+    def heat_trace(self, t: float) -> float:
+        return _circle_theta(self.circumference, t)
+
+    def exp_tail_bound(self, lam: float, rate: float) -> float:
+        c, k0 = self.wavenumber, self._first_mode_above(lam)
+        r = math.exp(-rate * c)
+        return 2.0 * math.exp(-rate * c * k0) / (1.0 - r)
+
+    def heat_tail_bound(self, lam: float, t: float) -> float:
+        c, k0 = self.wavenumber, self._first_mode_above(lam)
+        lead = 2.0 * math.exp(-c * c * k0 * k0 * t)
+        ratio = math.exp(-c * c * (2 * k0 + 1) * t)
+        return lead / (1.0 - ratio) if ratio < 1.0 else math.inf
+
+    def power_tail_bound(self, lam: float, p: float) -> float:
+        c, k0 = self.wavenumber, self._first_mode_above(lam)
+        return 2.0 * c ** (-2.0 * p) * (
+            k0 ** (-2.0 * p) + k0 ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)
+        )
+
 
 @dataclass(frozen=True, repr=False)
-class FlatTorus(CrossSection):
+class FlatTorus(_FlatSection):
     """Flat rectangular torus with side lengths ell1, ell2."""
 
     ell1: float
@@ -153,8 +245,79 @@ class FlatTorus(CrossSection):
         if not (self.ell1 > 0 and self.ell2 > 0):
             raise ValidationError("torus side lengths must be > 0")
 
+    @property
+    def a0(self) -> float:
+        return self.ell1 * self.ell2 / (4.0 * math.pi)
+
     def __repr__(self):
         return f"FlatTorus(ell1={self.ell1!r}, ell2={self.ell2!r})"
+
+    def _lattice(self, cutoff: float):
+        # Exact degeneracy merging: with ell_i = n_i/d_i the exact binary
+        # fractions of the side lengths, the integer
+        # j^2 (n2 d1)^2 + k^2 (n1 d2)^2 = (ell1 ell2 d1 d2 / 2 pi)^2 mu
+        # is proportional to mu, so lattice points with equal exact
+        # eigenvalues share a key and the keys sort as the eigenvalues do.
+        n1, d1 = self.ell1.as_integer_ratio()
+        n2, d2 = self.ell2.as_integer_ratio()
+        w1 = (n1 * d2) ** 2
+        w2 = (n2 * d1) ** 2
+        c1 = 2.0 * math.pi / self.ell1
+        c2 = 2.0 * math.pi / self.ell2
+        jmax = int(math.floor(math.sqrt(cutoff) / c1 + 1e-12))
+        groups: dict = {}
+        for j in range(0, jmax + 1):
+            rem = cutoff - (c1 * j) ** 2
+            if rem < 0:
+                break
+            kmax = int(math.floor(math.sqrt(max(rem, 0.0)) / c2 + 1e-12))
+            for k in range(0, kmax + 1):
+                mu = (c1 * j) ** 2 + (c2 * k) ** 2
+                if mu > cutoff:
+                    continue
+                key = j * j * w2 + k * k * w1
+                mult = (1 if j == 0 else 2) * (1 if k == 0 else 2)
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [mu, mult, mu, mu]
+                else:
+                    group[1] += mult
+                    group[2] = min(group[2], mu)
+                    group[3] = max(group[3], mu)
+        groups = [group for _, group in sorted(groups.items())]
+        entries = [SpectrumEntry(mu, mult) for mu, mult, _, _ in groups]
+        return entries, [g[2] for g in groups], [g[3] for g in groups]
+
+    def heat_trace(self, t: float) -> float:
+        # product spectrum: the trace factorizes into two circle traces
+        return _circle_theta(self.ell1, t) * _circle_theta(self.ell2, t)
+
+    def exp_tail_bound(self, lam: float, rate: float) -> float:
+        # sqrt(mu) >= (c1|j| + c2|k|)/sqrt(2) and sqrt(mu) > sqrt(lam) outside
+        c1 = 2.0 * math.pi / self.ell1
+        c2 = 2.0 * math.pi / self.ell2
+        tau = rate / (2.0 * math.sqrt(2.0))
+        s1 = 2.0 * math.exp(-tau * c1) / (1.0 - math.exp(-tau * c1))
+        s2 = 2.0 * math.exp(-tau * c2) / (1.0 - math.exp(-tau * c2))
+        return math.exp(-0.5 * rate * math.sqrt(max(lam, 0.0))) * (
+            (1.0 + s1) * (1.0 + s2) - 1.0
+        )
+
+    def heat_tail_bound(self, lam: float, t: float) -> float:
+        return math.exp(-0.5 * t * max(lam, 0.0)) * self.heat_trace(0.5 * t)
+
+    def power_tail_bound(self, lam: float, p: float) -> float:
+        c1 = 2.0 * math.pi / self.ell1
+        c2 = 2.0 * math.pi / self.ell2
+        area = 2.0 * math.pi / (c1 * c2)  # 2x safety on the Weyl slope
+        perim = 2.0 * (1.0 / c1 + 1.0 / c2)
+        const = 9.0
+        lam = max(lam, 1e-12)
+        return (
+            area * p / (p - 1.0) * lam ** (1.0 - p)
+            + perim * p / (p - 0.5) * lam ** (0.5 - p)
+            + const * lam ** (-p)
+        )
 
 
 @dataclass(frozen=True, repr=False)
@@ -165,7 +328,9 @@ class ExplicitSpectrum(CrossSection):
     the supplied eigenvalue representations defines degeneracy).  The zero
     eigenvalue, when present, must appear explicitly; the kernel dimension
     is read off the mu = 0 entry.  Heat coefficients are never inferred
-    from the truncated list — they must be supplied.
+    from the truncated list — they must be supplied.  The tail bounds add
+    to the stored modes above lam a Weyl-density bound from a_0, with a
+    factor-2 safety margin, for the modes beyond the list.
     """
 
     entries: tuple
@@ -191,8 +356,51 @@ class ExplicitSpectrum(CrossSection):
     def max_eigenvalue(self) -> float:
         return self.entries[-1].eigenvalue if self.entries else 0.0
 
+    max_trusted = max_eigenvalue
+
     def __repr__(self):
         return f"ExplicitSpectrum(n={len(self.entries)}, dim={self.dim})"
+
+    def enumerate_spectrum(self, cutoff: float) -> list:
+        if self.max_eigenvalue < cutoff:
+            raise InsufficientSpectrumError(
+                "explicit spectrum is truncated below the requested cutoff",
+                max_trusted=self.max_eigenvalue,
+            )
+        return [e for e in self.entries if e.eigenvalue <= cutoff]
+
+    def kernel_dim(self) -> int:
+        for e in self.entries:
+            if e.eigenvalue == 0.0:
+                return e.multiplicity
+            if e.eigenvalue > 0.0:
+                break
+        return 0
+
+    def heat_trace(self, t: float) -> float:
+        total = _sum_above(self.entries, -math.inf, lambda mu: math.exp(-t * mu))
+        tail = self.heat_tail_bound(self.max_eigenvalue, t)
+        if tail > 1e-12 * max(total, 1e-300):
+            raise InsufficientSpectrumError(
+                "explicit spectrum too short for the requested heat-trace accuracy",
+                max_trusted=self.max_eigenvalue,
+            )
+        return total
+
+    def exp_tail_bound(self, lam: float, rate: float) -> float:
+        stored = _sum_above(self.entries, lam, lambda mu: math.exp(-rate * math.sqrt(mu)))
+        return stored + _weyl_exp_tail(self, max(lam, self.max_eigenvalue), rate)
+
+    def heat_tail_bound(self, lam: float, t: float) -> float:
+        stored = _sum_above(self.entries, lam, lambda mu: math.exp(-t * mu))
+        return stored + _weyl_heat_tail(self, max(lam, self.max_eigenvalue), t)
+
+    def power_tail_bound(self, lam: float, p: float) -> float:
+        stored = _sum_above(self.entries, lam, lambda mu: mu ** (-p))
+        pref, d = _weyl_density_scale(self)
+        start = max(lam, self.max_eigenvalue, 1e-12)
+        model = pref * start ** (d / 2.0 - p) / (p - d / 2.0) if pref else 0.0
+        return stored + model
 
 
 # ----------------------------------------------------------------------------
@@ -211,21 +419,13 @@ def enumerate_spectrum(cs: CrossSection, cutoff: float) -> list:
     in a new list (circles and tori bisect a cached spectrum)."""
     if not (cutoff > 0):
         raise ValidationError(f"cutoff must be > 0, got {cutoff}")
-    if isinstance(cs, Point):
-        return [SpectrumEntry(0.0, 1)]
-    if isinstance(cs, (Circle, FlatTorus)):
-        return _cached_entries(cs, cutoff)
-    if isinstance(cs, ExplicitSpectrum):
-        if cs.max_eigenvalue < cutoff:
-            raise InsufficientSpectrumError(
-                "explicit spectrum is truncated below the requested cutoff",
-                max_trusted=cs.max_eigenvalue,
-            )
-        return [e for e in cs.entries if e.eigenvalue <= cutoff]
-    raise ValidationError(f"unknown cross-section type {type(cs).__name__}")
+    return cs.enumerate_spectrum(cutoff)
 
 
 def _cached_entries(cs: CrossSection, cutoff: float) -> list:
+    """``cs._lattice(cutoff)`` gives (entries, lows, highs): the spectrum <=
+    cutoff and, per entry, the least and the largest float of the lattice
+    points merged into it."""
     with _spectrum_lock:
         hit = _spectrum_cache.get(cs)
         if hit is not None:
@@ -237,8 +437,8 @@ def _cached_entries(cs: CrossSection, cutoff: float) -> list:
         # entry with a float <= cutoff: they differ inside a split degenerate
         # group or a pair of distinct eigenvalues whose floats are out of order
         n = bisect_right(highs, cutoff)
-        return entries[:n] if n == bisect_right(lows, cutoff) else _entries(cs, cutoff)[0]
-    entries, lows, highs = _entries(cs, cutoff)
+        return entries[:n] if n == bisect_right(lows, cutoff) else cs._lattice(cutoff)[0]
+    entries, lows, highs = cs._lattice(cutoff)
     highs = list(accumulate(highs, max))
     lows = list(accumulate(reversed(lows), min))[::-1]
     with _spectrum_lock:
@@ -250,54 +450,6 @@ def _cached_entries(cs: CrossSection, cutoff: float) -> list:
     return list(entries)
 
 
-def _entries(cs: CrossSection, cutoff: float):
-    """(entries, lows, highs): the spectrum <= cutoff and, per entry, the
-    least and the largest float of the lattice points merged into it."""
-    if isinstance(cs, FlatTorus):
-        return _torus_entries(cs, cutoff)
-    c = cs.wavenumber
-    kmax = int(math.floor(math.sqrt(cutoff) / c + 1e-12))
-    mus = [mu for mu in [0.0] + [(c * k) ** 2 for k in range(1, kmax + 1)] if mu <= cutoff]
-    return [SpectrumEntry(mu, 2 if k else 1) for k, mu in enumerate(mus)], mus, mus
-
-
-def _torus_entries(cs: FlatTorus, cutoff: float):
-    # Exact degeneracy merging: with ell_i = n_i/d_i the exact binary
-    # fractions of the side lengths, the integer
-    # j^2 (n2 d1)^2 + k^2 (n1 d2)^2 = (ell1 ell2 d1 d2 / 2 pi)^2 mu
-    # is proportional to mu, so lattice points with equal exact
-    # eigenvalues share a key and the keys sort as the eigenvalues do.
-    n1, d1 = cs.ell1.as_integer_ratio()
-    n2, d2 = cs.ell2.as_integer_ratio()
-    w1 = (n1 * d2) ** 2
-    w2 = (n2 * d1) ** 2
-    c1 = 2.0 * math.pi / cs.ell1
-    c2 = 2.0 * math.pi / cs.ell2
-    jmax = int(math.floor(math.sqrt(cutoff) / c1 + 1e-12))
-    groups: dict = {}
-    for j in range(0, jmax + 1):
-        rem = cutoff - (c1 * j) ** 2
-        if rem < 0:
-            break
-        kmax = int(math.floor(math.sqrt(max(rem, 0.0)) / c2 + 1e-12))
-        for k in range(0, kmax + 1):
-            mu = (c1 * j) ** 2 + (c2 * k) ** 2
-            if mu > cutoff:
-                continue
-            key = j * j * w2 + k * k * w1
-            mult = (1 if j == 0 else 2) * (1 if k == 0 else 2)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [mu, mult, mu, mu]
-            else:
-                group[1] += mult
-                group[2] = min(group[2], mu)
-                group[3] = max(group[3], mu)
-    groups = [group for _, group in sorted(groups.items())]
-    entries = [SpectrumEntry(mu, mult) for mu, mult, _, _ in groups]
-    return entries, [g[2] for g in groups], [g[3] for g in groups]
-
-
 def heat_coefficients(cs: CrossSection, order: int = 0) -> HeatExpansion:
     """Heat-trace coefficients a_0..a_order of the cross-section Laplacian.
 
@@ -305,40 +457,24 @@ def heat_coefficients(cs: CrossSection, order: int = 0) -> HeatExpansion:
     """
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order}")
-    if isinstance(cs, Point):
-        return HeatExpansion(0, (1.0,) + (0.0,) * order, exact=True)
-    if isinstance(cs, Circle):
-        a0 = cs.circumference / (2.0 * math.sqrt(math.pi))
-        return HeatExpansion(1, (a0,) + (0.0,) * order, exact=True)
-    if isinstance(cs, FlatTorus):
-        a0 = cs.ell1 * cs.ell2 / (4.0 * math.pi)
-        return HeatExpansion(2, (a0,) + (0.0,) * order, exact=True)
-    if isinstance(cs, ExplicitSpectrum):
-        if cs.heat is None:
-            raise HeatDataRequiredError(
-                "explicit cross-section carries no heat expansion; heat data required"
-            )
-        if cs.heat.order < order and not cs.heat.exact:
-            from .errors import MissingHeatCoefficientError
-
-            raise MissingHeatCoefficientError(order)
-        coeffs = tuple(cs.heat.coeff(j) for j in range(order + 1))
-        return HeatExpansion(cs.dim, coeffs, exact=cs.heat.exact)
-    raise ValidationError(f"unknown cross-section type {type(cs).__name__}")
+    return cs.heat_coefficients(order)
 
 
 def kernel_dim(cs: CrossSection) -> int:
     """Multiplicity of the zero eigenvalue (q0 = dim ker of the Laplacian)."""
-    if isinstance(cs, (Point, Circle, FlatTorus)):
-        return 1
-    if isinstance(cs, ExplicitSpectrum):
-        for e in cs.entries:
-            if e.eigenvalue == 0.0:
-                return e.multiplicity
-            if e.eigenvalue > 0.0:
-                break
-        return 0
-    raise ValidationError(f"unknown cross-section type {type(cs).__name__}")
+    return cs.kernel_dim()
+
+
+def _theta_sum(x: float) -> float:
+    """1 + 2 sum_{k>=1} exp(-x k^2), stopped at a term below 1e-18 of the total."""
+    total = 1.0
+    k = 1
+    while True:
+        term = 2.0 * math.exp(-x * k * k)
+        total += term
+        if term < 1e-18 * total:
+            return total
+        k += 1
 
 
 def _circle_theta(ell: float, t: float) -> float:
@@ -349,52 +485,16 @@ def _circle_theta(ell: float, t: float) -> float:
     c = 2.0 * math.pi / ell
     x = c * c * t
     if x >= 1.0:
-        total = 1.0
-        k = 1
-        while True:
-            term = 2.0 * math.exp(-x * k * k)
-            total += term
-            if term < 1e-18 * total:
-                break
-            k += 1
-        return total
+        return _theta_sum(x)
     # dual sum: (ell / sqrt(4 pi t)) * sum_n exp(-ell^2 n^2 / (4 t))
-    pref = ell / math.sqrt(4.0 * math.pi * t)
-    y = ell * ell / (4.0 * t)
-    total = 1.0
-    n = 1
-    while True:
-        term = 2.0 * math.exp(-y * n * n)
-        total += term
-        if term < 1e-18 * total:
-            break
-        n += 1
-    return pref * total
+    return ell / math.sqrt(4.0 * math.pi * t) * _theta_sum(ell * ell / (4.0 * t))
 
 
 def heat_trace(cs: CrossSection, t: float) -> float:
     """Full heat trace sum_j m_j exp(-t mu_j), relative error <= 1e-12."""
     if not (t > 0):
         raise ValidationError(f"heat trace requires t > 0, got {t}")
-    if isinstance(cs, Point):
-        return 1.0
-    if isinstance(cs, Circle):
-        return _circle_theta(cs.circumference, t)
-    if isinstance(cs, FlatTorus):
-        # product spectrum: the trace factorizes into two circle traces
-        return _circle_theta(cs.ell1, t) * _circle_theta(cs.ell2, t)
-    if isinstance(cs, ExplicitSpectrum):
-        total = math.fsum(
-            e.multiplicity * math.exp(-t * e.eigenvalue) for e in cs.entries
-        )
-        tail = heat_tail_bound(cs, cs.max_eigenvalue, t)
-        if tail > 1e-12 * max(total, 1e-300):
-            raise InsufficientSpectrumError(
-                "explicit spectrum too short for the requested heat-trace accuracy",
-                max_trusted=cs.max_eigenvalue,
-            )
-        return total
-    raise ValidationError(f"unknown cross-section type {type(cs).__name__}")
+    return cs.heat_trace(t)
 
 
 # ----------------------------------------------------------------------------
@@ -411,61 +511,22 @@ def exp_tail_bound(cs: CrossSection, lam: float, rate: float) -> float:
     """
     if rate <= 0:
         raise ValidationError("tail bound needs rate > 0")
-    if isinstance(cs, Point):
-        return 0.0
-    if isinstance(cs, Circle):
-        c = cs.wavenumber
-        k0 = int(math.floor(math.sqrt(max(lam, 0.0)) / c)) + 1
-        r = math.exp(-rate * c)
-        return 2.0 * math.exp(-rate * c * k0) / (1.0 - r)
-    if isinstance(cs, FlatTorus):
-        # sqrt(mu) >= (c1|j| + c2|k|)/sqrt(2) and sqrt(mu) > sqrt(lam) outside
-        c1 = 2.0 * math.pi / cs.ell1
-        c2 = 2.0 * math.pi / cs.ell2
-        tau = rate / (2.0 * math.sqrt(2.0))
-        s1 = 2.0 * math.exp(-tau * c1) / (1.0 - math.exp(-tau * c1))
-        s2 = 2.0 * math.exp(-tau * c2) / (1.0 - math.exp(-tau * c2))
-        return math.exp(-0.5 * rate * math.sqrt(max(lam, 0.0))) * (
-            (1.0 + s1) * (1.0 + s2) - 1.0
-        )
-    if isinstance(cs, ExplicitSpectrum):
-        stored = math.fsum(
-            e.multiplicity * math.exp(-rate * math.sqrt(e.eigenvalue))
-            for e in cs.entries
-            if e.eigenvalue > lam
-        )
-        model = _weyl_exp_tail(cs, max(lam, cs.max_eigenvalue), rate)
-        return stored + model
-    raise ValidationError(f"unknown cross-section type {type(cs).__name__}")
+    return cs.exp_tail_bound(lam, rate)
 
 
 def heat_tail_bound(cs: CrossSection, lam: float, t: float) -> float:
     """Upper bound on sum_{mu > lam} m_j exp(-t*mu_j)."""
     if t <= 0:
         raise ValidationError("tail bound needs t > 0")
-    if isinstance(cs, Point):
-        return 0.0
-    if isinstance(cs, Circle):
-        c = cs.wavenumber
-        k0 = int(math.floor(math.sqrt(max(lam, 0.0)) / c)) + 1
-        lead = 2.0 * math.exp(-c * c * k0 * k0 * t)
-        ratio = math.exp(-c * c * (2 * k0 + 1) * t)
-        return lead / (1.0 - ratio) if ratio < 1.0 else math.inf
-    if isinstance(cs, FlatTorus):
-        theta = _circle_theta(cs.ell1, 0.5 * t) * _circle_theta(cs.ell2, 0.5 * t)
-        return math.exp(-0.5 * t * max(lam, 0.0)) * theta
-    if isinstance(cs, ExplicitSpectrum):
-        stored = math.fsum(
-            e.multiplicity * math.exp(-t * e.eigenvalue)
-            for e in cs.entries
-            if e.eigenvalue > lam
-        )
-        model = _weyl_heat_tail(cs, max(lam, cs.max_eigenvalue), t)
-        return stored + model
-    raise ValidationError(f"unknown cross-section type {type(cs).__name__}")
+    return cs.heat_tail_bound(lam, t)
 
 
-def _weyl_density_scale(cs: ExplicitSpectrum):
+def _sum_above(entries, lam: float, f) -> float:
+    """fsum of m_j f(mu_j) over the entries with mu_j > lam."""
+    return math.fsum(e.multiplicity * f(e.eigenvalue) for e in entries if e.eigenvalue > lam)
+
+
+def _weyl_density_scale(cs: CrossSection):
     """(prefactor, d) of the Weyl eigenvalue density 2*a0*(d/2)u^(d/2-1)/Gamma(d/2+1)."""
     d = cs.dim
     if d == 0:
@@ -479,7 +540,7 @@ def _weyl_density_scale(cs: ExplicitSpectrum):
     return 2.0 * a0 * (d / 2.0) / math.gamma(d / 2.0 + 1.0), d
 
 
-def _weyl_exp_tail(cs: ExplicitSpectrum, lam: float, rate: float) -> float:
+def _weyl_exp_tail(cs: CrossSection, lam: float, rate: float) -> float:
     pref, d = _weyl_density_scale(cs)
     if pref == 0.0:
         return 0.0
@@ -490,7 +551,7 @@ def _weyl_exp_tail(cs: ExplicitSpectrum, lam: float, rate: float) -> float:
     return pref * 2.0 * gam / rate**d
 
 
-def _weyl_heat_tail(cs: ExplicitSpectrum, lam: float, t: float) -> float:
+def _weyl_heat_tail(cs: CrossSection, lam: float, t: float) -> float:
     pref, d = _weyl_density_scale(cs)
     if pref == 0.0:
         return 0.0

@@ -29,7 +29,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import mpmath as mp
 import numpy as np
@@ -38,6 +37,7 @@ from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 from .errors import (
     ConvergenceError,
+    HeatDataRequiredError,
     InsufficientSpectrumError,
     SingularParameterError,
     ValidationError,
@@ -46,9 +46,9 @@ from .special import EULER_GAMMA, harmonic, hurwitz_zeta_sderiv
 from .spectra import (
     Circle,
     CrossSection,
-    ExplicitSpectrum,
     FlatTorus,
     Point,
+    _sum_above,
     enumerate_spectrum,
     heat_coefficients,
     heat_tail_bound,
@@ -110,41 +110,9 @@ def power_tail_bound(cs: CrossSection, lam: float, p: float) -> float:
     Integral bounds on the eigenvalue counting function with a factor-2
     safety margin on the Weyl term.
     """
-    if isinstance(cs, Point):
-        return 0.0
     if p <= cs.dim / 2.0:
         raise ValidationError("power tail bound requires p > cross_dim/2")
-    if isinstance(cs, Circle):
-        c = cs.wavenumber
-        k0 = int(math.floor(math.sqrt(max(lam, 0.0)) / c)) + 1
-        return 2.0 * c ** (-2.0 * p) * (
-            k0 ** (-2.0 * p) + k0 ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)
-        )
-    if isinstance(cs, FlatTorus):
-        c1 = 2.0 * math.pi / cs.ell1
-        c2 = 2.0 * math.pi / cs.ell2
-        area = 2.0 * math.pi / (c1 * c2)  # 2x safety on the Weyl slope
-        perim = 2.0 * (1.0 / c1 + 1.0 / c2)
-        const = 9.0
-        lam = max(lam, 1e-12)
-        return (
-            area * p / (p - 1.0) * lam ** (1.0 - p)
-            + perim * p / (p - 0.5) * lam ** (0.5 - p)
-            + const * lam ** (-p)
-        )
-    if isinstance(cs, ExplicitSpectrum):
-        stored = math.fsum(
-            e.multiplicity * e.eigenvalue ** (-p)
-            for e in cs.entries
-            if e.eigenvalue > lam
-        )
-        from .spectra import _weyl_density_scale
-
-        pref, d = _weyl_density_scale(cs)
-        start = max(lam, cs.max_eigenvalue, 1e-12)
-        model = pref * start ** (d / 2.0 - p) / (p - d / 2.0) if pref else 0.0
-        return stored + model
-    raise ValidationError(f"unknown cross-section type {type(cs).__name__}")
+    return cs.power_tail_bound(lam, p)
 
 
 # ----------------------------------------------------------------------------
@@ -155,7 +123,8 @@ def power_tail_bound(cs: CrossSection, lam: float, p: float) -> float:
 class _PointBackend:
     """Zero-excluded zeta of the Laplacian on a point: the empty sum."""
 
-    achieved = 0.0
+    def __init__(self, cs: Point):
+        pass
 
     def point_mp(self, s: float):
         return mp.mpf(0), mp.mpf(0)
@@ -166,11 +135,14 @@ class _PointBackend:
     def derivative0(self) -> float:
         return 0.0
 
+    def shifted_closed(self, alpha: float) -> RegularizedDet:
+        """ln Det(sqrt(Delta) + alpha) = ln alpha: the single zero mode."""
+        lm, ph = signed_log(alpha)
+        return RegularizedDet(lm, ph, 0)
+
 
 class _CircleBackend:
     """zeta(s) = 2 (2*pi/ell)^(-2s) zeta_R(2s) over the nonzero circle modes."""
-
-    achieved = 1e-15
 
     def __init__(self, cs: Circle):
         self.c = cs.wavenumber
@@ -197,6 +169,27 @@ class _CircleBackend:
 
     def derivative0(self) -> float:
         return -2.0 * math.log(self.ell)
+
+    def shifted_closed(self, alpha: float) -> RegularizedDet:
+        """Hurwitz-zeta closed form of ln Det(sqrt(Delta) + alpha).
+
+        zeta(s) = alpha^-s + 2 sum_{k>=1} (c k + alpha)^-s; the finitely many
+        negative factors are split off exactly and the rest is a shifted
+        Hurwitz zeta, differentiated at 0.
+        """
+        c = self.c
+        logmod, neg = signed_log(alpha)
+        K = 0
+        if alpha < 0.0:
+            K = max(0, math.ceil(-alpha / c) - 1)
+            for k in range(1, K + 1):
+                lmk, phk = signed_log(c * k + alpha)
+                logmod += 2.0 * lmk
+                neg += 2 * phk
+        a = K + 1 + alpha / c
+        zh0 = 0.5 - a
+        logmod += 2.0 * math.log(c) * zh0 - 2.0 * hurwitz_zeta_sderiv(0.0, a)
+        return RegularizedDet(logmod, neg, 0)
 
 
 # Every s at which the library evaluates a torus zeta: -1/2 for the
@@ -501,8 +494,6 @@ class _TorusBackend:
     for the whole set in one pass; only the per-s sums are kept.
     """
 
-    achieved = 1e-14
-
     def __init__(self, cs: FlatTorus):
         la, lb = max(cs.ell1, cs.ell2), min(cs.ell1, cs.ell2)
         self.c1 = 2.0 * math.pi / la  # smaller wavenumber
@@ -660,8 +651,11 @@ class _NumericBackend:
         self.target = target
         self.d = cs.dim
         self.q0 = kernel_dim(cs)
-        heat = heat_coefficients(cs, order=0 if _is_flat(cs) else _explicit_heat_order(cs))
-        self.heat = heat
+        if cs.heat is None:
+            raise HeatDataRequiredError(
+                "numeric zeta backend needs heat coefficients; heat data required"
+            )
+        heat = heat_coefficients(cs, order=cs.heat.order)
         self.coeffs = [(j, heat.coeff(j)) for j in range(heat.order + 1)]
         self.betas = [(j, self.d / 2.0 - j, a) for j, a in self.coeffs if a != 0.0]
 
@@ -683,8 +677,8 @@ class _NumericBackend:
     # -- setup ---------------------------------------------------------------
     def _choose_truncation(self):
         cs, T = self.cs, self.T
-        if isinstance(cs, ExplicitSpectrum):
-            lam = cs.max_eigenvalue
+        if cs.max_trusted < math.inf:
+            lam = cs.max_trusted
             if lam <= 0:
                 return 0.0, T, 0.0
             tmin = min(T / 2.0, 45.0 / lam)
@@ -793,7 +787,8 @@ class _NumericBackend:
         return t_lo, min(skipped, 1e-22)
 
     def _F_regular(self, s: float):
-        """Regular part of F at s, the pole (if any) removed; plus error."""
+        """(regular part of F at s with the pole (if any) removed, residue);
+        raises when the error budget misses the target."""
         res = self._is_pole(s)
         total = 0.0
         for _, b, a in self.betas:
@@ -808,7 +803,12 @@ class _NumericBackend:
                 total += -self.q0 * self.T**s / s
         ir, ir_err, g, g_err, _, _ = self._integrals(s)
         err = ir_err + g_err + self.err_tail + self.err_model
-        return total + ir + g, res, err
+        if err > max(self.target, 1e-9):
+            raise ConvergenceError(
+                "numeric zeta continuation did not reach the requested tolerance",
+                achieved=err,
+            )
+        return total + ir + g, res
 
     def _F_regular_deriv(self, s: float) -> float:
         """d/ds of the regular part of F at s (pole term's lnT part included)."""
@@ -829,17 +829,8 @@ class _NumericBackend:
         return total + irl + gl
 
     # -- public surface --------------------------------------------------
-    @property
-    def achieved(self) -> float:
-        return max(self.err_tail + self.err_model, 1e-15)
-
     def point(self, s: float) -> ZetaPoint:
-        freg, res, err = self._F_regular(s)
-        if err > max(self.target, 1e-9):
-            raise ConvergenceError(
-                "numeric zeta continuation did not reach the requested tolerance",
-                achieved=err,
-            )
+        freg, res = self._F_regular(s)
         if res == 0.0:
             if s <= 0.0 and s == int(s):
                 # 1/Gamma vanishes at the non-positive integers
@@ -858,29 +849,8 @@ class _NumericBackend:
         return ZetaPoint(s, (freg - res * psi) / gam, res / gam)
 
     def derivative0(self) -> float:
-        freg, res, err = self._F_regular(0.0)
-        if err > max(self.target, 1e-9):
-            raise ConvergenceError(
-                "numeric zeta continuation did not reach the requested tolerance",
-                achieved=err,
-            )
+        freg, res = self._F_regular(0.0)
         return freg + EULER_GAMMA * res
-
-
-def _is_flat(cs: CrossSection) -> bool:
-    return isinstance(cs, (Point, Circle, FlatTorus))
-
-
-def _explicit_heat_order(cs: CrossSection) -> int:
-    if isinstance(cs, ExplicitSpectrum):
-        if cs.heat is None:
-            from .errors import HeatDataRequiredError
-
-            raise HeatDataRequiredError(
-                "numeric zeta backend needs heat coefficients; heat data required"
-            )
-        return cs.heat.order
-    return 0
 
 
 # ----------------------------------------------------------------------------
@@ -894,13 +864,16 @@ _BACKEND_CACHE_SIZE = 32
 _SHIFTED_CACHE_SIZE = 16  # shifted determinants kept per backend
 _backend_cache: OrderedDict = OrderedDict()
 _backend_lock = threading.Lock()
+# every other cross-section runs on the numeric backend
+_CLOSED_BACKENDS = {Point: _PointBackend, Circle: _CircleBackend, FlatTorus: _TorusBackend}
 
 
 def _get_backend(cs: CrossSection, backend: str = "auto", split_point: float = 1.0):
     if backend not in ("auto", "closed", "numeric"):
         raise ValidationError(f"unknown backend {backend!r}")
+    closed = _CLOSED_BACKENDS.get(type(cs))
     if backend == "auto":
-        backend = "closed" if _is_flat(cs) else "numeric"
+        backend = "numeric" if closed is None else "closed"
     key = (cs, backend, split_point)
     with _backend_lock:
         hit = _backend_cache.get(key)
@@ -908,16 +881,11 @@ def _get_backend(cs: CrossSection, backend: str = "auto", split_point: float = 1
             _backend_cache.move_to_end(key)
             return hit
     if backend == "closed":
-        if isinstance(cs, Point):
-            b = _PointBackend()
-        elif isinstance(cs, Circle):
-            b = _CircleBackend(cs)
-        elif isinstance(cs, FlatTorus):
-            b = _TorusBackend(cs)
-        else:
+        if closed is None:
             raise ValidationError(
                 "closed-form backend supports only point, circle and flat torus"
             )
+        b = closed(cs)
     else:
         b = _NumericBackend(cs, split_point=split_point)
     b.shifted = OrderedDict()
@@ -970,57 +938,25 @@ def log_det_star(cs: CrossSection, backend: str = "auto", split_point: float = 1
 # ----------------------------------------------------------------------------
 
 
-def _check_shift_admissible(cs: CrossSection, alpha: float):
-    q0 = kernel_dim(cs)
-    if alpha == 0.0 and q0 > 0:
-        raise SingularParameterError(
-            "singular shift: alpha = 0 collides with the zero modes"
-        )
-    if alpha < 0.0:
-        lam = alpha * alpha * (1.0 + 1e-9) + 1.0
-        for e in enumerate_spectrum(cs, lam):
-            root = math.sqrt(e.eigenvalue)
-            if root + alpha == 0.0 or abs(root + alpha) < 1e-14 * max(1.0, -alpha):
-                raise SingularParameterError(
-                    f"singular shift: -alpha = {-alpha} lies in the sqrt-spectrum "
-                    f"(eigenvalue {e.eigenvalue})"
-                )
+def _check_admissible(cs: CrossSection, alpha: float, cutoff: float, values, message):
+    """Refuse a parameter alpha at which an operator over cs is singular.
 
-
-def _shifted_circle_closed(cs: Circle, alpha: float) -> RegularizedDet:
-    """Hurwitz-zeta closed form on the circle.
-
-    zeta(s) = alpha^-s + 2 sum_{k>=1} (c k + alpha)^-s; the finitely many
-    negative factors are split off exactly and the rest is a shifted
-    Hurwitz zeta, differentiated at 0.
+    ``values(x)`` gives the operator's eigenvalues over the cross-section
+    mode with sqrt-eigenvalue x, and the caller knows that no mode above
+    ``cutoff`` has one that vanishes.  A value within
+    1e-14 max(1, |alpha|) of zero at the mode mu raises
+    ``SingularParameterError(message(mu))``.
     """
-    c = cs.wavenumber
-    neg = 0
-    logmod = 0.0
-    lm, ph = signed_log(alpha)
-    logmod += lm
-    neg += ph
-    K = 0
-    if alpha < 0.0:
-        K = max(0, math.ceil(-alpha / c) - 1)
-        for k in range(1, K + 1):
-            lmk, phk = signed_log(c * k + alpha)
-            logmod += 2.0 * lmk
-            neg += 2 * phk
-    a = K + 1 + alpha / c
-    zh0 = 0.5 - a
-    logmod += 2.0 * math.log(c) * zh0 - 2.0 * hurwitz_zeta_sderiv(0.0, a)
-    return RegularizedDet(logmod, neg, 0)
+    tol = 1e-14 * max(1.0, abs(alpha))
+    for e in enumerate_spectrum(cs, cutoff):
+        if any(abs(v) < tol for v in values(math.sqrt(e.eigenvalue))):
+            raise SingularParameterError(message(e.eigenvalue))
 
 
-def _tail_power_sum_stored(cs: ExplicitSpectrum, mu0: float, p: float) -> float:
-    """sum_{mu > mu0} m_j mu_j^{-p} over stored entries plus the model tail."""
-    total = math.fsum(
-        e.multiplicity * e.eigenvalue ** (-p)
-        for e in cs.entries
-        if e.eigenvalue > mu0
-    )
-    return total + 0.5 * power_tail_bound(cs, cs.max_eigenvalue, p)
+def _shift_refusal(alpha: float, mu: float) -> str:
+    if alpha == 0.0:
+        return "singular shift: alpha = 0 collides with the zero modes"
+    return f"singular shift: -alpha = {-alpha} lies in the sqrt-spectrum (eigenvalue {mu})"
 
 
 def _log1p_tail(x: float, kmax: int) -> float:
@@ -1068,10 +1004,12 @@ def _shifted_via_series(cs: CrossSection, alpha: float, backend, korder: int = 1
 
     # k >= 1 binomial terms against truncated zeta values.  The difference
     # zeta(k/2) - partial cancels catastrophically in doubles for large k,
-    # so closed-form backends evaluate it at elevated precision; the
-    # numeric backend (explicit data) switches to the directly summed tail
-    # once the defining series converges comfortably.
+    # so closed-form backends evaluate it at elevated precision; on stored
+    # data the numeric backend switches to the directly summed tail (its
+    # modes above mu0 plus half the model tail beyond them) once the
+    # defining series converges comfortably.
     d = cs.dim
+    stored = enumerate_spectrum(cs, cs.max_trusted) if cs.max_trusted < math.inf else None
     for k in range(1, korder):
         if hasattr(backend, "point_mp"):
             with mp.workdps(_DPS):
@@ -1080,8 +1018,9 @@ def _shifted_via_series(cs: CrossSection, alpha: float, backend, korder: int = 1
                     e.multiplicity * mp.power(e.eigenvalue, -mp.mpf(k) / 2) for e in low
                 )
                 zk = float(val - partial) + 2.0 * harmonic(k - 1) * float(res)
-        elif k / 2.0 > d / 2.0 + 1.5 and isinstance(cs, ExplicitSpectrum):
-            zk = _tail_power_sum_stored(cs, mu0, k / 2.0)
+        elif k / 2.0 > d / 2.0 + 1.5 and stored is not None:
+            zk = _sum_above(stored, mu0, lambda mu: mu ** (-k / 2.0))
+            zk += 0.5 * power_tail_bound(cs, cs.max_trusted, k / 2.0)
         else:
             zp = backend.point(k / 2.0)
             partial = math.fsum(
@@ -1093,25 +1032,15 @@ def _shifted_via_series(cs: CrossSection, alpha: float, backend, korder: int = 1
                 zk = (zp.value - partial) + 2.0 * harmonic(k - 1) * zp.residue
         logmod -= (-alpha) ** k / k * zk
 
-    # convergent log-remainder over the high modes
+    # convergent log-remainder over the high modes, up to where its tail
+    # bound falls below 1e-13; stored data stop at max(4 mu0, 100) or at
+    # their largest mode, whichever is lower
     lam_hi = max(mu0 * 4.0, 100.0)
-    tol = 1e-13
-    while True:
-        bound = (
-            2.0 * abs(alpha) ** korder / korder * power_tail_bound(cs, lam_hi, korder / 2.0)
-            if alpha != 0.0
-            else 0.0
-        )
-        if bound < tol or isinstance(cs, ExplicitSpectrum):
-            break
+    while cs.max_trusted == math.inf and alpha != 0.0 and (
+        2.0 * abs(alpha) ** korder / korder * power_tail_bound(cs, lam_hi, korder / 2.0) >= 1e-13
+    ):
         lam_hi *= 2.0
-    if isinstance(cs, ExplicitSpectrum):
-        lam_hi = min(lam_hi, cs.max_eigenvalue)
-        bound = (
-            2.0 * abs(alpha) ** korder / korder * power_tail_bound(cs, lam_hi, korder / 2.0)
-            if alpha != 0.0
-            else 0.0
-        )
+    lam_hi = min(lam_hi, cs.max_trusted)
     rem = 0.0
     if alpha != 0.0:
         for e in enumerate_spectrum(cs, lam_hi):
@@ -1132,25 +1061,26 @@ def log_det_shifted(
 ) -> RegularizedDet:
     """ln Det(sqrt(Delta_Y) + alpha), zero modes of Delta_Y included.
 
-    ``method='closed'`` forces the Hurwitz route (point and circle only);
+    ``method='closed'`` forces the closed route (point and circle only);
     ``method='series'`` forces the binomial reduction against the chosen
     zeta backend.  Finitely many negative shifted eigenvalues contribute
     ln|.| to the modulus and one pi unit each to the phase.
     """
     if method not in ("auto", "closed", "series"):
         raise ValidationError(f"unknown method {method!r}")
-    _check_shift_admissible(cs, alpha)
-    if isinstance(cs, Point):
-        lm, ph = signed_log(alpha)
-        return RegularizedDet(lm, ph, 0)
-    closed = method == "closed" or (method == "auto" and isinstance(cs, Circle) and backend in ("auto", "closed"))
-    if closed and not isinstance(cs, Circle):
-        raise ValidationError("closed-form shifted determinant needs a circle")
+    if alpha <= 0.0:
+        _check_admissible(cs, alpha, alpha * alpha * (1.0 + 1e-9) + 1.0,
+                          lambda x: (x + alpha,), lambda mu: _shift_refusal(alpha, mu))
+    # the point's and the circle's backends have the closed form
+    has_closed = hasattr(_CLOSED_BACKENDS.get(type(cs)), "shifted_closed")
+    closed = method == "closed" or (method == "auto" and has_closed and backend in ("auto", "closed"))
+    if closed and not has_closed:
+        raise ValidationError("closed-form shifted determinant needs a point or a circle")
     # kept on the backend, so evicted with it; refusals raise above each time
     b = _get_backend(cs, "closed" if closed else backend, split_point)
     det = b.shifted.get((alpha, closed))
     if det is None:
-        det = _shifted_circle_closed(cs, alpha) if closed else _shifted_via_series(cs, alpha, b)
+        det = b.shifted_closed(alpha) if closed else _shifted_via_series(cs, alpha, b)
         with _backend_lock:
             b.shifted[alpha, closed] = det
             while len(b.shifted) > _SHIFTED_CACHE_SIZE:

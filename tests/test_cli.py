@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -10,16 +11,21 @@ import pytest
 from zetaglue.cli import EXIT_INADMISSIBLE, EXIT_OK, EXIT_VALIDATION, main, run
 
 CIRCLE = "circle:6.283185307179586"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(*args):
+    """Run this interpreter with ``src`` first on PYTHONPATH: subprocesses
+    do not see the ``pythonpath`` setting pytest reads from pyproject.toml."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=env
+    )
 
 
 def run_cli(args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "zetaglue.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    return proc
+    return run_python("-m", "zetaglue.cli", *args)
 
 
 class TestRun:
@@ -54,6 +60,15 @@ class TestRun:
         assert code == EXIT_VALIDATION
         code, rep = run({"command": "det", "cross_section": "point", "length": -1.0})
         assert code == EXIT_VALIDATION
+
+    def test_tolerances_take_no_cutoff(self, tmp_path, capsys):
+        # the spectral cutoffs follow from the target; nothing reads a cutoff here
+        cfg = {"command": "det", "cross_section": "point", "length": 1.0, "bc": "dd",
+               "tolerances": {"target": 1e-10, "cutoff": 100.0}}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["det", "--config", str(path)]) == EXIT_VALIDATION
+        assert "cutoff" in json.loads(capsys.readouterr().out)["error"]
 
     def test_unknown_cross_section(self):
         code, rep = run({"command": "det", "cross_section": "sphere:1", "length": 1.0, "bc": "dd"})
@@ -128,9 +143,7 @@ class TestProcessInterface:
             "glue_robin_check(GluingConfig(FlatTorus(2.0, 3.0), 2.0, 0.7, 0.3))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
-        )
+        proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -146,9 +159,7 @@ class TestProcessInterface:
             "relative_log_det(rr, dd, count=1024)\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
-        )
+        proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 

@@ -18,8 +18,16 @@ import pytest
 from zetaglue.cylinder import BoundaryCondition as BC, CylinderSpec, log_det_cylinder
 from zetaglue.gluing import GluingConfig, glue_neumann_check, glue_robin_check
 from zetaglue.oracle import SecularProblem, relative_log_det, segment_eigenvalues
-from zetaglue.spectra import Circle, FlatTorus
-from zetaglue.zreg import log_det_shifted
+from zetaglue.spectra import (
+    Circle,
+    FlatTorus,
+    Point,
+    exp_tail_bound,
+    explicit_mirror,
+    heat_tail_bound,
+    heat_trace,
+)
+from zetaglue.zreg import log_det_shifted, power_tail_bound
 
 TWO_PI = 2.0 * math.pi
 CIRCLE = Circle(TWO_PI)
@@ -135,3 +143,113 @@ def test_robin_segment_eigenvalues():
     assert hashlib.sha256(hexed.encode()).hexdigest() == (
         "39c6dbabcdccf50297a93a37a9cd88b7a4617cb9828ba79c00e39a855b588cce"
     )
+
+
+# (base, alpha) -> (lhs, rhs, residual, truncation) of the gluing check on the
+# explicit mirror of the base at cutoff 300 with L = 2, a = 0.9; alpha = 0 is
+# the Neumann check.  Recorded before the per-type dispatch moved onto the
+# cross-section classes; the numeric backend must reproduce them bit for bit.
+MIRROR_BASES = {"circle": Circle(8.5), "torus": FlatTorus(TWO_PI, 3.5 * TWO_PI)}
+GOLDEN_MIRROR = [
+    ("circle", 0.37, (2.8950548731549293, 2.895054873154933, 3.552713678800501e-15, 1e-12)),
+    ("circle", -0.37, (4.315580233904127, 4.315580233904128, 8.881784197001252e-16, 1e-12)),
+    ("circle", 0.0, (-0.8972378620979877, -0.8972378620979847, 2.9976021664879227e-15, 1e-12)),
+    ("torus", 0.37, (9.072241100972887, 9.072241100972155, 7.318590178329032e-13, 1e-12)),
+    ("torus", -0.37, (10.313934783466102, 10.313934783465369, 7.336353746723034e-13, 1e-12)),
+    ("torus", 0.0, (9.451805287745387, 9.451805287744653, 7.336353746723034e-13, 1e-12)),
+]
+
+
+@pytest.mark.parametrize("base, alpha, want", GOLDEN_MIRROR,
+                         ids=[f"{b}-{alpha}" for b, alpha, _ in GOLDEN_MIRROR])
+def test_mirror_reports(base, alpha, want):
+    cfg = GluingConfig(explicit_mirror(MIRROR_BASES[base], 300.0), 2.0, 0.9, alpha)
+    rep = (glue_robin_check if alpha else glue_neumann_check)(cfg)
+    assert (rep.lhs, rep.rhs, rep.residual, rep.truncation) == want
+
+
+# boundary pair -> (log_det, phase, kernel_dim, truncation) on [0, 1.5] x point
+POINT_PAIRS = {
+    "dd": (BC.dirichlet(), BC.dirichlet()),
+    "nn": (BC.neumann(), BC.neumann()),
+    "nd": (BC.neumann(), BC.dirichlet()),
+    "rr": (BC.robin(0.37), BC.robin(0.37)),
+    "nr": (BC.neumann(), BC.robin(-0.37)),
+}
+GOLDEN_POINT = {
+    "dd": (1.0986122886681098, 0, 0, 0.0),
+    "nn": (1.0986122886681098, 0, 1, 0.0),
+    "nd": (0.6931471805599453, 0, 0, 0.0),
+    "rr": (0.6369471308717463, 0, 0, 0.0),
+    "nr": (-0.3011050927839216, 1, 0, 0.0),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(GOLDEN_POINT))
+def test_point_cylinder_reports(pair):
+    rep = log_det_cylinder(CylinderSpec(Point(), 1.5, *POINT_PAIRS[pair]))
+    assert (rep.log_det, rep.phase_multiple, rep.kernel_dim, rep.truncation) == GOLDEN_POINT[pair]
+
+
+BOUND_SECTIONS = {
+    "point": Point(),
+    "circle": Circle(8.5),
+    "torus": FlatTorus(TWO_PI, 3.5 * TWO_PI),
+    "mirror-point": explicit_mirror(Point(), 10.0),
+    "mirror-circle": explicit_mirror(Circle(8.5), 300.0),
+    "mirror-torus": explicit_mirror(FlatTorus(TWO_PI, 3.5 * TWO_PI), 300.0),
+}
+# function -> its arguments after the cross-section; the explicit mirrors
+# store eigenvalues up to 300, so lam = 400 lies beyond the stored list
+BOUND_ARGS = {
+    heat_trace: ((0.2,), (1.0,), (3.0,)),
+    exp_tail_bound: ((16.0, 2.0), (100.0, 0.5), (400.0, 4.0)),
+    heat_tail_bound: ((16.0, 0.2), (100.0, 1.0), (400.0, 0.05)),
+    power_tail_bound: ((16.0, 1.5), (100.0, 3.0), (400.0, 8.0)),
+}
+GOLDEN_BOUNDS = {
+    "point": {
+        "heat_trace": (1.0, 1.0, 1.0),
+        "exp_tail_bound": (0.0, 0.0, 0.0),
+        "heat_tail_bound": (0.0, 0.0, 0.0),
+        "power_tail_bound": (0.0, 0.0, 0.0),
+    },
+    "circle": {
+        "heat_trace": (5.36165660929284, 2.3978057986899377, 1.391095321985718),
+        "exp_tail_bound": (0.0003639633156391422, 0.03663357087305979, 2.3382188505815485e-36),
+        "heat_tail_bound": (0.05158341178273326, 6.15636264005442e-47, 1.2631395613237952e-09),
+        "power_tail_bound": (0.09169663696198442, 6.1869943917203404e-06, 5.054795712072656e-21),
+    },
+    "torus": {
+        "heat_trace": (54.977871437821385, 10.996711739836865, 3.938326547980727),
+        "exp_tail_bound": (0.5175297149988988, 36.79554800913303, 3.0757437746647647e-17),
+        "heat_tail_bound": (22.199681620107906, 4.241542469777807e-21, 0.0199679320141441),
+        "power_tail_bound": (17.477736431346415, 0.003415672286269283, 1.564650953901266e-17),
+    },
+    "mirror-point": {
+        "heat_trace": (1.0, 1.0, 1.0),
+        "exp_tail_bound": (0.0, 0.0, 0.0),
+        "heat_tail_bound": (0.0, 0.0, 0.0),
+        "power_tail_bound": (0.0, 0.0, 0.0),
+    },
+    "mirror-circle": {
+        "heat_trace": (5.36165660929284, 2.3978057986899377, 1.391095321985718),
+        "exp_tail_bound": (0.0003639633156427556, 0.03792454843819254, 2.441633669335856e-35),
+        "heat_tail_bound": (0.05073428069263157, 6.156362640054263e-47, 5.446646564754206e-09),
+        "power_tail_bound": (0.08606035408208138, 5.851338730588645e-06, 1.1009253062183515e-20),
+    },
+    "mirror-torus": {
+        "heat_trace": (54.977871437821385, 10.996711739836863, 3.938326547980727),
+        "exp_tail_bound": (0.017922848592314737, 3.7405255031335605, 4.018688946396219e-33),
+        "heat_tail_bound": (2.3984403311053692, 6.340340139978615e-43, 9.065427109442149e-07),
+        "power_tail_bound": (6.8229143562454215, 0.000616608376922276, 1.9174759848570517e-18),
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_BOUNDS))
+def test_heat_traces_and_tail_bounds(name):
+    cs = BOUND_SECTIONS[name]
+    for fn, args in BOUND_ARGS.items():
+        got = tuple(fn(cs, *a) for a in args)
+        assert got == GOLDEN_BOUNDS[name][fn.__name__], fn.__name__

@@ -172,13 +172,13 @@ class TestSpectrumCache:
         spectra._spectrum_cache.pop(cs, None)
         enumerate_spectrum(cs, 1e3)
         builds = []
-        inner = spectra._torus_entries
+        inner = spectra.FlatTorus._lattice
 
         def spy(*args):
             builds.append(args[1])
             return inner(*args)
 
-        monkeypatch.setattr(spectra, "_torus_entries", spy)
+        monkeypatch.setattr(spectra.FlatTorus, "_lattice", spy)
         cutoffs = [c for c in seeded_cutoffs(cs, 8, 1e3) if c > 100.0]
         for cutoff in cutoffs:
             assert enumerate_spectrum(cs, cutoff) == direct_entries(cs, cutoff), cutoff

@@ -222,7 +222,7 @@ class TestComputedOnce:
     def test_lattice_builds_per_torus_check(self, monkeypatch):
         torus = FlatTorus(TWO_PI, 3.0)
         forget(torus)
-        builds = counting(monkeypatch, spectra, "_torus_entries")
+        builds = counting(monkeypatch, spectra.FlatTorus, "_lattice")
         glue_robin_check(GluingConfig(torus, 2.5, 0.75, -0.3))
         assert len(builds) <= 3
         builds.clear()
@@ -234,7 +234,7 @@ class TestComputedOnce:
         # order (114.2 here); the spectrum is still cached and bisected
         torus = FlatTorus(math.sqrt(2.0), math.sqrt(28.0))
         forget(torus)
-        builds = counting(monkeypatch, spectra, "_torus_entries")
+        builds = counting(monkeypatch, spectra.FlatTorus, "_lattice")
         glue_robin_check(GluingConfig(torus, 2.5, 0.75, -0.3))
         assert len(builds) <= 3
         builds.clear()
@@ -255,7 +255,7 @@ class TestComputedOnce:
         (CIRCLE, -1.0), (CIRCLE, 0.0), (TORUS_ASYM, -1.0), (TORUS_ASYM, 0.0),
     ], ids=["circle-root", "circle-zero", "torus-root", "torus-zero"])
     def test_refusal_is_raised_again(self, monkeypatch, cs, alpha):
-        checks = counting(monkeypatch, zreg, "_check_shift_admissible")
+        checks = counting(monkeypatch, zreg, "_check_admissible")
         for _ in range(2):
             with pytest.raises(SingularParameterError):
                 log_det_shifted(cs, alpha)
