@@ -191,7 +191,7 @@ def _cmd_dn_spec(cfg: dict) -> dict:
     else:
         length = float(cfg["length"])
     sp = spec_interface(cs, geometry, length, alpha, cutoff=cutoff)
-    det = log_det_interface(sp, cs)
+    det = log_det_interface(sp, cs, backend=cfg.get("backend", "auto"))
     return {
         "value": det.log_modulus,
         "phase": det.phase_multiple,
@@ -212,10 +212,8 @@ def _cmd_glue(cfg: dict) -> dict:
     alpha = float(cfg.get("alpha", 0.0))
     gcfg = GluingConfig(cs, float(cfg["length"]), float(cfg["cut"]), alpha)
     tol = cfg.get("tolerances", {}).get("target", 1e-10)
-    if alpha == 0.0:
-        rep = glue_neumann_check(gcfg, tol=min(tol, 1e-12))
-    else:
-        rep = glue_robin_check(gcfg, tol=min(tol, 1e-12))
+    check = glue_neumann_check if alpha == 0.0 else glue_robin_check
+    rep = check(gcfg, tol=min(tol, 1e-12), backend=cfg.get("backend", "auto"))
     terms = {f"lhs.{k}": v for k, v in rep.lhs_terms.items()}
     terms.update({f"rhs.{k}": v for k, v in rep.rhs_terms.items()})
     return {
@@ -288,9 +286,11 @@ def _cmd_oracle_compare(cfg: dict) -> dict:
     rel = relative_log_det(prob, ref, count=count)
 
     pt = Point()
-    closed = log_det_cylinder(CylinderSpec(pt, L, bl, br)).log_det - log_det_cylinder(
-        CylinderSpec(pt, L, rl, rr_)
-    ).log_det
+    backend = cfg.get("backend", "auto")
+    closed = (
+        log_det_cylinder(CylinderSpec(pt, L, bl, br), backend=backend).log_det
+        - log_det_cylinder(CylinderSpec(pt, L, rl, rr_), backend=backend).log_det
+    )
     return {
         "value": rel.value,
         "closed_form": closed,

@@ -599,13 +599,10 @@ def explicit_from_json(doc) -> ExplicitSpectrum:
     return ExplicitSpectrum(entries=tuple(entries), dim=dim, heat=heat)
 
 
-def explicit_mirror(cs: CrossSection, cutoff: float, exact_heat: bool = True) -> ExplicitSpectrum:
+def explicit_mirror(cs: CrossSection, cutoff: float) -> ExplicitSpectrum:
     """Explicit copy of a built-in cross-section truncated at ``cutoff``.
 
     Useful for exercising the numeric backends against closed forms.
     """
     entries = tuple(enumerate_spectrum(cs, cutoff))
-    heat = heat_coefficients(cs, order=0)
-    if not exact_heat:
-        heat = HeatExpansion(heat.cross_dim, heat.coeffs, exact=False)
-    return ExplicitSpectrum(entries=entries, dim=cs.dim, heat=heat)
+    return ExplicitSpectrum(entries=entries, dim=cs.dim, heat=heat_coefficients(cs, order=0))

@@ -629,6 +629,10 @@ class _TorusBackend:
 # numeric Mellin-split backend
 # ----------------------------------------------------------------------------
 
+# largest error budget of F(s) the numeric backend answers with; above it
+# it raises ConvergenceError
+_NUMERIC_GATE = 1e-9
+
 
 class _NumericBackend:
     """Mellin-split continuation of a zero-excluded spectral zeta function.
@@ -643,12 +647,11 @@ class _NumericBackend:
     power terms continue in closed form; the two integrals are entire in s.
     """
 
-    def __init__(self, cs: CrossSection, split_point: float = 1.0, target: float = 1e-11):
+    def __init__(self, cs: CrossSection, split_point: float = 1.0):
         if split_point <= 0:
             raise ValidationError("the Mellin split point must be > 0")
         self.cs = cs
         self.T = float(split_point)
-        self.target = target
         self.d = cs.dim
         self.q0 = kernel_dim(cs)
         if cs.heat is None:
@@ -725,7 +728,7 @@ class _NumericBackend:
 
     # -- the entire-in-s pieces ----------------------------------------------
     def _integrals(self, s: float):
-        """(IR, IR_err, G, G_err) and the ln t weighted pair at this s."""
+        """(IR, IR_err, G, G_err) at this s."""
         key = ("int", s)
         if key in self._cache:
             return self._cache[key]
@@ -749,34 +752,26 @@ class _NumericBackend:
             r = h_small(t) - float(self._model(np.array([t]))[0])
             return r * t ** (s - 1.0)
 
-        def small_log(t):
-            r = h_small(t) - float(self._model(np.array([t]))[0])
-            return r * t ** (s - 1.0) * math.log(t)
-
         def large(t):
             return float(np.exp(-t * mu_l).dot(m_l)) * t ** (s - 1.0) if large_n else 0.0
-
-        def large_log(t):
-            return large(t) * math.log(t)
 
         def _q(f, a, b):
             y = quad(f, a, b, epsabs=1e-15, epsrel=1e-13, limit=400, full_output=1)
             return y[0], y[1]
 
         ir, ir_err = _q(small, t_lo, self.T)
-        irl, irl_err = _q(small_log, t_lo, self.T)
         ir_err += skip_err
         if self.mu.size:
-            upper = self.T + 60.0 / self.mu[0]
-            g, g_err = _q(large, self.T, upper)
-            gl, gl_err = _q(large_log, self.T, upper)
+            g, g_err = _q(large, self.T, self.T + 60.0 / self.mu[0])
         else:
-            g = gl = g_err = gl_err = 0.0
-        out = (ir, ir_err + irl_err, g, g_err + gl_err, irl, gl)
+            g = g_err = 0.0
+        out = (ir, ir_err, g, g_err)
         self._cache[key] = out
         return out
 
     def _small_integration_start(self, s: float):
+        # the max(1, |ln t|) factor only moves t_lo, but t_lo decides every
+        # IR the backend returns: changing the weight changes every value
         grid = np.geomspace(self.tmin, self.T, 48)
         vals = np.abs(self._R(grid))
         weight = grid ** (min(s, 1.0) - 1.0) * np.maximum(1.0, np.abs(np.log(grid)))
@@ -788,7 +783,7 @@ class _NumericBackend:
 
     def _F_regular(self, s: float):
         """(regular part of F at s with the pole (if any) removed, residue);
-        raises when the error budget misses the target."""
+        raises when the error budget exceeds _NUMERIC_GATE."""
         res = self._is_pole(s)
         total = 0.0
         for _, b, a in self.betas:
@@ -801,32 +796,14 @@ class _NumericBackend:
                 total += -self.q0 * math.log(self.T)
             else:
                 total += -self.q0 * self.T**s / s
-        ir, ir_err, g, g_err, _, _ = self._integrals(s)
+        ir, ir_err, g, g_err = self._integrals(s)
         err = ir_err + g_err + self.err_tail + self.err_model
-        if err > max(self.target, 1e-9):
+        if err > _NUMERIC_GATE:
             raise ConvergenceError(
                 "numeric zeta continuation did not reach the requested tolerance",
                 achieved=err,
             )
         return total + ir + g, res
-
-    def _F_regular_deriv(self, s: float) -> float:
-        """d/ds of the regular part of F at s (pole term's lnT part included)."""
-        total = 0.0
-        for _, b, a in self.betas:
-            if s == b:
-                total += 0.5 * a * math.log(self.T) ** 2
-            else:
-                w = self.T ** (s - b)
-                total += a * (math.log(self.T) * w / (s - b) - w / (s - b) ** 2)
-        if self.q0:
-            if s == 0.0:
-                total += -0.5 * self.q0 * math.log(self.T) ** 2
-            else:
-                w = self.T**s
-                total += -self.q0 * (math.log(self.T) * w / s - w / s**2)
-        _, _, _, _, irl, gl = self._integrals(s)
-        return total + irl + gl
 
     # -- public surface --------------------------------------------------
     def point(self, s: float) -> ZetaPoint:
@@ -868,13 +845,13 @@ _backend_lock = threading.Lock()
 _CLOSED_BACKENDS = {Point: _PointBackend, Circle: _CircleBackend, FlatTorus: _TorusBackend}
 
 
-def _get_backend(cs: CrossSection, backend: str = "auto", split_point: float = 1.0):
+def _get_backend(cs: CrossSection, backend: str = "auto"):
     if backend not in ("auto", "closed", "numeric"):
         raise ValidationError(f"unknown backend {backend!r}")
     closed = _CLOSED_BACKENDS.get(type(cs))
     if backend == "auto":
         backend = "numeric" if closed is None else "closed"
-    key = (cs, backend, split_point)
+    key = (cs, backend)
     with _backend_lock:
         hit = _backend_cache.get(key)
         if hit is not None:
@@ -887,7 +864,7 @@ def _get_backend(cs: CrossSection, backend: str = "auto", split_point: float = 1
             )
         b = closed(cs)
     else:
-        b = _NumericBackend(cs, split_point=split_point)
+        b = _NumericBackend(cs)
     b.shifted = OrderedDict()
     with _backend_lock:
         b = _backend_cache.setdefault(key, b)
@@ -902,7 +879,6 @@ def zeta_point(
     s: float,
     include_zero: bool = False,
     backend: str = "auto",
-    split_point: float = 1.0,
 ) -> ZetaPoint:
     """Finite part and residue of the spectral zeta function at real s.
 
@@ -910,7 +886,7 @@ def zeta_point(
     zero modes with the convention 0^0 = 1 (that is, it adds q0 at s = 0
     and nothing for s < 0; it is rejected for s > 0 where 0^-s diverges).
     """
-    zp = _get_backend(cs, backend, split_point).point(float(s))
+    zp = _get_backend(cs, backend).point(float(s))
     if include_zero:
         q0 = kernel_dim(cs)
         if s > 0 and q0 > 0:
@@ -920,14 +896,14 @@ def zeta_point(
     return zp
 
 
-def zeta_derivative0(cs: CrossSection, backend: str = "auto", split_point: float = 1.0) -> float:
+def zeta_derivative0(cs: CrossSection, backend: str = "auto") -> float:
     """d/ds at s = 0 of the zero-excluded spectral zeta function."""
-    return _get_backend(cs, backend, split_point).derivative0()
+    return _get_backend(cs, backend).derivative0()
 
 
-def log_det_star(cs: CrossSection, backend: str = "auto", split_point: float = 1.0) -> RegularizedDet:
+def log_det_star(cs: CrossSection, backend: str = "auto") -> RegularizedDet:
     """ln Det* of the cross-section Laplacian (zero modes excluded)."""
-    dz = zeta_derivative0(cs, backend, split_point)
+    dz = zeta_derivative0(cs, backend)
     return RegularizedDet(
         log_modulus=-dz, phase_multiple=0, excluded_zero_modes=kernel_dim(cs)
     )
@@ -1057,7 +1033,6 @@ def log_det_shifted(
     alpha: float,
     backend: str = "auto",
     method: str = "auto",
-    split_point: float = 1.0,
 ) -> RegularizedDet:
     """ln Det(sqrt(Delta_Y) + alpha), zero modes of Delta_Y included.
 
@@ -1077,7 +1052,7 @@ def log_det_shifted(
     if closed and not has_closed:
         raise ValidationError("closed-form shifted determinant needs a point or a circle")
     # kept on the backend, so evicted with it; refusals raise above each time
-    b = _get_backend(cs, "closed" if closed else backend, split_point)
+    b = _get_backend(cs, "closed" if closed else backend)
     det = b.shifted.get((alpha, closed))
     if det is None:
         det = b.shifted_closed(alpha) if closed else _shifted_via_series(cs, alpha, b)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from zetaglue.cli import EXIT_INADMISSIBLE, EXIT_OK, EXIT_VALIDATION, main, run
+from zetaglue.spectra import Circle, explicit_mirror
 
 CIRCLE = "circle:6.283185307179586"
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -110,6 +111,28 @@ class TestRun:
         )
         assert code == EXIT_OK
         assert abs(rep["delta"]) < 1e-6
+
+    def test_every_command_honours_backend(self, tmp_path, capsys):
+        # an explicit cross-section has no closed form, so forcing the
+        # closed backend must be refused wherever zeta data are read
+        mirror = explicit_mirror(Circle(8.5), 300.0)
+        doc = {
+            "dim": mirror.dim,
+            "entries": [[e.eigenvalue, e.multiplicity] for e in mirror.entries],
+            "heat": {"coeffs": list(mirror.heat.coeffs), "exact": mirror.heat.exact},
+        }
+        path = tmp_path / "mirror.json"
+        path.write_text(json.dumps(doc))
+        cross = ["--cross", f"explicit:{path}", "--backend", "closed"]
+        for argv in (
+            ["det", "--L", "2", "--bc", "rr", "--alpha", "0.37"],
+            ["glue", "--L", "2", "--a", "0.7", "--alpha", "0.37"],
+            ["glue", "--L", "2", "--a", "0.7", "--alpha", "0"],
+            ["dn-spec", "--L", "2", "--alpha", "0.37"],
+            ["dn-spec", "--L", "2", "--alpha", "0"],
+        ):
+            assert main(argv + cross) == EXIT_VALIDATION, argv
+            assert "closed-form backend" in json.loads(capsys.readouterr().out)["error"]
 
 
 class TestReportContracts:

@@ -3,9 +3,10 @@
 import math
 
 import pytest
+import scipy.integrate
 
 from zetaglue import spectra, zreg
-from zetaglue.errors import SingularParameterError, ValidationError
+from zetaglue.errors import ConvergenceError, SingularParameterError, ValidationError
 from zetaglue.gluing import GluingConfig, glue_robin_check
 from zetaglue.spectra import (
     Circle,
@@ -77,10 +78,10 @@ class TestBackendAgreement:
 
     @pytest.mark.parametrize("split", [0.5, 1.0, 2.0])
     def test_split_point_independence(self, split):
-        zp = zeta_point(CIRCLE, -0.5, backend="numeric", split_point=split)
+        b = zreg._NumericBackend(CIRCLE, split_point=split)
+        zp = b.point(-0.5)
         assert zp.value == pytest.approx(-1.0 / 6.0, abs=1e-9)
-        ds = log_det_star(CIRCLE, backend="numeric", split_point=split)
-        assert ds.log_modulus == pytest.approx(2.0 * math.log(TWO_PI), abs=1e-9)
+        assert -b.derivative0() == pytest.approx(2.0 * math.log(TWO_PI), abs=1e-9)
 
     def test_direct_sum_in_convergence_region(self):
         # cutoffs chosen so the dropped tails sit well below 1e-10
@@ -210,9 +211,9 @@ def counting(monkeypatch, module, name):
     calls = []
     inner = getattr(module, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(module, name, spy)
     return calls
@@ -267,3 +268,37 @@ class TestComputedOnce:
         for k in range(3 * zreg._SHIFTED_CACHE_SIZE):
             log_det_shifted(circle, 0.1 + k / 64.0)
         assert len(zreg._get_backend(circle).shifted) == zreg._SHIFTED_CACHE_SIZE
+
+
+class TestNumericQuadrature:
+    """The numeric backend's calls of ``scipy.integrate.quad``."""
+
+    def test_two_quads_per_new_s(self, monkeypatch):
+        calls = counting(monkeypatch, scipy.integrate, "quad")
+        b = zreg._NumericBackend(explicit_mirror(Circle(8.5), 300.0))
+        for s in (0.5, -0.5, 0.0):
+            b.point(s)
+            assert len(calls) == 2
+            b.point(s)
+            assert len(calls) == 2
+            calls.clear()
+        b.derivative0()
+        assert calls == []
+
+    @pytest.mark.parametrize("quad_err, raises", [(2e-9, True), (1e-10, False)],
+                             ids=["above-gate", "below-gate"])
+    def test_error_gate(self, monkeypatch, quad_err, raises):
+        mirror = explicit_mirror(Circle(8.5), 300.0)
+        monkeypatch.setattr(scipy.integrate, "quad",
+                            lambda f, a, b, **kwargs: (0.0, quad_err, {}))
+        forget(mirror)
+        try:
+            if raises:
+                with pytest.raises(ConvergenceError) as exc:
+                    zeta_point(mirror, 0.5)
+                assert exc.value.achieved >= quad_err
+            else:
+                zeta_point(mirror, 0.5)
+        finally:
+            # the backend cached the stubbed integrals
+            forget(mirror)
