@@ -43,56 +43,11 @@ EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_INADMISSIBLE = 4
 
-_CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {
-            "enum": ["det", "dn-spec", "glue", "zeta", "oracle-compare"]
-        },
-        "cross_section": {"type": "string"},
-        "length": {"type": "number", "exclusiveMinimum": 0},
-        "cut": {"type": "number", "exclusiveMinimum": 0},
-        "alpha": {"type": "number"},
-        "bc": {"type": "string"},
-        "ref_bc": {"type": "string"},
-        "geometry": {
-            "enum": ["both_ends", "left_neumann_cut", "cut_left", "cut_right"]
-        },
-        "s": {"type": "number"},
-        "shift": {"type": "number"},
-        "det_star": {"type": "boolean"},
-        "include_zero": {"type": "boolean"},
-        "count": {"type": "integer", "minimum": 16},
-        "cutoff": {"type": "number", "exclusiveMinimum": 0},
-        "backend": {"enum": ["auto", "closed", "numeric"]},
-        "tolerances": {
-            "type": "object",
-            "properties": {
-                "target": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "output": {
-            "type": "object",
-            "properties": {"format": {"enum": ["json", "table"]}},
-            "additionalProperties": False,
-        },
-    },
-    "required": ["command"],
-    "additionalProperties": False,
-}
-
-_BC_TOKENS = {
-    "dd": ("d", "d"),
-    "nn": ("n", "n"),
-    "nd": ("n", "d"),
-    "dn": ("d", "n"),
-    "rr": ("r", "r"),
-    "nr": ("n", "r"),
-    "rn": ("r", "n"),
-    "dr": ("d", "r"),
-    "rd": ("r", "d"),
-}
+_GEOMETRIES = ("both_ends", "left_neumann_cut", "cut_left", "cut_right")
+_BACKENDS = ("auto", "closed", "numeric")
+_FORMATS = ("json", "table")
+# every two-letter word over d, n, r, in sorted order
+_BC_PAIRS = [left + right for left in "dnr" for right in "dnr"]
 
 
 def parse_cross_section(token: str):
@@ -119,19 +74,14 @@ def parse_cross_section(token: str):
 
 def _parse_bc_pair(token: str, alpha: float):
     t = token.strip().lower()
-    if t not in _BC_TOKENS:
+    if t not in _BC_PAIRS:
         raise ValidationError(
-            f"unknown boundary pair {token!r}; expected one of {sorted(_BC_TOKENS)}"
+            f"unknown boundary pair {token!r}; expected one of {_BC_PAIRS}"
         )
-    out = []
-    for ch in _BC_TOKENS[t]:
-        if ch == "d":
-            out.append(BoundaryCondition.dirichlet())
-        elif ch == "n":
-            out.append(BoundaryCondition.neumann())
-        else:
-            out.append(BoundaryCondition.robin(alpha))
-    return tuple(out)
+    return tuple(
+        BoundaryCondition.robin(alpha) if ch == "r" else BoundaryCondition.parse(ch)
+        for ch in t
+    )
 
 
 _DET_CITATIONS = {
@@ -163,6 +113,7 @@ _GLUE_CITATIONS = {
 
 
 def _cmd_det(cfg: dict) -> dict:
+    """cylinder log-determinant"""
     cs = parse_cross_section(cfg["cross_section"])
     alpha = float(cfg.get("alpha", 0.0))
     bl, br = _parse_bc_pair(cfg.get("bc", "dd"), alpha)
@@ -181,6 +132,7 @@ def _cmd_det(cfg: dict) -> dict:
 
 
 def _cmd_dn_spec(cfg: dict) -> dict:
+    """interface-operator spectrum"""
     cs = parse_cross_section(cfg["cross_section"])
     geometry = cfg.get("geometry", "both_ends")
     alpha = float(cfg.get("alpha", 0.0))
@@ -208,6 +160,7 @@ def _cmd_dn_spec(cfg: dict) -> dict:
 
 
 def _cmd_glue(cfg: dict) -> dict:
+    """gluing identity residual"""
     cs = parse_cross_section(cfg["cross_section"])
     alpha = float(cfg.get("alpha", 0.0))
     gcfg = GluingConfig(cs, float(cfg["length"]), float(cfg["cut"]), alpha)
@@ -234,6 +187,7 @@ def _cmd_glue(cfg: dict) -> dict:
 
 
 def _cmd_zeta(cfg: dict) -> dict:
+    """cross-section zeta data"""
     cs = parse_cross_section(cfg["cross_section"])
     backend = cfg.get("backend", "auto")
     if cfg.get("det_star"):
@@ -276,6 +230,7 @@ def _cmd_zeta(cfg: dict) -> dict:
 
 
 def _cmd_oracle_compare(cfg: dict) -> dict:
+    """segment oracle vs closed form"""
     alpha = float(cfg.get("alpha", 0.0))
     L = float(cfg["length"])
     bl, br = _parse_bc_pair(cfg.get("bc", "rr"), alpha)
@@ -312,6 +267,41 @@ _COMMANDS = {
     "glue": _cmd_glue,
     "zeta": _cmd_zeta,
     "oracle-compare": _cmd_oracle_compare,
+}
+
+_CONFIG_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "command": {"enum": list(_COMMANDS)},
+        "cross_section": {"type": "string"},
+        "length": {"type": "number", "exclusiveMinimum": 0},
+        "cut": {"type": "number", "exclusiveMinimum": 0},
+        "alpha": {"type": "number"},
+        "bc": {"type": "string"},
+        "ref_bc": {"type": "string"},
+        "geometry": {"enum": list(_GEOMETRIES)},
+        "s": {"type": "number"},
+        "shift": {"type": "number"},
+        "det_star": {"type": "boolean"},
+        "include_zero": {"type": "boolean"},
+        "count": {"type": "integer", "minimum": 16},
+        "cutoff": {"type": "number", "exclusiveMinimum": 0},
+        "backend": {"enum": list(_BACKENDS)},
+        "tolerances": {
+            "type": "object",
+            "properties": {
+                "target": {"type": "number", "exclusiveMinimum": 0},
+            },
+            "additionalProperties": False,
+        },
+        "output": {
+            "type": "object",
+            "properties": {"format": {"enum": list(_FORMATS)}},
+            "additionalProperties": False,
+        },
+    },
+    "required": ["command"],
+    "additionalProperties": False,
 }
 
 
@@ -357,102 +347,83 @@ def _render_table(report: dict) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag's ``dest`` is its config key, and an absent flag leaves
+    no attribute, so the namespace is the flag part of the config."""
     ap = argparse.ArgumentParser(
         prog="zetaglue",
         description="zeta-regularized cylinder determinants and gluing checks",
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command")
+    bc_help = "|".join(_BC_PAIRS) + "; r is Robin(--alpha); dr and rd have no closed form"
 
-    def common(p, need_cross=True):
-        if need_cross:
-            p.add_argument("--cross", required=False, help="point | circle:ell | torus:l1:l2 | explicit:path")
+    parsers = {}
+    for name, cmd in _COMMANDS.items():
+        p = parsers[name] = sub.add_parser(
+            name, help=cmd.__doc__, argument_default=argparse.SUPPRESS
+        )
+        if name != "oracle-compare":
+            p.add_argument("--cross", dest="cross_section", metavar="CROSS",
+                           help="point | circle:ell | torus:l1:l2 | explicit:path")
         p.add_argument("--config", help="JSON config file mirroring the flags")
-        p.add_argument("--format", choices=["json", "table"], default=None)
-        p.add_argument("--target", type=float, default=None, help="tolerance target")
-        p.add_argument("--backend", choices=["auto", "closed", "numeric"], default=None)
+        p.add_argument("--format", choices=_FORMATS)
+        p.add_argument("--target", type=float, help="tolerance target")
+        p.add_argument("--backend", choices=_BACKENDS)
 
-    p = sub.add_parser("det", help="cylinder log-determinant")
-    common(p)
+    p = parsers["det"]
     p.add_argument("--L", type=float, dest="length")
-    p.add_argument("--bc", default=None, help="dd|nn|nd|dn|rr|nr|rn")
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--bc", help=bc_help)
+    p.add_argument("--alpha", type=float)
 
-    p = sub.add_parser("dn-spec", help="interface-operator spectrum")
-    common(p)
-    p.add_argument("--L", type=float, dest="length")
-    p.add_argument("--a", type=float, dest="cut", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--geometry", default=None,
-                   choices=["both_ends", "left_neumann_cut", "cut_left", "cut_right"])
-    p.add_argument("--cutoff", type=float, default=None)
-
-    p = sub.add_parser("glue", help="gluing identity residual")
-    common(p)
+    p = parsers["dn-spec"]
     p.add_argument("--L", type=float, dest="length")
     p.add_argument("--a", type=float, dest="cut")
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--geometry", choices=_GEOMETRIES)
+    p.add_argument("--cutoff", type=float)
 
-    p = sub.add_parser("zeta", help="cross-section zeta data")
-    common(p)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--shift", type=float, default=None)
+    p = parsers["glue"]
+    p.add_argument("--L", type=float, dest="length")
+    p.add_argument("--a", type=float, dest="cut")
+    p.add_argument("--alpha", type=float)
+
+    p = parsers["zeta"]
+    p.add_argument("--s", type=float)
+    p.add_argument("--shift", type=float)
     p.add_argument("--det-star", action="store_true", dest="det_star")
     p.add_argument("--include-zero", action="store_true", dest="include_zero")
 
-    p = sub.add_parser("oracle-compare", help="segment oracle vs closed form")
-    common(p, need_cross=False)
+    p = parsers["oracle-compare"]
     p.add_argument("--L", type=float, dest="length")
-    p.add_argument("--bc", default=None)
-    p.add_argument("--ref-bc", dest="ref_bc", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--bc", help=bc_help)
+    p.add_argument("--ref-bc", dest="ref_bc", help=bc_help)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--count", type=int)
     return ap
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:
+    flags = vars(args)
     cfg: dict = {}
-    if args.config:
+    path = flags.pop("config", None)
+    if path:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read config file: {exc}") from exc
-    if args.command:
-        cfg["command"] = args.command
-    mapping = {
-        "cross": "cross_section",
-        "length": "length",
-        "cut": "cut",
-        "alpha": "alpha",
-        "bc": "bc",
-        "ref_bc": "ref_bc",
-        "geometry": "geometry",
-        "s": "s",
-        "shift": "shift",
-        "count": "count",
-        "cutoff": "cutoff",
-        "backend": "backend",
-    }
-    for attr, key in mapping.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "det_star", False):
-        cfg["det_star"] = True
-    if getattr(args, "include_zero", False):
-        cfg["include_zero"] = True
-    if args.target is not None:
-        cfg.setdefault("tolerances", {})["target"] = args.target
-    if args.format is not None:
-        cfg.setdefault("output", {})["format"] = args.format
+    if "target" in flags:
+        cfg.setdefault("tolerances", {})["target"] = flags.pop("target")
+    if "format" in flags:
+        cfg.setdefault("output", {})["format"] = flags.pop("format")
+    cfg.update(flags)
     return cfg
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if not args.command and not getattr(args, "config", None):
+    if args.command is None:
         ap.print_help(sys.stderr)
         return EXIT_VALIDATION
     try:

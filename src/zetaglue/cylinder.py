@@ -68,7 +68,10 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind not in (DIRICHLET, NEUMANN, ROBIN):
             raise ValidationError(f"unknown boundary condition {self.kind!r}")
-        if self.kind != ROBIN and self.alpha != 0.0:
+        if self.kind == ROBIN and self.alpha == 0.0:
+            object.__setattr__(self, "kind", NEUMANN)
+            object.__setattr__(self, "alpha", 0.0)
+        elif self.kind != ROBIN and self.alpha != 0.0:
             raise ValidationError("only Robin conditions carry a parameter")
 
     @staticmethod
@@ -81,8 +84,6 @@ class BoundaryCondition:
 
     @staticmethod
     def robin(alpha: float) -> "BoundaryCondition":
-        if alpha == 0.0:
-            return BoundaryCondition(NEUMANN)
         return BoundaryCondition(ROBIN, float(alpha))
 
     @staticmethod
@@ -93,9 +94,11 @@ class BoundaryCondition:
         if t in ("n", "neumann"):
             return BoundaryCondition.neumann()
         if t.startswith("r"):
-            if ":" in t:
-                return BoundaryCondition.robin(float(t.split(":", 1)[1]))
-            return BoundaryCondition(ROBIN)
+            if ":" not in t:
+                raise ValidationError(
+                    f"Robin condition {token!r} needs its parameter, r:<alpha>"
+                )
+            return BoundaryCondition.robin(float(t.split(":", 1)[1]))
         raise ValidationError(f"cannot parse boundary condition {token!r}")
 
 

@@ -103,21 +103,14 @@ class CorrectionMatrices:
     q0: int
 
 
-def correction_matrices(cfg: GluingConfig, kind: str = "auto") -> CorrectionMatrices:
-    """Closed product-case values of the correction determinants."""
-    if kind not in ("auto", "robin", "neumann"):
-        raise ValidationError(f"unknown correction kind {kind!r}")
-    if kind == "auto":
-        kind = "neumann" if cfg.alpha == 0.0 else "robin"
+def correction_matrices(cfg: GluingConfig) -> CorrectionMatrices:
+    """Closed product-case values of the correction determinants.
+
+    The interface-basis change is -q0 ln alpha^2 for the jump interface
+    and 0 for the Neumann one (alpha = 0).
+    """
     q0 = kernel_dim(cfg.cross_section)
-    if kind == "robin":
-        if cfg.alpha == 0.0:
-            raise ValidationError(
-                "the interface-basis determinant needs alpha != 0"
-            )
-        aat = -q0 * math.log(cfg.alpha * cfg.alpha)
-    else:
-        aat = 0.0
+    aat = -q0 * math.log(cfg.alpha * cfg.alpha) if cfg.alpha != 0.0 else 0.0
     return CorrectionMatrices(
         log_det_C=-q0 * math.log(cfg.length),
         log_det_AAt=aat,
@@ -170,7 +163,7 @@ def glue_robin_check(cfg: GluingConfig, tol: float = 1e-12, backend: str = "auto
 
     heat = heat_coefficients(cs, order=cs.dim // 2)
     a0 = a0_constant([(heat, alpha)], m=cs.dim + 1)
-    mats = correction_matrices(cfg, kind="robin")
+    mats = correction_matrices(cfg)
     rs0 = log_det_star_RS0(cs, L, a, alpha, tol=tol, backend=backend)
     rhs_terms = {
         "a0": a0,
@@ -211,7 +204,7 @@ def glue_neumann_check(cfg: GluingConfig, tol: float = 1e-12, backend: str = "au
 
     z0 = zeta_point(cs, 0.0, backend=backend).value
     a0 = -_LN2 * (z0 + q0)
-    mats = correction_matrices(cfg, kind="neumann")
+    mats = correction_matrices(cfg)
     rneu = log_det_star_RS0(cs, L, a, 0.0, tol=tol, backend=backend)
     rhs_terms = {
         "a0": a0,

@@ -14,12 +14,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from .asymptotics import s_alpha_pair, w0_w1
 from .errors import SingularParameterError, ValidationError
-from .special import harmonic
 from .spectra import (
     CrossSection,
     enumerate_spectrum,
@@ -72,9 +72,6 @@ class InterfaceSpectrum:
     length: float
     alpha: float
     provenance: str
-
-    def eigenvalues(self) -> list:
-        return [v for v, _ in self.entries]
 
 
 # ----------------------------------------------------------------------------
@@ -224,8 +221,6 @@ def spec_interface(
 def log_det_interface(
     spectrum: InterfaceSpectrum,
     reference: CrossSection,
-    alpha: Optional[float] = None,
-    variant: Optional[str] = None,
     tol: float = 1e-12,
     backend: str = "auto",
 ) -> RegularizedDet:
@@ -234,15 +229,8 @@ def log_det_interface(
     The eigenvalues grow like sqrt(mu), so the determinant is assembled
     as a regularized leading part (shifted first-order determinants of
     the cross-section) times an absolutely convergent correction series,
-    never by naive regularization of the raw list.  ``alpha``/``variant``
-    must match the spectrum's provenance when given.
+    never by naive regularization of the raw list.
     """
-    if variant is not None and variant != spectrum.geometry:
-        raise ValidationError(
-            f"variant {variant!r} disagrees with spectrum geometry {spectrum.geometry!r}"
-        )
-    if alpha is not None and alpha != spectrum.alpha:
-        raise ValidationError("alpha disagrees with the spectrum provenance")
     cs = reference
     a = spectrum.alpha
     L = spectrum.length
@@ -391,7 +379,6 @@ def log_det_star_RS0(
         raise ValidationError("the cut must satisfy 0 < a < L")
     _check_rs0_admissible(cs, alpha)
     q0 = kernel_dim(cs)
-    d = cs.dim
     star = log_det_star(cs, backend=backend)
 
     if alpha == 0.0:
@@ -401,23 +388,10 @@ def log_det_star_RS0(
             _LN2 * z0 - 0.5 * star.log_modulus + ser.value, ser.phase, q0
         )
 
-    heat = heat_coefficients(cs, order=d // 2)
-    poly = 0.0
-    corr = 0.0
-    for k in range(1, d // 2 + 1):
-        if d % 2 == 1:
-            break  # half-integer-indexed coefficients vanish
-        aj = heat.coeff(d // 2 - k)
-        poly += 2.0 * aj * alpha ** (2 * k) / math.factorial(k)
-        corr += (
-            2.0
-            * aj
-            * alpha ** (2 * k)
-            / math.factorial(k)
-            * (harmonic(2 * k - 1) - harmonic(k - 1))
-        )
-    a_half = heat.coeff(d // 2) if d % 2 == 0 else 0.0
-    zeta0 = (a_half - q0) + poly
+    heat = heat_coefficients(cs, order=cs.dim // 2)
+    w0, w1 = w0_w1(heat, alpha)
+    zeta0 = w0 - q0
+    corr = w1 - s_alpha_pair(heat, alpha)
 
     plus = log_det_shifted(cs, alpha, backend=backend)
     minus = log_det_shifted(cs, -alpha, backend=backend)

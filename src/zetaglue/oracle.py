@@ -212,7 +212,6 @@ def relative_log_det(
     p: SecularProblem,
     reference: SecularProblem,
     count: int = 4096,
-    tail_model: str = "richardson3",
 ) -> RelativeLogDet:
     """ln Det(p) - ln Det(reference) from raw eigenvalue ratios.
 
@@ -225,8 +224,6 @@ def relative_log_det(
     """
     if p.length != reference.length:
         raise ValidationError("relative determinants need a common length")
-    if tail_model != "richardson3":
-        raise ValidationError(f"unknown tail model {tail_model!r}")
     if count < 16:
         raise ValidationError("count is too small for the extrapolation")
 

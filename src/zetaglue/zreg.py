@@ -659,8 +659,8 @@ class _NumericBackend:
                 "numeric zeta backend needs heat coefficients; heat data required"
             )
         heat = heat_coefficients(cs, order=cs.heat.order)
-        self.coeffs = [(j, heat.coeff(j)) for j in range(heat.order + 1)]
-        self.betas = [(j, self.d / 2.0 - j, a) for j, a in self.coeffs if a != 0.0]
+        coeffs = [heat.coeff(j) for j in range(heat.order + 1)]
+        self.betas = [(self.d / 2.0 - j, a) for j, a in enumerate(coeffs) if a != 0.0]
 
         lam, tmin, tail_err = self._choose_truncation()
         if lam > 0:
@@ -670,7 +670,6 @@ class _NumericBackend:
         self.mu = np.array([e.eigenvalue for e in entries])
         self.mult = np.array([float(e.multiplicity) for e in entries])
         self.tmin = tmin
-        self.lam = lam
         self._cache: dict = {}
         # error ledger: spectral-tail leakage plus the unmodelled part of
         # R(t) below tmin (exponentially small for exact heat data)
@@ -704,7 +703,7 @@ class _NumericBackend:
     def _is_pole(self, s: float) -> float:
         """Residue of F at s (0 when F is regular there)."""
         res = 0.0
-        for _, b, a in self.betas:
+        for b, a in self.betas:
             if s == b:
                 res += a
         if s == 0.0:
@@ -719,7 +718,7 @@ class _NumericBackend:
 
     def _model(self, t):
         out = -float(self.q0) * np.ones_like(np.asarray(t, dtype=float))
-        for _, b, a in self.betas:
+        for b, a in self.betas:
             out = out + a * np.asarray(t, dtype=float) ** (-b)
         return out
 
@@ -786,7 +785,7 @@ class _NumericBackend:
         raises when the error budget exceeds _NUMERIC_GATE."""
         res = self._is_pole(s)
         total = 0.0
-        for _, b, a in self.betas:
+        for b, a in self.betas:
             if s == b:
                 total += a * math.log(self.T)
             else:

@@ -1,14 +1,25 @@
 """CLI surface: reports, exit codes, round trips, determinism."""
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
 
+import jsonschema
 import pytest
 
-from zetaglue.cli import EXIT_INADMISSIBLE, EXIT_OK, EXIT_VALIDATION, main, run
+from zetaglue.cli import (
+    _CONFIG_SCHEMA,
+    EXIT_INADMISSIBLE,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    _config_from_args,
+    build_parser,
+    main,
+    run,
+)
 from zetaglue.spectra import Circle, explicit_mirror
 
 CIRCLE = "circle:6.283185307179586"
@@ -251,3 +262,105 @@ class TestProcessInterface:
         assert code == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["value"] == 0.0
+
+
+# flag -> (schema key path, argv text, parsed value, a different config-file value)
+FLAGS = {
+    "--cross": (("cross_section",), "point", "point", "circle:2"),
+    "--format": (("output", "format"), "table", "table", "json"),
+    "--target": (("tolerances", "target"), "1e-9", 1e-9, 1e-7),
+    "--backend": (("backend",), "closed", "closed", "numeric"),
+    "--L": (("length",), "1.5", 1.5, 2.5),
+    "--a": (("cut",), "0.5", 0.5, 0.25),
+    "--alpha": (("alpha",), "0.3", 0.3, -0.2),
+    "--bc": (("bc",), "nr", "nr", "dd"),
+    "--ref-bc": (("ref_bc",), "nd", "nd", "nn"),
+    "--geometry": (("geometry",), "cut_left", "cut_left", "both_ends"),
+    "--cutoff": (("cutoff",), "50", 50.0, 20.0),
+    "--s": (("s",), "-0.5", -0.5, 2.0),
+    "--shift": (("shift",), "1", 1.0, 0.5),
+    "--det-star": (("det_star",), None, True, False),
+    "--include-zero": (("include_zero",), None, True, False),
+    "--count": (("count",), "64", 64, 128),
+}
+
+
+def subcommand_parsers():
+    ap = build_parser()
+    (action,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def option(parser, flag):
+    (action,) = [a for a in parser._actions if flag in a.option_strings]
+    return action
+
+
+def nested(path, value):
+    doc = value
+    for key in reversed(path):
+        doc = {key: doc}
+    return doc
+
+
+def merged(base, path, value):
+    out = json.loads(json.dumps(base))
+    node = out
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return out
+
+
+class TestFlagsAreConfigKeys:
+    @pytest.mark.parametrize("command", ["det", "dn-spec", "glue", "zeta", "oracle-compare"])
+    def test_every_flag_lands_under_its_schema_key(self, command, tmp_path):
+        parser = subcommand_parsers()[command]
+        flags = [
+            a.option_strings[0] for a in parser._actions if a.dest not in ("help", "config")
+        ]
+        assert set(flags) <= set(FLAGS), "add the new flag to FLAGS"
+        doc = {"command": command}
+        for flag in flags:
+            path, _, _, file_value = FLAGS[flag]
+            doc = merged(doc, path, file_value)
+        path_ = tmp_path / "run.json"
+        path_.write_text(json.dumps(doc))
+
+        def config(*argv):
+            return _config_from_args(build_parser().parse_args([command, *argv]))
+
+        # absent flags keep every config-file value
+        assert config("--config", str(path_)) == doc
+        for flag in flags:
+            path, text, value, _ = FLAGS[flag]
+            argv = [flag] if text is None else [flag, text]
+            alone = config(*argv)
+            assert alone == {"command": command, **nested(path, value)}, flag
+            jsonschema.validate(alone, _CONFIG_SCHEMA)
+            # a given flag overrides the file and leaves the rest alone
+            assert config("--config", str(path_), *argv) == merged(doc, path, value), flag
+
+    def test_schema_enums_are_the_parser_choices(self):
+        props = _CONFIG_SCHEMA["properties"]
+        parsers = subcommand_parsers()
+        assert props["command"]["enum"] == list(parsers)
+        assert props["geometry"]["enum"] == list(option(parsers["dn-spec"], "--geometry").choices)
+        for parser in parsers.values():
+            assert props["backend"]["enum"] == list(option(parser, "--backend").choices)
+            assert props["output"]["properties"]["format"]["enum"] == list(
+                option(parser, "--format").choices
+            )
+
+    @pytest.mark.parametrize("command", ["det", "dn-spec", "glue", "zeta", "oracle-compare"])
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+    def test_mixed_dirichlet_robin_pairs_reach_the_library(self):
+        code, rep = run({"command": "oracle-compare", "length": 1.0, "bc": "dr",
+                         "ref_bc": "nd", "alpha": 0.4, "count": 1024})
+        assert code == EXIT_VALIDATION
+        assert "unsupported boundary pair dirichlet/robin" in rep["error"]

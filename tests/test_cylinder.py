@@ -37,6 +37,18 @@ class TestBoundaryCondition:
         with pytest.raises(ValidationError):
             BC.parse("x")
 
+    def test_robin_zero_is_neumann_however_built(self):
+        for bc in (BC("robin", 0.0), BC("robin", -0.0), BC.parse("r:0")):
+            assert bc == BC.neumann()
+        # the determinant is the Neumann one, not a singular Robin one
+        for cs in (CIRCLE, POINT):
+            neumann = det(cs, 1.0, BC.neumann(), BC.neumann()).log_det
+            assert det(cs, 1.0, BC.neumann(), BC("robin", 0.0)).log_det == neumann
+
+    def test_bare_robin_needs_its_parameter(self):
+        with pytest.raises(ValidationError, match=r"r:<alpha>"):
+            BC.parse("r")
+
 
 class TestSegmentClosedForms:
     @pytest.mark.parametrize("L", [0.5, 1.0, 2.0, math.pi])

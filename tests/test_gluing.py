@@ -33,12 +33,15 @@ class TestCorrectionMatrices:
 
     def test_unit_shift_basis_change_vanishes(self):
         # alpha = 1 is admissible on a circle whose wavenumber is not 1
-        m = correction_matrices(GluingConfig(Circle(3.0), 2.0, 0.7, 1.0), kind="robin")
+        m = correction_matrices(GluingConfig(Circle(3.0), 2.0, 0.7, 1.0))
         assert m.log_det_AAt == 0.0
 
-    def test_robin_matrices_need_nonzero_shift(self):
-        with pytest.raises(ValidationError):
-            correction_matrices(GluingConfig(CIRCLE, 2.0, 0.7, 0.0), kind="robin")
+    def test_basis_change_follows_alpha(self):
+        # Neumann (alpha = 0) has no interface-basis change; the jump
+        # interface has -q0 ln alpha^2
+        assert correction_matrices(GluingConfig(CIRCLE, 2.0, 0.7, 0.0)).log_det_AAt == 0.0
+        m = correction_matrices(GluingConfig(CIRCLE, 2.0, 0.7, -0.3))
+        assert m.log_det_AAt == -m.q0 * math.log(0.3 * 0.3)
 
 
 class TestNeumannGluing:

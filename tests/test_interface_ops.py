@@ -169,13 +169,6 @@ class TestInterfaceDeterminants:
         assert deltas[-1] < 1e-12
         assert deltas[0] >= deltas[-1]
 
-    def test_variant_mismatch_rejected(self):
-        sp = spec_interface(CIRCLE, "both_ends", 1.0, 0.3)
-        with pytest.raises(ValidationError):
-            log_det_interface(sp, CIRCLE, variant="cut_left")
-        with pytest.raises(ValidationError):
-            log_det_interface(sp, CIRCLE, alpha=0.4)
-
 
 class TestInterfaceJump:
     def test_zero_mode_count(self):
