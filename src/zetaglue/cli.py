@@ -10,19 +10,21 @@ Subcommands::
 
 Reports are JSON on stdout (newline-terminated, deterministic except for
 the ``timestamp`` field; floats use exact round-trip encoding);
-diagnostics go to stderr.  Exit codes: 0 success, 2 validation error,
-3 numerical non-convergence, 4 inadmissible (singular) parameters.
-A config file mirroring the flags can be passed with ``--config``.
+diagnostics go to stderr.  Each subcommand takes only the flags of the
+config keys it reads (``--target`` belongs to ``det`` and ``glue``), and a
+config file passed with ``--config`` only those keys.  Exit codes: 0
+success, 2 validation error (a NaN or infinite number included), 3
+numerical non-convergence or overflow, 4 inadmissible (singular) parameters.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-
-import jsonschema
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .cylinder import BoundaryCondition, CylinderSpec, log_det_cylinder
@@ -43,9 +45,6 @@ EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_INADMISSIBLE = 4
 
-_GEOMETRIES = ("both_ends", "left_neumann_cut", "cut_left", "cut_right")
-_BACKENDS = ("auto", "closed", "numeric")
-_FORMATS = ("json", "table")
 # every two-letter word over d, n, r, in sorted order
 _BC_PAIRS = [left + right for left in "dnr" for right in "dnr"]
 
@@ -190,27 +189,21 @@ def _cmd_zeta(cfg: dict) -> dict:
     """cross-section zeta data"""
     cs = parse_cross_section(cfg["cross_section"])
     backend = cfg.get("backend", "auto")
-    if cfg.get("det_star"):
-        det = log_det_star(cs, backend=backend)
-        return {
-            "value": det.log_modulus,
-            "phase": det.phase_multiple,
-            "kernel_dim": det.excluded_zero_modes,
-            "terms": {"log_det_star": det.log_modulus},
-            "tolerance_achieved": 1e-10,
-            "citations": {"log_det_star": "-d/ds at 0 of the zero-excluded zeta"},
-        }
-    if "shift" in cfg:
-        det = log_det_shifted(cs, float(cfg["shift"]), backend=backend)
+    if cfg.get("det_star") or "shift" in cfg:
+        if cfg.get("det_star"):
+            term, citation = "log_det_star", "-d/ds at 0 of the zero-excluded zeta"
+            det = log_det_star(cs, backend=backend)
+        else:
+            term = "log_det_shifted"
+            citation = "ln Det(sqrt(Delta_Y) + alpha), zero modes included"
+            det = log_det_shifted(cs, float(cfg["shift"]), backend=backend)
         return {
             "value": det.log_modulus,
             "phase": det.phase_multiple,
             "kernel_dim": kernel_dim(cs),
-            "terms": {"log_det_shifted": det.log_modulus},
+            "terms": {term: det.log_modulus},
             "tolerance_achieved": 1e-10,
-            "citations": {
-                "log_det_shifted": "ln Det(sqrt(Delta_Y) + alpha), zero modes included"
-            },
+            "citations": {term: citation},
         }
     zp = zeta_point(
         cs, float(cfg.get("s", 0.0)), include_zero=bool(cfg.get("include_zero")), backend=backend
@@ -269,136 +262,145 @@ _COMMANDS = {
     "oracle-compare": _cmd_oracle_compare,
 }
 
-_CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {"enum": list(_COMMANDS)},
-        "cross_section": {"type": "string"},
-        "length": {"type": "number", "exclusiveMinimum": 0},
-        "cut": {"type": "number", "exclusiveMinimum": 0},
-        "alpha": {"type": "number"},
-        "bc": {"type": "string"},
-        "ref_bc": {"type": "string"},
-        "geometry": {"enum": list(_GEOMETRIES)},
-        "s": {"type": "number"},
-        "shift": {"type": "number"},
-        "det_star": {"type": "boolean"},
-        "include_zero": {"type": "boolean"},
-        "count": {"type": "integer", "minimum": 16},
-        "cutoff": {"type": "number", "exclusiveMinimum": 0},
-        "backend": {"enum": list(_BACKENDS)},
-        "tolerances": {
-            "type": "object",
-            "properties": {
-                "target": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "output": {
-            "type": "object",
-            "properties": {"format": {"enum": list(_FORMATS)}},
-            "additionalProperties": False,
-        },
-    },
-    "required": ["command"],
-    "additionalProperties": False,
+_ALL = tuple(_COMMANDS)
+_BC_HELP = "|".join(_BC_PAIRS) + "; r is Robin(--alpha); dr and rd have no closed form"
+
+
+class _Key(NamedTuple):
+    """One config key: its flag, value type (float, int, str, bool or a tuple
+    vocabulary), the commands that read it and a strict lower bound."""
+
+    flag: str
+    kind: object
+    commands: tuple
+    above: float = -math.inf
+    help: Optional[str] = None
+
+
+# Every config key, once.  ``build_parser`` gives each command the flags of
+# the keys it reads, and ``run`` refuses any other key.  A dotted key nests
+# in a config file: "tolerances.target" is {"tolerances": {"target": ...}}.
+_KEYS = {
+    "cross_section": _Key("--cross", str, ("det", "dn-spec", "glue", "zeta"),
+                          help="point | circle:ell | torus:l1:l2 | explicit:path"),
+    "output.format": _Key("--format", ("json", "table"), _ALL),
+    "tolerances.target": _Key("--target", float, ("det", "glue"), 0, "tolerance target"),
+    "backend": _Key("--backend", ("auto", "closed", "numeric"), _ALL),
+    "length": _Key("--L", float, ("det", "dn-spec", "glue", "oracle-compare"), 0),
+    "cut": _Key("--a", float, ("dn-spec", "glue"), 0),
+    "alpha": _Key("--alpha", float, ("det", "dn-spec", "glue", "oracle-compare")),
+    "bc": _Key("--bc", str, ("det", "oracle-compare"), help=_BC_HELP),
+    "ref_bc": _Key("--ref-bc", str, ("oracle-compare",), help=_BC_HELP),
+    "geometry": _Key("--geometry", ("both_ends", "left_neumann_cut", "cut_left", "cut_right"),
+                     ("dn-spec",)),
+    "cutoff": _Key("--cutoff", float, ("dn-spec",), 0),
+    "s": _Key("--s", float, ("zeta",)),
+    "shift": _Key("--shift", float, ("zeta",)),
+    "det_star": _Key("--det-star", bool, ("zeta",)),
+    "include_zero": _Key("--include-zero", bool, ("zeta",)),
+    "count": _Key("--count", int, ("oracle-compare",), 15),  # at least 16
 }
+_GROUPS = {key.split(".")[0] for key in _KEYS if "." in key}
+
+
+def _value_error(row: _Key, value) -> Optional[str]:
+    """What is wrong with one config value, or None."""
+    if isinstance(row.kind, tuple):
+        return None if value in row.kind else f"must be one of {list(row.kind)}"
+    if row.kind in (str, bool):
+        return None if isinstance(value, row.kind) else f"must be a {row.kind.__name__}"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "must be a number"
+    if row.kind is int and value % 1:
+        return "must be an integer"
+    if not -math.inf < value < math.inf:
+        return "must be finite"
+    return None if value > row.above else f"must be > {row.above}"
+
+
+def _config_error(config) -> Optional[str]:
+    """The first way ``config`` breaks the key table, or None."""
+    if not isinstance(config, dict):
+        return f"a config is an object, got {config!r}"
+    command = config.get("command")
+    if command not in _ALL:
+        return f"command must be one of {list(_ALL)}, got {command!r}"
+    flat = [(key, v) for key, v in config.items() if key != "command" and key not in _GROUPS]
+    for group in [key for key in config if key in _GROUPS]:
+        if not isinstance(config[group], dict):
+            return f"{group} must be an object, got {config[group]!r}"
+        flat += [(f"{group}.{key}", v) for key, v in config[group].items()]
+    for key, value in flat:
+        if key not in _KEYS:
+            return f"unknown key {key!r}"
+        if command not in _KEYS[key].commands:
+            return f"{command} does not read {key!r}"
+        problem = _value_error(_KEYS[key], value)
+        if problem:
+            return f"{key} {problem}, got {value!r}"
+    return None
 
 
 def run(config: dict):
-    """Validate one run configuration and execute it.
+    """Validate one run configuration against the key table and execute it.
 
     Returns ``(exit_code, report_dict)``; the report carries an ``error``
     key instead of results when the exit code is nonzero.
     """
-    try:
-        jsonschema.validate(config, _CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        return EXIT_VALIDATION, {"error": f"config validation: {exc.message}"}
+    error = _config_error(config)
+    if error:
+        return EXIT_VALIDATION, {"error": f"config validation: {error}"}
     try:
         report = _COMMANDS[config["command"]](config)
     except SingularParameterError as exc:
         return EXIT_INADMISSIBLE, {"error": str(exc)}
     except ConvergenceError as exc:
         return EXIT_NONCONVERGENCE, {"error": str(exc), "achieved": exc.achieved}
-    except (ValidationError, KeyError) as exc:
+    except OverflowError as exc:
+        return EXIT_NONCONVERGENCE, {"error": f"numeric overflow: {exc}"}
+    except (ZetaGlueError, KeyError) as exc:
         msg = str(exc) if str(exc) else repr(exc)
         return EXIT_VALIDATION, {"error": f"invalid configuration: {msg}"}
-    except ZetaGlueError as exc:
-        return EXIT_VALIDATION, {"error": str(exc)}
     report["command"] = config["command"]
     report["version"] = __version__
     return EXIT_OK, report
 
 
 def _render_table(report: dict) -> str:
-    lines = []
-    lines.append(f"command: {report.get('command', '')}")
+    lines = [f"command: {report['command']}"]
     for key in sorted(report):
         if key in ("terms", "citations", "entries", "command"):
             continue
         lines.append(f"{key:22s} {report[key]}")
-    terms = report.get("terms", {})
-    if terms:
-        lines.append("terms:")
-        for k, v in terms.items():
-            lines.append(f"  {k:28s} {v!r:26s} {report.get('citations', {}).get(k, '')}")
+    lines.append("terms:")  # every command reports terms
+    for k, v in report["terms"].items():
+        lines.append(f"  {k:28s} {v!r:26s} {report['citations'].get(k, '')}")
     return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each flag's ``dest`` is its config key, and an absent flag leaves
-    no attribute, so the namespace is the flag part of the config."""
+    """Each command takes the flags of the keys it reads.  A flag's ``dest``
+    is its config key, and an absent flag leaves no attribute, so the
+    namespace is the flag part of the config."""
     ap = argparse.ArgumentParser(
         prog="zetaglue",
         description="zeta-regularized cylinder determinants and gluing checks",
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = ap.add_subparsers(dest="command")
-    bc_help = "|".join(_BC_PAIRS) + "; r is Robin(--alpha); dr and rd have no closed form"
-
-    parsers = {}
+    sub = ap.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():
-        p = parsers[name] = sub.add_parser(
-            name, help=cmd.__doc__, argument_default=argparse.SUPPRESS
-        )
-        if name != "oracle-compare":
-            p.add_argument("--cross", dest="cross_section", metavar="CROSS",
-                           help="point | circle:ell | torus:l1:l2 | explicit:path")
+        p = sub.add_parser(name, help=cmd.__doc__, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON config file mirroring the flags")
-        p.add_argument("--format", choices=_FORMATS)
-        p.add_argument("--target", type=float, help="tolerance target")
-        p.add_argument("--backend", choices=_BACKENDS)
-
-    p = parsers["det"]
-    p.add_argument("--L", type=float, dest="length")
-    p.add_argument("--bc", help=bc_help)
-    p.add_argument("--alpha", type=float)
-
-    p = parsers["dn-spec"]
-    p.add_argument("--L", type=float, dest="length")
-    p.add_argument("--a", type=float, dest="cut")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--geometry", choices=_GEOMETRIES)
-    p.add_argument("--cutoff", type=float)
-
-    p = parsers["glue"]
-    p.add_argument("--L", type=float, dest="length")
-    p.add_argument("--a", type=float, dest="cut")
-    p.add_argument("--alpha", type=float)
-
-    p = parsers["zeta"]
-    p.add_argument("--s", type=float)
-    p.add_argument("--shift", type=float)
-    p.add_argument("--det-star", action="store_true", dest="det_star")
-    p.add_argument("--include-zero", action="store_true", dest="include_zero")
-
-    p = parsers["oracle-compare"]
-    p.add_argument("--L", type=float, dest="length")
-    p.add_argument("--bc", help=bc_help)
-    p.add_argument("--ref-bc", dest="ref_bc", help=bc_help)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--count", type=int)
+        for key, row in _KEYS.items():
+            if name not in row.commands:
+                continue
+            if row.kind is bool:
+                opts = {"action": "store_true"}
+            elif isinstance(row.kind, tuple):
+                opts = {"choices": row.kind}
+            else:
+                opts = {"type": row.kind, "metavar": row.flag.lstrip("-").upper()}
+            p.add_argument(row.flag, dest=key, help=row.help, **opts)
     return ap
 
 
@@ -412,37 +414,31 @@ def _config_from_args(args: argparse.Namespace) -> dict:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read config file: {exc}") from exc
-    if "target" in flags:
-        cfg.setdefault("tolerances", {})["target"] = flags.pop("target")
-    if "format" in flags:
-        cfg.setdefault("output", {})["format"] = flags.pop("format")
-    cfg.update(flags)
+        if not isinstance(cfg, dict):
+            raise ValidationError("a config file holds one JSON object")
+    for key, value in flags.items():
+        group, _, name = key.rpartition(".")
+        node = cfg.setdefault(group, {}) if group else cfg
+        if isinstance(node, dict):  # otherwise run refuses the group
+            node[name] = value
     return cfg
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.command is None:
-        ap.print_help(sys.stderr)
-        return EXIT_VALIDATION
+    args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-    except ValidationError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stdout)
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
-
-    out_format = cfg.pop("output", {}).get("format", "json")
-    code, report = run(cfg)
-    if code == EXIT_OK:
-        report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    if out_format == "table" and code == EXIT_OK:
-        print(_render_table(report))
-    else:
-        print(json.dumps(report, sort_keys=True))
+        code, report = run(cfg)
+    except ValidationError as exc:  # the config file cannot be read
+        code, report = EXIT_VALIDATION, {"error": str(exc)}
     if code != EXIT_OK:
-        print(report.get("error", "error"), file=sys.stderr)
+        print(json.dumps(report, sort_keys=True))
+        print(report["error"], file=sys.stderr)
+        return code
+    report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    # run has checked that ``output``, when given, is an object
+    table = cfg.get("output", {}).get("format") == "table"
+    print(_render_table(report) if table else json.dumps(report, sort_keys=True))
     return code
 
 

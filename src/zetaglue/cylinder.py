@@ -68,6 +68,8 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind not in (DIRICHLET, NEUMANN, ROBIN):
             raise ValidationError(f"unknown boundary condition {self.kind!r}")
+        if not math.isfinite(self.alpha):
+            raise ValidationError(f"alpha must be finite, got {self.alpha}")
         if self.kind == ROBIN and self.alpha == 0.0:
             object.__setattr__(self, "kind", NEUMANN)
             object.__setattr__(self, "alpha", 0.0)
@@ -94,11 +96,10 @@ class BoundaryCondition:
         if t in ("n", "neumann"):
             return BoundaryCondition.neumann()
         if t.startswith("r"):
-            if ":" not in t:
-                raise ValidationError(
-                    f"Robin condition {token!r} needs its parameter, r:<alpha>"
-                )
-            return BoundaryCondition.robin(float(t.split(":", 1)[1]))
+            try:
+                return BoundaryCondition.robin(float(t.partition(":")[2]))
+            except ValueError as exc:
+                raise ValidationError(f"{token!r} is not r:<alpha> with a number alpha") from exc
         raise ValidationError(f"cannot parse boundary condition {token!r}")
 
 
@@ -112,8 +113,8 @@ class CylinderSpec:
     bc_right: BoundaryCondition
 
     def __post_init__(self):
-        if not (self.length > 0):
-            raise ValidationError(f"cylinder length must be > 0, got {self.length}")
+        if not 0 < self.length < math.inf:
+            raise ValidationError(f"cylinder length must be finite and > 0, got {self.length}")
 
 
 @dataclass(frozen=True)

@@ -48,10 +48,12 @@ class GluingConfig:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not (self.length > 0):
-            raise ValidationError("length must be > 0")
+        if not 0 < self.length < math.inf:
+            raise ValidationError(f"length must be finite and > 0, got {self.length}")
         if not (0 < self.cut < self.length):
-            raise ValidationError("the cut must satisfy 0 < a < L")
+            raise ValidationError(f"the cut must satisfy 0 < a < L, got a = {self.cut}")
+        if not math.isfinite(self.alpha):
+            raise ValidationError(f"alpha must be finite, got {self.alpha}")
         _check_rs0_admissible(self.cross_section, self.alpha)
 
 

@@ -43,8 +43,8 @@ class SecularProblem:
     bc_right: BoundaryCondition
 
     def __post_init__(self):
-        if not (self.length > 0):
-            raise ValidationError("segment length must be > 0")
+        if not 0 < self.length < math.inf:
+            raise ValidationError(f"segment length must be finite and > 0, got {self.length}")
         for bc in (self.bc_left, self.bc_right):
             if bc.kind == ROBIN and bc.alpha < 0:
                 raise ValidationError(

@@ -189,8 +189,8 @@ class Circle(_FlatSection):
     dim: int = field(default=1, init=False)
 
     def __post_init__(self):
-        if not (self.circumference > 0):
-            raise ValidationError("circle circumference must be > 0")
+        if not 0 < self.circumference < math.inf:
+            raise ValidationError(f"circumference must be finite and > 0, got {self.circumference}")
 
     @property
     def wavenumber(self) -> float:
@@ -242,8 +242,8 @@ class FlatTorus(_FlatSection):
     dim: int = field(default=2, init=False)
 
     def __post_init__(self):
-        if not (self.ell1 > 0 and self.ell2 > 0):
-            raise ValidationError("torus side lengths must be > 0")
+        if not (0 < self.ell1 < math.inf and 0 < self.ell2 < math.inf):
+            raise ValidationError(f"ell1, ell2 must be finite and > 0: {self.ell1}, {self.ell2}")
 
     @property
     def a0(self) -> float:

@@ -13,6 +13,8 @@ from zetaglue.cylinder import (
     series_sum,
 )
 from zetaglue.errors import SingularParameterError, ValidationError
+from zetaglue.gluing import GluingConfig
+from zetaglue.oracle import SecularProblem
 from zetaglue.spectra import Circle, FlatTorus, Point, enumerate_spectrum, explicit_mirror
 
 TWO_PI = 2.0 * math.pi
@@ -48,6 +50,31 @@ class TestBoundaryCondition:
     def test_bare_robin_needs_its_parameter(self):
         with pytest.raises(ValidationError, match=r"r:<alpha>"):
             BC.parse("r")
+
+    def test_robin_parameter_must_be_a_number(self):
+        with pytest.raises(ValidationError, match=r"r:<alpha>"):
+            BC.parse("r:abc")
+
+
+# class.field -> a constructor taking that field's value; the refusal names the field
+NON_FINITE_FIELDS = {
+    "BoundaryCondition.alpha": lambda v: BC.robin(v),
+    "CylinderSpec.length": lambda v: CylinderSpec(POINT, v, BC.dirichlet(), BC.dirichlet()),
+    "GluingConfig.length": lambda v: GluingConfig(CIRCLE, v, 0.7, 0.3),
+    "GluingConfig.cut": lambda v: GluingConfig(CIRCLE, 2.0, v, 0.3),
+    "GluingConfig.alpha": lambda v: GluingConfig(CIRCLE, 2.0, 0.7, v),
+    "Circle.circumference": lambda v: Circle(v),
+    "FlatTorus.ell1": lambda v: FlatTorus(v, 1.0),
+    "FlatTorus.ell2": lambda v: FlatTorus(1.0, v),
+    "SecularProblem.length": lambda v: SecularProblem(v, BC.dirichlet(), BC.dirichlet()),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("field", list(NON_FINITE_FIELDS))
+def test_non_finite_inputs_are_refused(field, value):
+    with pytest.raises(ValidationError, match=field.split(".")[-1]):
+        NON_FINITE_FIELDS[field](value)
 
 
 class TestSegmentClosedForms:
