@@ -10,10 +10,9 @@ Subcommands::
 
 Reports are JSON on stdout (newline-terminated, deterministic except for
 the ``timestamp`` field; floats use exact round-trip encoding);
-diagnostics go to stderr.  Each subcommand takes only the flags of the
-config keys it reads (``--target`` belongs to ``det`` and ``glue``), and a
-config file passed with ``--config`` only those keys.  Exit codes: 0
-success, 2 validation error (a NaN or infinite number included), 3
+diagnostics go to stderr.  A subcommand takes only the flags of the keys it
+reads (``--target`` only ``det`` and ``glue``), a ``--config`` file only those
+keys.  Exit codes: 0 success, 2 validation error (NaN and inf included), 3
 numerical non-convergence or overflow, 4 inadmissible (singular) parameters.
 """
 
@@ -189,21 +188,27 @@ def _cmd_zeta(cfg: dict) -> dict:
     """cross-section zeta data"""
     cs = parse_cross_section(cfg["cross_section"])
     backend = cfg.get("backend", "auto")
-    if cfg.get("det_star") or "shift" in cfg:
-        if cfg.get("det_star"):
-            term, citation = "log_det_star", "-d/ds at 0 of the zero-excluded zeta"
-            det = log_det_star(cs, backend=backend)
-        else:
-            term = "log_det_shifted"
-            citation = "ln Det(sqrt(Delta_Y) + alpha), zero modes included"
-            det = log_det_shifted(cs, float(cfg["shift"]), backend=backend)
+    if cfg.get("det_star"):
+        det = log_det_star(cs, backend=backend)
+        return {
+            "value": det.log_modulus,
+            "phase": det.phase_multiple,
+            "kernel_dim": det.excluded_zero_modes,
+            "terms": {"log_det_star": det.log_modulus},
+            "tolerance_achieved": 1e-10,
+            "citations": {"log_det_star": "-d/ds at 0 of the zero-excluded zeta"},
+        }
+    if "shift" in cfg:
+        det = log_det_shifted(cs, float(cfg["shift"]), backend=backend)
         return {
             "value": det.log_modulus,
             "phase": det.phase_multiple,
             "kernel_dim": kernel_dim(cs),
-            "terms": {term: det.log_modulus},
+            "terms": {"log_det_shifted": det.log_modulus},
             "tolerance_achieved": 1e-10,
-            "citations": {term: citation},
+            "citations": {
+                "log_det_shifted": "ln Det(sqrt(Delta_Y) + alpha), zero modes included"
+            },
         }
     zp = zeta_point(
         cs, float(cfg.get("s", 0.0)), include_zero=bool(cfg.get("include_zero")), backend=backend
@@ -331,7 +336,8 @@ def _config_error(config) -> Optional[str]:
             return f"{group} must be an object, got {config[group]!r}"
         flat += [(f"{group}.{key}", v) for key, v in config[group].items()]
     for key, value in flat:
-        if key not in _KEYS:
+        # a config spells a dotted key nested, so a dotted top-level key is unknown
+        if key not in _KEYS or ("." in key and key in config):
             return f"unknown key {key!r}"
         if command not in _KEYS[key].commands:
             return f"{command} does not read {key!r}"
@@ -367,21 +373,23 @@ def run(config: dict):
 
 
 def _render_table(report: dict) -> str:
-    lines = [f"command: {report['command']}"]
+    lines = []
+    lines.append(f"command: {report.get('command', '')}")
     for key in sorted(report):
         if key in ("terms", "citations", "entries", "command"):
             continue
         lines.append(f"{key:22s} {report[key]}")
-    lines.append("terms:")  # every command reports terms
-    for k, v in report["terms"].items():
-        lines.append(f"  {k:28s} {v!r:26s} {report['citations'].get(k, '')}")
+    terms = report.get("terms", {})
+    if terms:
+        lines.append("terms:")
+        for k, v in terms.items():
+            lines.append(f"  {k:28s} {v!r:26s} {report.get('citations', {}).get(k, '')}")
     return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each command takes the flags of the keys it reads.  A flag's ``dest``
-    is its config key, and an absent flag leaves no attribute, so the
-    namespace is the flag part of the config."""
+    """A flag's ``dest`` is its config key, and an absent flag leaves no
+    attribute, so the namespace is the flag part of the config."""
     ap = argparse.ArgumentParser(
         prog="zetaglue",
         description="zeta-regularized cylinder determinants and gluing checks",
