@@ -8,7 +8,9 @@ breakdown: zero-mode terms, residue and finite-part terms of the
 cross-section zeta at s = -1/2, regularized cross-section determinants,
 shifted first-order determinants, expansion constants, and an
 absolutely convergent boundary-interaction series summed with a
-certified exponential tail bound.
+certified exponential tail bound.  Every series factor over the mode
+x = sqrt(mu) is 1 - c exp(-2 l x) with c = +-1, r or r^2, where
+r = (x - alpha)/(x + alpha).
 
 The line segment (point cross-section) falls out of the same assembly
 with empty series and vanishing zeta terms.
@@ -31,6 +33,7 @@ from .spectra import (
 )
 from .zreg import (
     _check_admissible,
+    _check_alpha,
     log_det_shifted,
     log_det_star,
     signed_log,
@@ -59,7 +62,7 @@ class BoundaryCondition:
 
     The Robin parameter follows the outward-normal convention
     (d/dnu + alpha) u = 0; Robin(0) is normalized to Neumann at
-    construction.
+    construction.  alpha must be finite with |alpha| <= 1e150.
     """
 
     kind: str
@@ -68,8 +71,7 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind not in (DIRICHLET, NEUMANN, ROBIN):
             raise ValidationError(f"unknown boundary condition {self.kind!r}")
-        if not math.isfinite(self.alpha):
-            raise ValidationError(f"alpha must be finite, got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.kind == ROBIN and self.alpha == 0.0:
             object.__setattr__(self, "kind", NEUMANN)
             object.__setattr__(self, "alpha", 0.0)
@@ -156,65 +158,42 @@ class SeriesResult:
     cutoff: float
 
 
-def _primitive_factor(kind: str, x: float, length: float, alpha: float) -> float:
+def _factor(x: float, length: float, alpha: float, power: int, sigma: float) -> float:
+    """1 - c exp(-2*length*x), c = sigma if power == 0 else ((x - alpha)/(x + alpha))**power."""
     e = math.exp(-2.0 * length * x)
-    if kind == "one_minus_exp":
-        return 1.0 - e
-    if kind == "one_plus_exp":
-        return 1.0 + e
-    if x + alpha == 0.0 and kind in ("one_minus_ratio_exp", "one_minus_ratio2_exp", "qd_corr"):
-        raise SingularParameterError(
-            f"singular series term: sqrt(mu) = {x} collides with -alpha"
-        )
-    if kind == "one_minus_ratio_exp":
-        return 1.0 - (x - alpha) / (x + alpha) * e
-    if kind == "one_minus_ratio2_exp":
-        return 1.0 - ((x - alpha) / (x + alpha)) ** 2 * e
-    if kind == "qd_corr":
-        return 1.0 + 4.0 * alpha * x / ((x + alpha) ** 2 * math.expm1(2.0 * length * x))
-    raise ValidationError(f"unknown series primitive {kind!r}")
+    if power == 0:
+        return 1.0 - sigma * e
+    if x + alpha == 0.0:
+        raise SingularParameterError(f"singular series term: sqrt(mu) = {x} collides with -alpha")
+    r = (x - alpha) / (x + alpha)
+    return 1.0 - (r if power == 1 else r ** 2) * e  # r ** 1 costs a pow call
 
 
-def _primitive_amplitude(kind: str, lam: float, length: float, alpha: float) -> float:
+def _amplitude(lam: float, alpha: float, power: int) -> float:
     """A with |factor - 1| <= A exp(-2*length*sqrt(mu)) for mu > lam."""
-    root = math.sqrt(lam)
-    if kind in ("one_minus_exp", "one_plus_exp"):
+    if power == 0:
         return 1.0
+    root = math.sqrt(lam)
     if root <= abs(alpha):
         return math.inf
     ratio = (root + abs(alpha)) / (root - abs(alpha))
-    if kind == "one_minus_ratio_exp":
-        return ratio
-    if kind == "one_minus_ratio2_exp":
-        return ratio * ratio
-    if kind == "qd_corr":
-        floor = -math.expm1(-2.0 * length * root)
-        return 4.0 * abs(alpha) * root / ((root - abs(alpha)) ** 2 * floor)
-    raise ValidationError(f"unknown series primitive {kind!r}")
+    return ratio if power == 1 else ratio * ratio
 
 
-_FORM_PRIMITIVES = {
+# each row (length, alpha, power, sigma, sign) adds sign * ln|_factor| per mode
+_FORMS = {
     # documented public forms
-    "log1m_exp": lambda L, alpha, a: [("one_minus_exp", L, 0.0, +1)],
-    "log1p_exp": lambda L, alpha, a: [("one_plus_exp", L, 0.0, +1)],
-    "robin_pair": lambda L, alpha, a: [
-        ("one_minus_exp", L, 0.0, +1),
-        ("one_minus_ratio_exp", a, alpha, -1),
-        ("one_minus_ratio_exp", L - a, -alpha, -1),
-    ],
+    "log1m_exp": lambda L, alpha, a: ((L, 0.0, 0, 1.0, +1),),
+    "log1p_exp": lambda L, alpha, a: ((L, 0.0, 0, -1.0, +1),),
+    "robin_pair": lambda L, alpha, a: (
+        (L, 0.0, 0, 1.0, +1), (a, alpha, 1, 0.0, -1), (L - a, -alpha, 1, 0.0, -1)),
     # internal forms used by the determinant assemblies
-    "robin_end": lambda L, alpha, a: [("one_minus_ratio_exp", L, alpha, +1)],
-    "robin_both": lambda L, alpha, a: [("one_minus_ratio2_exp", L, alpha, +1)],
-    "qd_correction": lambda L, alpha, a: [("qd_corr", L, alpha, +1)],
-    "coth_correction": lambda L, alpha, a: [
-        ("one_plus_exp", L, 0.0, +1),
-        ("one_minus_exp", L, 0.0, -1),
-    ],
-    "neumann_pair": lambda L, alpha, a: [
-        ("one_minus_exp", L, 0.0, +1),
-        ("one_minus_exp", a, 0.0, -1),
-        ("one_minus_exp", L - a, 0.0, -1),
-    ],
+    "robin_end": lambda L, alpha, a: ((L, alpha, 1, 0.0, +1),),
+    "robin_both": lambda L, alpha, a: ((L, alpha, 2, 0.0, +1),),
+    "qd_correction": lambda L, alpha, a: ((L, alpha, 2, 0.0, +1), (L, 0.0, 0, 1.0, -1)),
+    "coth_correction": lambda L, alpha, a: ((L, 0.0, 0, -1.0, +1), (L, 0.0, 0, 1.0, -1)),
+    "neumann_pair": lambda L, alpha, a: (
+        (L, 0.0, 0, 1.0, +1), (a, 0.0, 0, 1.0, -1), (L - a, 0.0, 0, 1.0, -1)),
 }
 
 
@@ -229,24 +208,32 @@ def series_sum(
 ) -> SeriesResult:
     """Sum over the positive cross-section spectrum of one log-factor form.
 
+    A form is rows (length, alpha, power, sigma, sign); at x = sqrt(mu) a
+    row adds sign * ln|1 - c exp(-2 length x)|, c = sigma if power == 0
+    else ((x - alpha)/(x + alpha))**power.  ``qd_correction``, the
+    ``robin_both`` row over a ``log1m_exp`` row, sums ln of
+    (1 - r^2 e)/(1 - e) = 1 + 4 alpha x/((x + alpha)^2 (e^(2Lx) - 1)), e = e^(-2Lx).
+
     Deterministic ascending-eigenvalue order with compensated summation;
     the returned tail bound certifies the truncation.  Factors that cross
-    zero contribute ln|.| and one pi unit of phase.
+    zero contribute ln|.| and one pi unit of phase.  ``alpha`` must be
+    finite with |alpha| <= 1e150, or the cutoff 4(|alpha| + 1)^2 overflows.
     """
     if not (length > 0):
         raise ValidationError("series length must be > 0")
-    if form not in _FORM_PRIMITIVES:
+    _check_alpha(alpha)
+    if form not in _FORMS:
         raise ValidationError(f"unknown series form {form!r}")
     if form in ("robin_pair", "neumann_pair"):
         if a is None or not (0 < a < length):
             raise ValidationError("pair forms need a cut 0 < a < L")
-    prims = _FORM_PRIMITIVES[form](length, alpha, a if a is not None else length)
-    min_len = min(p[1] for p in prims)
+    rows = _FORMS[form](length, alpha, a if a is not None else length)
+    min_len = min(row[0] for row in rows)
     lam = max((abs(alpha) + 1.0) ** 2 * 4.0, (8.0 / min_len) ** 2, 16.0, min_cutoff or 0.0)
     while True:
         bound = 0.0
-        for kind, plen, palpha, _ in prims:
-            amp = _primitive_amplitude(kind, lam, plen, palpha)
+        for plen, palpha, power, _, _ in rows:
+            amp = _amplitude(lam, palpha, power)
             y0 = amp * math.exp(-2.0 * plen * math.sqrt(lam))
             if y0 >= 0.5:
                 bound = math.inf
@@ -273,8 +260,8 @@ def series_sum(
             continue
         x = math.sqrt(entry.eigenvalue)
         piece = 0.0
-        for kind, plen, palpha, sign in prims:
-            f = _primitive_factor(kind, x, plen, palpha)
+        for plen, palpha, power, sigma, sign in rows:
+            f = _factor(x, plen, palpha, power, sigma)
             lm, ph = signed_log(f)
             piece += sign * lm
             phase += entry.multiplicity * sign * ph
@@ -287,14 +274,20 @@ def series_sum(
 # ----------------------------------------------------------------------------
 
 
+# exponents stop at 700: 2x e^(-700) moves no x + alpha that does not nearly vanish
 def _both_ends_values(x: float, length: float, alpha: float):
     """The two eigenvalues of the both-ends operator over the mode sqrt(mu) = x."""
     if x == 0.0:
         return (alpha, 2.0 / length + alpha)
-    return (
-        x + alpha - 2.0 * x / (math.exp(length * x) + 1.0),
-        x + alpha + 2.0 * x / math.expm1(length * x),
-    )
+    t = min(length * x, 700.0)
+    return (x + alpha - 2.0 * x / (math.exp(t) + 1.0), x + alpha + 2.0 * x / math.expm1(t))
+
+
+def _cut_value(x: float, length: float, alpha: float):
+    """The one-sided cut operator over the mode x, its complement held by a Neumann end."""
+    if x == 0.0:
+        return alpha
+    return x + alpha - 2.0 * x / (math.exp(min(2.0 * length * x, 700.0)) + 1.0)
 
 
 def _check_robin_admissible(cs: CrossSection, length: float, alpha: float, both_ends: bool):
@@ -310,7 +303,7 @@ def _check_robin_admissible(cs: CrossSection, length: float, alpha: float, both_
     _check_admissible(
         cs, alpha, (2.0 * abs(alpha) + 2.0 / length + 1.0) ** 2,
         (lambda x: _both_ends_values(x, length, alpha)) if both_ends
-        else (lambda x: (x * math.tanh(length * x) + alpha,)),
+        else (lambda x: (_cut_value(x, length, alpha),)),
         lambda mu: f"singular Robin parameter: interface eigenvalue vanishes at mu = {mu}",
     )
 

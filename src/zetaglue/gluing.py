@@ -52,8 +52,6 @@ class GluingConfig:
             raise ValidationError(f"length must be finite and > 0, got {self.length}")
         if not (0 < self.cut < self.length):
             raise ValidationError(f"the cut must satisfy 0 < a < L, got a = {self.cut}")
-        if not math.isfinite(self.alpha):
-            raise ValidationError(f"alpha must be finite, got {self.alpha}")
         _check_rs0_admissible(self.cross_section, self.alpha)
 
 
@@ -122,6 +120,27 @@ def correction_matrices(cfg: GluingConfig) -> CorrectionMatrices:
     )
 
 
+def _surgery_defect(cfg: GluingConfig, tol: float, backend: str):
+    """Terms, phase and truncation of the surgery defect, each piece N/Robin(+-alpha)
+    at the cut; Robin(0) is Neumann, so alpha = 0 gives the Neumann identity's."""
+    cs, L, a, alpha = cfg.cross_section, cfg.length, cfg.cut, cfg.alpha
+    N = BoundaryCondition.neumann()
+    whole = log_det_cylinder(CylinderSpec(cs, L, N, N), tol=tol, backend=backend)
+    left = log_det_cylinder(
+        CylinderSpec(cs, a, N, BoundaryCondition.robin(alpha)), tol=tol, backend=backend
+    )
+    right = log_det_cylinder(
+        CylinderSpec(cs, L - a, N, BoundaryCondition.robin(-alpha)), tol=tol, backend=backend
+    )
+    terms = {
+        "whole_neumann": whole.log_det,
+        "minus_left_piece": -left.log_det,
+        "minus_right_piece": -right.log_det,
+    }
+    phase = whole.phase_multiple - left.phase_multiple - right.phase_multiple
+    return terms, phase, max(whole.truncation, left.truncation, right.truncation, tol)
+
+
 def glue_robin_check(cfg: GluingConfig, tol: float = 1e-12, backend: str = "auto") -> GluingReport:
     """Both sides of the jump-interface gluing identity (alpha != 0).
 
@@ -135,33 +154,9 @@ def glue_robin_check(cfg: GluingConfig, tol: float = 1e-12, backend: str = "auto
         raise SingularParameterError(
             "the jump-interface identity needs alpha != 0; use glue_neumann_check"
         )
-    cs = cfg.cross_section
-    L, a, alpha = cfg.length, cfg.cut, cfg.alpha
+    cs, L, a, alpha = cfg.cross_section, cfg.length, cfg.cut, cfg.alpha
     q0 = kernel_dim(cs)
-
-    nn = log_det_cylinder(
-        CylinderSpec(cs, L, BoundaryCondition.neumann(), BoundaryCondition.neumann()),
-        tol=tol,
-        backend=backend,
-    )
-    left = log_det_cylinder(
-        CylinderSpec(cs, a, BoundaryCondition.neumann(), BoundaryCondition.robin(alpha)),
-        tol=tol,
-        backend=backend,
-    )
-    right = log_det_cylinder(
-        CylinderSpec(
-            cs, L - a, BoundaryCondition.neumann(), BoundaryCondition.robin(-alpha)
-        ),
-        tol=tol,
-        backend=backend,
-    )
-    lhs_terms = {
-        "whole_neumann": nn.log_det,
-        "minus_left_piece": -left.log_det,
-        "minus_right_piece": -right.log_det,
-    }
-    lhs_phase = nn.phase_multiple - left.phase_multiple - right.phase_multiple
+    lhs_terms, lhs_phase, trunc = _surgery_defect(cfg, tol, backend)
 
     heat = heat_coefficients(cs, order=cs.dim // 2)
     a0 = a0_constant([(heat, alpha)], m=cs.dim + 1)
@@ -174,8 +169,6 @@ def glue_robin_check(cfg: GluingConfig, tol: float = 1e-12, backend: str = "auto
         "ln_det_star_interface": rs0.log_modulus,
     }
     rhs_phase = q0 + rs0.phase_multiple  # q0 from the kernel sign factor
-
-    trunc = max(nn.truncation, left.truncation, right.truncation, tol)
     return GluingReport.assemble(lhs_terms, rhs_terms, lhs_phase, rhs_phase, trunc)
 
 
@@ -189,20 +182,9 @@ def glue_neumann_check(cfg: GluingConfig, tol: float = 1e-12, backend: str = "au
     """
     if cfg.alpha != 0.0:
         raise ValidationError("the Neumann identity needs alpha = 0")
-    cs = cfg.cross_section
-    L, a = cfg.length, cfg.cut
+    cs, L, a = cfg.cross_section, cfg.length, cfg.cut
     q0 = kernel_dim(cs)
-    N = BoundaryCondition.neumann()
-
-    whole = log_det_cylinder(CylinderSpec(cs, L, N, N), tol=tol, backend=backend)
-    left = log_det_cylinder(CylinderSpec(cs, a, N, N), tol=tol, backend=backend)
-    right = log_det_cylinder(CylinderSpec(cs, L - a, N, N), tol=tol, backend=backend)
-    lhs_terms = {
-        "whole_neumann": whole.log_det,
-        "minus_left_piece": -left.log_det,
-        "minus_right_piece": -right.log_det,
-    }
-    lhs_phase = whole.phase_multiple - left.phase_multiple - right.phase_multiple
+    lhs_terms, lhs_phase, trunc = _surgery_defect(cfg, tol, backend)
 
     z0 = zeta_point(cs, 0.0, backend=backend).value
     a0 = -_LN2 * (z0 + q0)
@@ -215,7 +197,4 @@ def glue_neumann_check(cfg: GluingConfig, tol: float = 1e-12, backend: str = "au
         "ln_det_S2": mats.log_det_S2,
         "ln_det_star_interface": rneu.log_modulus,
     }
-    rhs_phase = rneu.phase_multiple
-
-    trunc = max(whole.truncation, left.truncation, right.truncation, tol)
-    return GluingReport.assemble(lhs_terms, rhs_terms, lhs_phase, rhs_phase, trunc)
+    return GluingReport.assemble(lhs_terms, rhs_terms, lhs_phase, rneu.phase_multiple, trunc)

@@ -26,10 +26,11 @@ from .spectra import (
     heat_coefficients,
     kernel_dim,
 )
-from .cylinder import _both_ends_values, series_sum
+from .cylinder import _both_ends_values, _cut_value, _factor, series_sum
 from .zreg import (
     RegularizedDet,
     _check_admissible,
+    _check_alpha,
     log_det_shifted,
     log_det_star,
     signed_log,
@@ -160,14 +161,7 @@ def qd0_det_segment(alpha: float, length: float) -> float:
 def _left_neumann_value(x: float, length: float):
     if x == 0.0:
         return 1.0 / length
-    return x * (1.0 + 2.0 / math.expm1(2.0 * length * x))
-
-
-def _cut_value(x: float, length: float, alpha: float):
-    # one-sided operator with the complement held by a Neumann end
-    if x == 0.0:
-        return alpha
-    return x + alpha - 2.0 * x / (math.exp(2.0 * length * x) + 1.0)
+    return x * (1.0 + 2.0 / math.expm1(min(2.0 * length * x, 700.0)))
 
 
 def spec_interface(
@@ -287,6 +281,7 @@ def log_det_interface(
 
 
 def _check_rs0_admissible(cs: CrossSection, alpha: float):
+    _check_alpha(alpha)
     if alpha != 0.0:
         _check_admissible(
             cs, alpha, alpha * alpha * (1.0 + 1e-9) + 1.0, lambda x: (x - abs(alpha),),
@@ -298,15 +293,12 @@ def _check_rs0_admissible(cs: CrossSection, alpha: float):
 def rs0_eigenvalue(mu: float, length: float, a: float, alpha: float) -> float:
     """Interface-jump eigenvalue over the cross-section mode mu > 0."""
     x = math.sqrt(mu)
-    b = length - a
     if x == 0.0:
         return 0.0
     if x == abs(alpha):
         raise SingularParameterError("singular parameter at this mode")
     num = (2.0 * x / (mu - alpha * alpha)) * (-math.expm1(-2.0 * length * x))
-    d1 = 1.0 - (x - alpha) / (x + alpha) * math.exp(-2.0 * a * x)
-    d2 = 1.0 - (x + alpha) / (x - alpha) * math.exp(-2.0 * b * x)
-    return num / (d1 * d2)
+    return num / (_factor(x, a, alpha, 1, 0.0) * _factor(x, length - a, -alpha, 1, 0.0))
 
 
 def rs0_eigenvalue_resolvent_form(mu: float, length: float, a: float, alpha: float) -> float:

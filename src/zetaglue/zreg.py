@@ -913,6 +913,13 @@ def log_det_star(cs: CrossSection, backend: str = "auto") -> RegularizedDet:
 # ----------------------------------------------------------------------------
 
 
+def _check_alpha(alpha: float) -> None:
+    """Refuse a Robin parameter or shift unless |alpha| <= 1e150: the cutoffs of
+    the admissibility scans and series, like (2|alpha| + 2/L + 1)^2, overflow near 6.7e153."""
+    if not abs(alpha) <= 1e150:
+        raise ValidationError(f"alpha must be finite with |alpha| <= 1e150, got {alpha}")
+
+
 def _check_admissible(cs: CrossSection, alpha: float, cutoff: float, values, message):
     """Refuse a parameter alpha at which an operator over cs is singular.
 
@@ -1042,6 +1049,7 @@ def log_det_shifted(
     """
     if method not in ("auto", "closed", "series"):
         raise ValidationError(f"unknown method {method!r}")
+    _check_alpha(alpha)
     if alpha <= 0.0:
         _check_admissible(cs, alpha, alpha * alpha * (1.0 + 1e-9) + 1.0,
                           lambda x: (x + alpha,), lambda mu: _shift_refusal(alpha, mu))

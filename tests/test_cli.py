@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from zetaglue import cli
 from zetaglue.cli import (
     EXIT_INADMISSIBLE,
     EXIT_NONCONVERGENCE,
@@ -111,13 +112,49 @@ class TestRun:
         assert code == EXIT_VALIDATION
         assert rep["error"].startswith("config validation:") and key in rep["error"]
 
-    def test_overflow_maps_to_3(self, capsys):
+    def test_overflow_maps_to_3(self, monkeypatch, capsys):
+        def overflow(cfg):
+            raise OverflowError("math range error")
+
+        monkeypatch.setitem(cli._COMMANDS, "det", overflow)
+        assert main(["det", "--cross", "point", "--L", "1", "--bc", "dd"]) == EXIT_NONCONVERGENCE
+        assert "overflow" in json.loads(capsys.readouterr().out)["error"]
+
+    @pytest.mark.parametrize("alpha", ["1e200", "1e308", "-1e200"])
+    @pytest.mark.parametrize("cross", ["point", "circle:6.28", "torus:6.28:3"])
+    def test_huge_alpha_is_refused_by_name(self, cross, alpha, capsys):
+        # alpha^2 in the spectral cutoffs would overflow
         for argv in (
-            ["det", "--cross", "point", "--L", "1", "--bc", "nr", "--alpha", "1e308"],
-            ["det", "--cross", "circle:6.28", "--L", "1", "--bc", "nr", "--alpha", "1e200"],
+            ["det", "--bc", "nr", "--L", "1"],
+            ["det", "--bc", "rr", "--L", "1"],
+            ["glue", "--L", "1", "--a", "0.4"],
         ):
-            assert main(argv) == EXIT_NONCONVERGENCE, argv
-            assert "overflow" in json.loads(capsys.readouterr().out)["error"]
+            assert main(argv + ["--cross", cross, f"--alpha={alpha}"]) == EXIT_VALIDATION, argv
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert "alpha must be finite with |alpha| <= 1e150" in error, argv
+
+    def test_target_sets_the_series_truncation(self):
+        cfg = {"command": "det", "cross_section": CIRCLE, "length": 1.5, "bc": "rr", "alpha": 0.4}
+        default = run(cfg)[1]
+        loose = run(dict(cfg, tolerances={"target": 1e-6}))[1]
+        tight = run(dict(cfg, tolerances={"target": 1e-14}))[1]
+        assert default == run(dict(cfg, tolerances={"target": 1e-12}))[1]
+        assert default["log_det"] == 1.6689302806981474
+        assert loose["tolerance_achieved"] <= 1e-6
+        assert loose["log_det"] == 1.6689303052905076
+        assert (tight["log_det"], tight["tolerance_achieved"]) == (
+            1.668930280698139, 3.3354053001742056e-21
+        )
+
+    def test_only_computed_bounds_are_reported(self):
+        for cfg in (
+            {"command": "dn-spec", "cross_section": CIRCLE, "length": 2.0, "alpha": 0.3},
+            {"command": "zeta", "cross_section": CIRCLE, "s": -0.5},
+            {"command": "zeta", "cross_section": CIRCLE, "det_star": True},
+            {"command": "zeta", "cross_section": CIRCLE, "shift": 0.3},
+        ):
+            code, rep = run(cfg)
+            assert code == EXIT_OK and "tolerance_achieved" not in rep, cfg
 
     def test_tolerances_take_no_cutoff(self, tmp_path, capsys):
         # the spectral cutoffs follow from the target; nothing reads a cutoff here

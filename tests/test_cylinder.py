@@ -187,6 +187,29 @@ class TestValidation:
         with pytest.raises(ValidationError):
             CylinderSpec(POINT, 0.0, BC.dirichlet(), BC.dirichlet())
 
+    @pytest.mark.parametrize("alpha", [1.0000001e150, -1e200, 1e308, math.inf, math.nan])
+    def test_huge_alpha_refused_before_any_cutoff(self, alpha):
+        from zetaglue.interface_ops import spec_RS0
+        from zetaglue.zreg import log_det_shifted
+
+        for build in (
+            lambda: BC.robin(alpha),
+            lambda: GluingConfig(CIRCLE, 1.0, 0.4, alpha),
+            lambda: series_sum(CIRCLE, 1.0, "robin_end", alpha=alpha),
+            lambda: log_det_shifted(CIRCLE, alpha),
+            lambda: spec_RS0(CIRCLE, 1.0, 0.4, alpha),
+        ):
+            with pytest.raises(ValidationError, match=r"alpha must be finite with \|alpha\|"):
+                build()
+
+    def test_largest_alpha_is_accepted(self):
+        assert math.isfinite(det(POINT, 1.0, BC.neumann(), BC.robin(1e150)).log_det)
+
+    @pytest.mark.parametrize("left", [BC.neumann(), BC.robin(1.0)])
+    def test_long_cylinder_scans_do_not_overflow(self, left):
+        # the admissibility scans reach modes with L sqrt(mu) far above 710
+        assert math.isfinite(det(CIRCLE, 400.0, left, BC.robin(1.0)).log_det)
+
 
 class TestBoseSeries:
     def test_point_is_empty(self):
@@ -215,7 +238,13 @@ class TestBoseSeries:
         # at alpha = 0 the pair form collapses to the Neumann pair
         a = series_sum(CIRCLE, 2.0, "robin_pair", alpha=0.0, a=0.7).value
         b = series_sum(CIRCLE, 2.0, "neumann_pair", a=0.7).value
-        assert a == pytest.approx(b, abs=1e-15)
+        assert a == b
+
+    @pytest.mark.parametrize("form", ["robin_end", "robin_both"])
+    def test_robin_forms_at_zero_are_log1m_exp(self, form):
+        # r = (x - 0)/(x + 0) is exactly 1
+        for L in (0.3, 1.0, 3.7):
+            assert series_sum(CIRCLE, L, form, alpha=0.0) == series_sum(CIRCLE, L, "log1m_exp")
 
     def test_pair_form_needs_interior_cut(self):
         with pytest.raises(ValidationError):

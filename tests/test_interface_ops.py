@@ -71,6 +71,14 @@ class TestSegmentMatrix:
 
 
 class TestInterfaceSpectra:
+    @pytest.mark.parametrize("geometry, shift", [
+        ("both_ends", 0.3), ("left_neumann_cut", 0.0), ("cut_left", 0.3), ("cut_right", -0.3),
+    ])
+    def test_long_geometries_do_not_overflow(self, geometry, shift):
+        # at L sqrt(mu) far above 710 an eigenvalue is sqrt(mu) + shift to the last bit
+        sp = spec_interface(CIRCLE, geometry, 400.0, abs(shift))
+        assert sp.entries[-1] == (10.0 + shift, 2)
+
     def test_point_both_ends_neumann(self):
         sp = spec_interface(POINT, "both_ends", 2.0, 0.0)
         assert sp.zero_modes == 1
