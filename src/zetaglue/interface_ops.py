@@ -130,6 +130,8 @@ def _cexpm1(z: complex) -> complex:
 
 def qd_det_segment(lam: complex, alpha: float, length: float) -> complex:
     """Closed-form determinant of the segment boundary operator."""
+    if not (length > 0):
+        raise ValidationError("segment length must be > 0")
     lam = complex(lam)
     root = cmath.sqrt(lam)
     z = 2.0 * root * length
@@ -290,8 +292,14 @@ def _check_rs0_admissible(cs: CrossSection, alpha: float):
         )
 
 
+def _check_cut(length: float, a: float):
+    if not (0 < a < length):
+        raise ValidationError("the cut must satisfy 0 < a < L")
+
+
 def rs0_eigenvalue(mu: float, length: float, a: float, alpha: float) -> float:
     """Interface-jump eigenvalue over the cross-section mode mu > 0."""
+    _check_cut(length, a)
     x = math.sqrt(mu)
     if x == 0.0:
         return 0.0
@@ -307,6 +315,7 @@ def rs0_eigenvalue_resolvent_form(mu: float, length: float, a: float, alpha: flo
     Independent evaluation path: 1/q1 + 1/q2 with q1, q2 the one-sided
     cut-operator eigenvalues of the two pieces.
     """
+    _check_cut(length, a)
     x = math.sqrt(mu)
     q1 = _cut_value(x, a, alpha)
     q2 = _cut_value(x, length - a, -alpha)
@@ -328,8 +337,7 @@ def spec_RS0(
     (the limit value vanishes); they are excluded from the entries and
     counted in ``zero_modes``.
     """
-    if not (0 < a < length):
-        raise ValidationError("the cut must satisfy 0 < a < L")
+    _check_cut(length, a)
     _check_rs0_admissible(cs, alpha)
     out = []
     zero_modes = 0
@@ -367,8 +375,7 @@ def log_det_star_RS0(
     convergent cut series.  The raw eigenvalue list has order -1 growth
     and is never regularized directly.
     """
-    if not (0 < a < length):
-        raise ValidationError("the cut must satisfy 0 < a < L")
+    _check_cut(length, a)
     _check_rs0_admissible(cs, alpha)
     q0 = kernel_dim(cs)
     star = log_det_star(cs, backend=backend)

@@ -24,7 +24,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .cylinder import DIRICHLET, NEUMANN, ROBIN, BoundaryCondition
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "SecularProblem",
@@ -61,35 +61,19 @@ class RelativeLogDet:
     zero_modes: Tuple[int, int]  # excluded from (problem, reference)
 
 
-def _secular_function(
-    p: SecularProblem, sin: Callable = math.sin, cos: Callable = math.cos
-) -> Callable:
-    """g(k) whose positive roots are the eigenfrequencies (mu = k^2).
-
-    ``sin`` and ``cos`` are ``math``'s for scalar k or numpy's for an
-    array of k; the formula is the same either way.
-    """
+def _secular_function(p: SecularProblem) -> Callable:
+    """g(k) on an array of k whose positive roots are the eigenfrequencies
+    (mu = k^2) of a pair with at least one Robin end."""
     L = p.length
     kl, kr = p.bc_left, p.bc_right
-    al, ar = kl.alpha, kr.alpha
-    pair = (kl.kind, kr.kind)
-    if pair == (DIRICHLET, DIRICHLET):
-        return lambda k: sin(k * L)
-    if pair in ((NEUMANN, NEUMANN), (DIRICHLET, NEUMANN), (NEUMANN, DIRICHLET)):
-        if pair == (NEUMANN, NEUMANN):
-            return lambda k: sin(k * L)
-        return lambda k: cos(k * L)
-    if pair == (DIRICHLET, ROBIN):
-        return lambda k: k * cos(k * L) + ar * sin(k * L)
-    if pair == (ROBIN, DIRICHLET):
-        return lambda k: k * cos(k * L) + al * sin(k * L)
-    if pair == (NEUMANN, ROBIN):
-        return lambda k: ar * cos(k * L) - k * sin(k * L)
-    if pair == (ROBIN, NEUMANN):
-        return lambda k: al * cos(k * L) - k * sin(k * L)
-    if pair == (ROBIN, ROBIN):
-        return lambda k: (k * k - al * ar) * sin(k * L) - k * (al + ar) * cos(k * L)
-    raise ValidationError(f"unsupported boundary pair {pair}")
+    if (kl.kind, kr.kind) == (ROBIN, ROBIN):
+        al, ar = kl.alpha, kr.alpha
+        return lambda k: (k * k - al * ar) * np.sin(k * L) - k * (al + ar) * np.cos(k * L)
+    # one Robin end; the other end is Dirichlet or Neumann
+    a = kl.alpha if kl.kind == ROBIN else kr.alpha
+    if DIRICHLET in (kl.kind, kr.kind):
+        return lambda k: k * np.cos(k * L) + a * np.sin(k * L)
+    return lambda k: a * np.cos(k * L) - k * np.sin(k * L)
 
 
 def _closed_form_roots(p: SecularProblem, count: int) -> List[float]:
@@ -105,51 +89,17 @@ def _closed_form_roots(p: SecularProblem, count: int) -> List[float]:
     raise ValidationError("no closed form for this pair")
 
 
-def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """Root of f in [xa, xb] by Brent's method: a port of scipy's ``brentq.c``
-    with the same float operations in the same order, so the same root bit
-    for bit.  Exhausting ``maxiter`` raises :class:`ConvergenceError`."""
-    xpre, xcur, xblk, fblk, spre, scur = xa, xb, 0.0, 0.0, 0.0, 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0 or fcur == 0:
-        return xpre if fpre == 0 else xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValidationError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if (fpre < 0) != (fcur < 0):  # fpre != 0, and fcur == 0 returns below
-            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        short = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if short else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    other = xpre if (fpre < 0) != (fcur < 0) else xblk
-    raise ConvergenceError(f"brentq did not converge in {maxiter} iterations", abs(other - xcur))
-
-
 def segment_eigenvalues(p: SecularProblem, count: int) -> List[float]:
     """First ``count`` eigenvalues, ascending.
 
     Trigonometric pairs are exact; Robin pairs are certified bracketed
-    roots (sign change verified, then brentq refined to ~1e-13 relative).
-    Each pi/L cell of the frequency axis is sampled at 25 points, all
-    cells at once; every exact zero and every sign change between
+    roots.  Each pi/L cell of the frequency axis is sampled at 25 points,
+    all cells at once; every exact zero and every sign change between
     neighbouring samples of a cell is a root.  One root per cell is
     expected for non-negative alpha, but every sign change is taken.
+    All brackets are then bisected together until each is two adjacent
+    floats or has hit an exact zero of g, so the sign change is kept at
+    every step; each root is the end of its bracket with the smaller |g|.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
@@ -158,17 +108,16 @@ def segment_eigenvalues(p: SecularProblem, count: int) -> List[float]:
         return _closed_form_roots(p, count)
 
     g = _secular_function(p)
-    g_scan = _secular_function(p, np.sin, np.cos)
     cell = math.pi / p.length
     n_scan = 24
     max_cells = 10 * count + 100
     steps = np.arange(1, n_scan + 1)
-    roots: List[float] = []
-    first = 0
-    while len(roots) < count:
+    brackets = []
+    found = first = 0
+    while found < count:
         if first >= max_cells:
             raise ValidationError("root search exhausted its scan range")
-        need = count - len(roots)
+        need = count - found
         j = np.arange(first, min(first + need + 1, max_cells))
         lo, hi = j * cell, (j + 1) * cell
         t = np.empty((len(j), n_scan + 1))
@@ -176,7 +125,7 @@ def segment_eigenvalues(p: SecularProblem, count: int) -> List[float]:
         t[:, 1:] = lo[:, None] + (hi - lo)[:, None] * steps / n_scan
         if first == 0:
             t[0, 0] = 1e-12 * cell  # step off k = 0, a root of g unless an end is Neumann
-        v = g_scan(t)
+        v = g(t)
         prev_v, next_v = v[:, :-1], v[:, 1:]
         zero = prev_v == 0.0
         change = ~zero & (next_v != 0.0) & ((prev_v < 0.0) != (next_v < 0.0))
@@ -185,17 +134,24 @@ def segment_eigenvalues(p: SecularProblem, count: int) -> List[float]:
             # finish the cell that holds the last root needed
             last = np.searchsorted(cells, cells[need - 1], side="right")
             cells, points = cells[:last], points[:last]
-        for c, i in zip(cells.tolist(), points.tolist()):
-            a = float(t[c, i])
-            if zero[c, i]:
-                roots.append(a)
-                continue
-            b = float(t[c, i + 1])
-            if not (g(a) * g(b) < 0.0):
-                raise ValidationError(f"root bracketing failure on [{a}, {b}]")
-            roots.append(_brentq(g, a, b, 1e-15, 1e-15, 200))
+        right = points + change[cells, points]  # an exact zero is a bracket of width 0
+        brackets.append((t[cells, points], t[cells, right], v[cells, points], v[cells, right]))
+        found += len(cells)
         first = int(j[-1]) + 1
-    return [k * k for k in roots[:count]]
+
+    a, b, ga, gb = (np.concatenate(ends) for ends in zip(*brackets))
+    while True:
+        m = 0.5 * (a + b)
+        live = (a < m) & (m < b)
+        if not live.any():
+            break
+        gm = g(m)
+        side = np.sign(gm) * np.sign(ga)  # 1: root above m, -1: below, 0: m is a root
+        up, down = live & (side >= 0), live & (side <= 0)
+        a, ga = np.where(up, m, a), np.where(up, gm, ga)
+        b, gb = np.where(down, m, b), np.where(down, gm, gb)
+    k = np.where(np.abs(gb) < np.abs(ga), b, a)[:count]
+    return (k * k).tolist()
 
 
 def _counting_weight(bc: BoundaryCondition) -> int:

@@ -417,8 +417,8 @@ _spectrum_lock = threading.Lock()
 def enumerate_spectrum(cs: CrossSection, cutoff: float) -> list:
     """All eigenvalues <= cutoff with exact multiplicities, sorted ascending,
     in a new list (circles and tori bisect a cached spectrum)."""
-    if not (cutoff > 0):
-        raise ValidationError(f"cutoff must be > 0, got {cutoff}")
+    if not 0 < cutoff < math.inf:
+        raise ValidationError(f"cutoff must be finite and > 0, got {cutoff}")
     return cs.enumerate_spectrum(cutoff)
 
 

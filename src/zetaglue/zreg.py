@@ -954,11 +954,14 @@ def _log1p_tail(x: float, kmax: int) -> float:
             return total
 
 
-def _shifted_via_series(cs: CrossSection, alpha: float, backend, korder: int = 16) -> RegularizedDet:
+_KORDER = 16  # binomial terms expanded by _shifted_via_series
+
+
+def _shifted_via_series(cs: CrossSection, alpha: float, backend) -> RegularizedDet:
     """Binomial reduction of ln Det(sqrt(Delta)+alpha) to zeta data of Delta.
 
     Low modes are split off exactly; for the rest, (sqrt(mu)+alpha)^-s is
-    expanded binomially to ``korder`` terms whose s-derivatives at 0 hit
+    expanded binomially to ``_KORDER`` terms whose s-derivatives at 0 hit
     zeta values (finite parts and residues at poles, with harmonic-number
     weights) of the cross-section Laplacian; the remainder is an
     absolutely convergent log-tail sum with a certified bound.
@@ -992,7 +995,7 @@ def _shifted_via_series(cs: CrossSection, alpha: float, backend, korder: int = 1
     # defining series converges comfortably.
     d = cs.dim
     stored = enumerate_spectrum(cs, cs.max_trusted) if cs.max_trusted < math.inf else None
-    for k in range(1, korder):
+    for k in range(1, _KORDER):
         if hasattr(backend, "point_mp"):
             with mp.workdps(_DPS):
                 val, res = backend.point_mp(k / 2.0)
@@ -1019,7 +1022,7 @@ def _shifted_via_series(cs: CrossSection, alpha: float, backend, korder: int = 1
     # their largest mode, whichever is lower
     lam_hi = max(mu0 * 4.0, 100.0)
     while cs.max_trusted == math.inf and alpha != 0.0 and (
-        2.0 * abs(alpha) ** korder / korder * power_tail_bound(cs, lam_hi, korder / 2.0) >= 1e-13
+        2.0 * abs(alpha) ** _KORDER / _KORDER * power_tail_bound(cs, lam_hi, _KORDER / 2.0) >= 1e-13
     ):
         lam_hi *= 2.0
     lam_hi = min(lam_hi, cs.max_trusted)
@@ -1029,7 +1032,7 @@ def _shifted_via_series(cs: CrossSection, alpha: float, backend, korder: int = 1
             if e.eigenvalue <= mu0:
                 continue
             x = alpha / math.sqrt(e.eigenvalue)
-            rem += e.multiplicity * _log1p_tail(x, korder)
+            rem += e.multiplicity * _log1p_tail(x, _KORDER)
     logmod += rem
     return RegularizedDet(logmod, phase, 0)
 
@@ -1038,33 +1041,26 @@ def log_det_shifted(
     cs: CrossSection,
     alpha: float,
     backend: str = "auto",
-    method: str = "auto",
 ) -> RegularizedDet:
     """ln Det(sqrt(Delta_Y) + alpha), zero modes of Delta_Y included.
 
-    ``method='closed'`` forces the closed route (point and circle only);
-    ``method='series'`` forces the binomial reduction against the chosen
-    zeta backend.  Finitely many negative shifted eigenvalues contribute
-    ln|.| to the modulus and one pi unit each to the phase.
+    The point's and the circle's closed backends have a closed form; every
+    other backend takes the binomial reduction against its zeta values.
+    Finitely many negative shifted eigenvalues contribute ln|.| to the
+    modulus and one pi unit each to the phase.
     """
-    if method not in ("auto", "closed", "series"):
-        raise ValidationError(f"unknown method {method!r}")
     _check_alpha(alpha)
     if alpha <= 0.0:
         _check_admissible(cs, alpha, alpha * alpha * (1.0 + 1e-9) + 1.0,
                           lambda x: (x + alpha,), lambda mu: _shift_refusal(alpha, mu))
-    # the point's and the circle's backends have the closed form
-    has_closed = hasattr(_CLOSED_BACKENDS.get(type(cs)), "shifted_closed")
-    closed = method == "closed" or (method == "auto" and has_closed and backend in ("auto", "closed"))
-    if closed and not has_closed:
-        raise ValidationError("closed-form shifted determinant needs a point or a circle")
     # kept on the backend, so evicted with it; refusals raise above each time
-    b = _get_backend(cs, "closed" if closed else backend)
-    det = b.shifted.get((alpha, closed))
+    b = _get_backend(cs, backend)
+    det = b.shifted.get(alpha)
     if det is None:
+        closed = hasattr(b, "shifted_closed")
         det = b.shifted_closed(alpha) if closed else _shifted_via_series(cs, alpha, b)
         with _backend_lock:
-            b.shifted[alpha, closed] = det
+            b.shifted[alpha] = det
             while len(b.shifted) > _SHIFTED_CACHE_SIZE:
                 b.shifted.popitem(last=False)
     return det

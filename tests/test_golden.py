@@ -4,10 +4,16 @@ The values were recorded before the Hurwitz derivative, the torus
 degeneracy merge and the oracle's sign scan were rewritten; the rewrites
 must reproduce them bit for bit.  The Neumann check on the 2 pi x 3
 torus at L = 2.5 is pinned in ``test_torus_zeta.py``.  The Neumann
-reports, cylinder reports, shifted determinants and segment eigenvalues
-below were recorded before the spectrum cache, the per-backend shifted
-determinant cache and the oracle's own Brent root finder; the caches and
-the root finder must reproduce them bit for bit.
+reports, cylinder reports and shifted determinants below were recorded
+before the spectrum cache and the per-backend shifted determinant cache,
+which must reproduce them bit for bit.
+
+The oracle values were recorded while each root was refined by Brent's
+method at xtol = rtol = 1e-15.  The oracle now bisects every bracket down
+to adjacent floats, so they are held to stated bounds: the pinned segment
+eigenvalues are reproduced by the scipy-brentq reference scan of
+``test_oracle.py``, and the oracle's roots lie within Brent's stopping
+rule plus one bisection ulp of them.
 """
 
 import hashlib
@@ -28,6 +34,8 @@ from zetaglue.spectra import (
     heat_trace,
 )
 from zetaglue.zreg import log_det_shifted, power_tail_bound
+
+from test_oracle import assert_within_brent_tolerance, scalar_scan_eigenvalues
 
 TWO_PI = 2.0 * math.pi
 CIRCLE = Circle(TWO_PI)
@@ -66,7 +74,7 @@ def test_robin_lhs(cs, L, a, alpha, lhs):
 def test_oracle_relative_log_det(L, alpha, value):
     rr = SecularProblem(L, BC.robin(alpha), BC.robin(alpha))
     dd = SecularProblem(L, BC.dirichlet(), BC.dirichlet())
-    assert relative_log_det(rr, dd, count=1024).value == value
+    assert abs(relative_log_det(rr, dd, count=1024).value - value) <= 1e-12
 
 
 @pytest.mark.parametrize("cs, lhs, rhs, residual", [
@@ -135,14 +143,16 @@ def test_shifted_determinants(cs, alpha, nr, rr, shifted):
 
 
 def test_robin_segment_eigenvalues():
-    ev = segment_eigenvalues(SecularProblem(2.5, BC.robin(0.9), BC.robin(0.9)), 1026)
-    hexed = ",".join(float.hex(v) for v in ev)
-    assert (len(ev), ev[0].hex(), ev[-1].hex()) == (
+    p = SecularProblem(2.5, BC.robin(0.9), BC.robin(0.9))
+    ref = scalar_scan_eigenvalues(p, 1026)
+    hexed = ",".join(float.hex(v) for v in ref)
+    assert (len(ref), ref[0].hex(), ref[-1].hex()) == (
         1026, "0x1.07ea299fc4abfp-1", "0x1.950c9f0983655p+20"
     )
     assert hashlib.sha256(hexed.encode()).hexdigest() == (
         "39c6dbabcdccf50297a93a37a9cd88b7a4617cb9828ba79c00e39a855b588cce"
     )
+    assert_within_brent_tolerance(segment_eigenvalues(p, 1026), ref)
 
 
 # (base, alpha) -> (lhs, rhs, residual, truncation) of the gluing check on the

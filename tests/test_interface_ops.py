@@ -69,6 +69,16 @@ class TestSegmentMatrix:
         with pytest.raises(ValidationError):
             qd_matrix_segment(0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("det", [
+        lambda L: qd_det_segment(1.0, 0.5, L),
+        lambda L: qd_matrix_segment(1.0, 0.5, L),
+        lambda L: qd0_det_segment(0.5, L),
+    ], ids=["qd_det", "qd_matrix", "qd0_det"])
+    def test_rejects_nonpositive_length(self, det, length):
+        with pytest.raises(ValidationError, match="segment length must be > 0"):
+            det(length)
+
 
 class TestInterfaceSpectra:
     @pytest.mark.parametrize("geometry, shift", [
@@ -211,6 +221,16 @@ class TestInterfaceJump:
     def test_singular_shift_rejected(self):
         with pytest.raises(SingularParameterError):
             spec_RS0(CIRCLE, 2.0, 0.7, 1.0)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 2.0, -0.3, math.nan])
+    @pytest.mark.parametrize("jump", [
+        lambda L, a: rs0_eigenvalue(1.0, L, a, 0.3),
+        lambda L, a: rs0_eigenvalue_resolvent_form(1.0, L, a, 0.3),
+        lambda L, a: spec_RS0(CIRCLE, L, a, 0.3),
+    ], ids=["rs0", "resolvent", "spec"])
+    def test_cut_outside_the_segment_rejected(self, jump, a):
+        with pytest.raises(ValidationError, match="the cut must satisfy 0 < a < L"):
+            jump(1.0, a)
 
     def test_neumann_form_assembly(self):
         # zero-shift determinant: ln2 * zeta(0) - (1/2) ln Det* + pair series

@@ -1,14 +1,15 @@
 """Root-finding oracle vs the closed-form segment determinants."""
 
 import math
-import random
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from zetaglue import oracle
-from zetaglue.cylinder import ROBIN, BoundaryCondition as BC, CylinderSpec, log_det_cylinder
-from zetaglue.errors import ConvergenceError, ValidationError
+from zetaglue.cylinder import DIRICHLET, ROBIN, CylinderSpec, log_det_cylinder
+from zetaglue.cylinder import BoundaryCondition as BC
+from zetaglue.errors import ValidationError
 from zetaglue.oracle import SecularProblem, relative_log_det, segment_eigenvalues
 from zetaglue.spectra import Point
 
@@ -17,11 +18,25 @@ def closed_log_det(L, bl, br):
     return log_det_cylinder(CylinderSpec(Point(), L, bl, br)).log_det
 
 
+def scalar_secular_function(p):
+    """The oracle's secular function g(k) on one float, through ``math``."""
+    L = p.length
+    kl, kr = p.bc_left, p.bc_right
+    if (kl.kind, kr.kind) == (ROBIN, ROBIN):
+        al, ar = kl.alpha, kr.alpha
+        return lambda k: (k * k - al * ar) * math.sin(k * L) - k * (al + ar) * math.cos(k * L)
+    a = kl.alpha if kl.kind == ROBIN else kr.alpha
+    if DIRICHLET in (kl.kind, kr.kind):
+        return lambda k: k * math.cos(k * L) + a * math.sin(k * L)
+    return lambda k: a * math.cos(k * L) - k * math.sin(k * L)
+
+
 def scalar_scan_eigenvalues(p, count):
-    """Reference: the root search one sample and one cell at a time."""
+    """Reference: the root search one sample and one cell at a time, each
+    bracket refined by scipy's brentq at xtol = rtol = 1e-15."""
     if ROBIN not in (p.bc_left.kind, p.bc_right.kind):
         return oracle._closed_form_roots(p, count)
-    g = oracle._secular_function(p)
+    g = scalar_secular_function(p)
     cell = math.pi / p.length
     roots = []
     j = 0
@@ -44,6 +59,15 @@ def scalar_scan_eigenvalues(p, count):
     return [k * k for k in roots[:count]]
 
 
+def assert_within_brent_tolerance(got, ref):
+    """Each frequency k = sqrt(mu) within brentq's stopping rule plus one
+    bisection ulp of the reference: 1e-15 (1 + k_ref) + 2 ulp(k_ref)."""
+    assert len(got) == len(ref)
+    for mu, mu_ref in zip(got, ref):
+        k, k_ref = math.sqrt(mu), math.sqrt(mu_ref)
+        assert abs(k - k_ref) <= 1e-15 * (1.0 + k_ref) + 2.0 * math.ulp(k_ref), (mu, mu_ref)
+
+
 PAIRS = {
     "RR": lambda a: (BC.robin(a), BC.robin(a)),
     "NR": lambda a: (BC.neumann(), BC.robin(a)),
@@ -59,21 +83,23 @@ class TestSegmentEigenvalues:
     @pytest.mark.parametrize("L", [1.0, 2.5])
     def test_matches_scalar_scan(self, pair, alpha, L):
         p = SecularProblem(L, *PAIRS[pair](alpha))
-        assert segment_eigenvalues(p, 300) == scalar_scan_eigenvalues(p, 300)
+        assert_within_brent_tolerance(segment_eigenvalues(p, 300), scalar_scan_eigenvalues(p, 300))
 
-    def test_scalar_check_of_each_bracket(self, monkeypatch):
-        # the array scan finds the brackets, the scalar g must confirm them
-        secular = oracle._secular_function
-
-        def scan_only(p, sin=math.sin, cos=math.cos):
-            if sin is math.sin:
-                return lambda k: 1.0
-            return secular(p, sin, cos)
-
-        monkeypatch.setattr(oracle, "_secular_function", scan_only)
-        p = SecularProblem(1.0, BC.robin(0.5), BC.robin(0.5))
-        with pytest.raises(ValidationError, match="root bracketing failure"):
-            segment_eigenvalues(p, 4)
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    @pytest.mark.parametrize("alpha", [0.25, 0.9, 3.0])
+    @pytest.mark.parametrize("L", [1.0, 2.5])
+    def test_each_root_is_certified_by_a_sign_change(self, pair, alpha, L):
+        # each k is an exact zero of g, or g changes sign between k and a
+        # neighbouring float whose |g| is no smaller; sqrt recovers k from
+        # mu = k * k exactly
+        p = SecularProblem(L, *PAIRS[pair](alpha))
+        g = oracle._secular_function(p)
+        for mu in segment_eigenvalues(p, 300):
+            k = math.sqrt(mu)
+            assert k * k == mu
+            below, at, above = g(np.array([math.nextafter(k, 0.0), k, math.nextafter(k, math.inf)]))
+            across = [v for v in (below, above) if (v < 0.0) != (at < 0.0)]
+            assert at == 0.0 or any(abs(at) <= abs(v) for v in across), k
 
     def test_dirichlet_pair(self):
         got = segment_eigenvalues(SecularProblem(1.0, BC.dirichlet(), BC.dirichlet()), 3)
@@ -122,73 +148,6 @@ class TestSegmentEigenvalues:
     def test_rejects_negative_robin(self):
         with pytest.raises(ValidationError):
             SecularProblem(1.0, BC.robin(-1.0), BC.robin(-1.0))
-
-
-GENERIC = [
-    lambda x: x**3 - 2.0,
-    lambda x: math.exp(x) - 3.0,
-    lambda x: math.tanh(4.0 * (x - 1.1)),
-    lambda x: math.sin(x) - 0.3 * x,
-    lambda x: math.atan(x - 0.7) + 1e-3 * (x - 0.7) ** 3,
-    lambda x: (x - 1.3) ** 5,
-    lambda x: math.log(x) - 0.2,
-    lambda x: x - 0.5,
-]
-
-
-def robin_brackets(rng, per_problem):
-    """Sign-changing brackets of every Robin secular function of the
-    oracle, with widths from 1e-9 to a whole pi/L cell."""
-    out = []
-    for pair in sorted(PAIRS):
-        for alpha in (0.0, 0.25, 0.9, 3.0):
-            for L in (1.0, 2.5):
-                g = oracle._secular_function(SecularProblem(L, *PAIRS[pair](alpha)))
-                cell = math.pi / L
-                found = 0
-                while found < per_problem:
-                    a = rng.uniform(1e-6, 60.0 * cell)
-                    b = a + cell * 10.0 ** rng.uniform(-9.0, 0.0)
-                    if g(a) * g(b) < 0.0:
-                        out.append((g, a, b))
-                        found += 1
-    return out
-
-
-def generic_brackets(rng, per_function):
-    out = []
-    for f in GENERIC:
-        found = 0
-        while found < per_function:
-            a, b = sorted(rng.uniform(0.05, 4.0) for _ in range(2))
-            if f(a) * f(b) < 0.0:
-                out.append((f, a, b))
-                found += 1
-    return out
-
-
-class TestBrentPort:
-    def test_bitwise_equal_to_scipy(self):
-        rng = random.Random(20240611)
-        cases = robin_brackets(rng, 500) + generic_brackets(rng, 250)
-        # roots at an end point and a root hit exactly by interpolation
-        cases += [(GENERIC[-1], 0.5, 2.0), (GENERIC[-1], -1.0, 0.5), (GENERIC[-1], 0.0, 1.0)]
-        assert len(cases) >= 20_000
-        for f, a, b in cases:
-            want = brentq(f, a, b, xtol=1e-15, rtol=1e-15, maxiter=200)
-            assert oracle._brentq(f, a, b, 1e-15, 1e-15, 200).hex() == want.hex(), (a, b)
-
-    def test_exhausted_iterations_raise_convergence_error(self):
-        g = oracle._secular_function(SecularProblem(1.0, BC.robin(0.9), BC.robin(0.9)))
-        a, b = 0.5, math.pi
-        with pytest.raises(RuntimeError):
-            brentq(g, a, b, xtol=1e-15, rtol=1e-15, maxiter=3)
-        with pytest.raises(ConvergenceError):
-            oracle._brentq(g, a, b, 1e-15, 1e-15, 3)
-
-    def test_same_signs_rejected(self):
-        with pytest.raises(ValidationError):
-            oracle._brentq(GENERIC[-1], 1.0, 2.0, 1e-15, 1e-15, 200)
 
 
 class TestRelativeLogDet:

@@ -96,6 +96,14 @@ class TestEnumerate:
         with pytest.raises(ValidationError):
             enumerate_spectrum(Circle(TWO_PI), 0.0)
 
+    @pytest.mark.parametrize("cutoff", [math.inf, -math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("cs", [
+        Point(), Circle(TWO_PI), FlatTorus(TWO_PI, 3.0), explicit_mirror(Circle(TWO_PI), 25.0),
+    ], ids=["point", "circle", "torus", "explicit"])
+    def test_cutoff_must_be_finite(self, cs, cutoff):
+        with pytest.raises(ValidationError, match="cutoff must be finite and > 0"):
+            enumerate_spectrum(cs, cutoff)
+
     def test_explicit_truncation_error_carries_cutoff(self):
         cs = explicit_mirror(Circle(TWO_PI), 25.0)
         with pytest.raises(InsufficientSpectrumError) as exc:
