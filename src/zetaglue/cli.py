@@ -12,8 +12,9 @@ Reports are JSON on stdout (newline-terminated, deterministic except for
 the ``timestamp`` field; floats use exact round-trip encoding);
 diagnostics go to stderr.  A subcommand takes only the flags of the keys it
 reads (``--target`` only ``det`` and ``glue``), a ``--config`` file only those
-keys.  Exit codes: 0 success, 2 validation error (NaN and inf included), 3
-numerical non-convergence or overflow, 4 inadmissible (singular) parameters.
+keys, and neither takes a key that the chosen mode ignores.  Exit codes: 0
+success, 2 validation error (NaN and inf included), 3 numerical
+non-convergence or overflow, 4 inadmissible (singular) parameters.
 """
 
 from __future__ import annotations
@@ -344,13 +345,28 @@ def _config_error(config) -> Optional[str]:
     return None
 
 
+def _mode_error(config: dict) -> Optional[str]:
+    """A key that the mode the other keys choose does not read, or None."""
+    command, geometry = config["command"], config.get("geometry", "both_ends")
+    if command == "dn-spec" and geometry in ("both_ends", "left_neumann_cut"):
+        mode, unread = f"geometry {geometry!r}", ("cut",)
+    elif command == "zeta" and config.get("det_star"):
+        mode, unread = "det_star", ("shift", "s", "include_zero")
+    elif command == "zeta" and "shift" in config:
+        mode, unread = "shift", ("s", "include_zero")
+    else:
+        return None
+    key = next((key for key in unread if key in config), None)
+    return f"{command} with {mode} does not read {key!r}" if key else None
+
+
 def run(config: dict):
     """Validate one run configuration against the key table and execute it.
 
     Returns ``(exit_code, report_dict)``; the report carries an ``error``
     key instead of results when the exit code is nonzero.
     """
-    error = _config_error(config)
+    error = _config_error(config) or _mode_error(config)
     if error:
         return EXIT_VALIDATION, {"error": f"config validation: {error}"}
     try:

@@ -1,19 +1,21 @@
 """Log-determinants of -d^2/du^2 + Delta_Y on [0, L] x Y.
 
-Supported boundary pairs: Dirichlet/Dirichlet, Neumann/Neumann,
-Neumann/Dirichlet (either order), Robin(alpha)/Robin(alpha), and
-Neumann/Robin(alpha) (either order; the mirrored orientation is obtained
-by relabelling u -> L-u).  Each determinant assembles a closed-form
-breakdown: zero-mode terms, residue and finite-part terms of the
-cross-section zeta at s = -1/2, regularized cross-section determinants,
-shifted first-order determinants, expansion constants, and an
-absolutely convergent boundary-interaction series summed with a
-certified exponential tail bound.  Every series factor over the mode
-x = sqrt(mu) is 1 - c exp(-2 l x) with c = +-1, r or r^2, where
-r = (x - alpha)/(x + alpha).
+Each determinant is a closed-form breakdown: zero-mode terms, residue and
+finite-part terms of the cross-section zeta at s = -1/2, regularized
+cross-section determinants, shifted first-order determinants, expansion
+constants, and an absolutely convergent boundary-interaction series with
+a certified exponential tail bound.  The line segment (point
+cross-section) has an empty series and vanishing zeta terms.
 
-The line segment (point cross-section) falls out of the same assembly
-with empty series and vanishing zeta terms.
+One per-end rule gives every boundary pair.  Over the mode x = sqrt(mu)
+the segment determinant factorises as e^(xL) w_l w_r (1 - r_l r_r e^(-2xL)),
+and each end has a weight on ln Det* Delta_Y and a reflection r: Dirichlet
+-1/4 and -1, Neumann +1/4 and +1, Robin(alpha) -1/4 and (x - alpha)/(x + alpha),
+so Neumann is Robin(0) and Dirichlet the alpha -> infinity end.  Each Robin
+end adds ln Det(sqrt(Delta_Y) + alpha) and -s_alpha; the zero modes add
+q0 ln 2 where r_l r_r = -1 at x = 0, else q0 ln 2(L + sum of 1/alpha over
+the Robin ends).  Supported: D/D, N/N, Robin(alpha)/Robin(alpha), and N/D
+and N/Robin(alpha) in either order; D/Robin is refused.
 """
 
 from __future__ import annotations
@@ -309,15 +311,17 @@ def _check_robin_admissible(cs: CrossSection, length: float, alpha: float, both_
 
 
 # ----------------------------------------------------------------------------
-# the determinant dispatch
+# the determinant assembly
 # ----------------------------------------------------------------------------
 
 
-def _zeta_terms(cs: CrossSection, length: float, backend: str):
-    zp = zeta_point(cs, -0.5, backend=backend)
-    res_term = -2.0 * length * (_LN2 - 1.0) * zp.residue
-    fp_term = length * zp.value
-    return res_term, fp_term
+# end kind -> (weight of ln Det* Delta_Y, sign, power): the end reflects the
+# mode x = sqrt(mu) with r = sign * ((x - alpha)/(x + alpha))**power
+_ENDS = {DIRICHLET: (-0.25, -1, 0), NEUMANN: (0.25, 1, 0), ROBIN: (-0.25, 1, 1)}
+# (sign, power) of r_l r_r -> the form summing ln(1 - r_l r_r exp(-2 L x))
+_PAIR_SERIES = {
+    (1, 0): "log1m_exp", (-1, 0): "log1p_exp", (1, 1): "robin_end", (1, 2): "robin_both",
+}
 
 
 def log_det_cylinder(
@@ -331,82 +335,44 @@ def log_det_cylinder(
     breakdown terms.  Unsupported boundary pairs (Dirichlet/Robin, or two
     Robin ends with different parameters) are rejected.
     """
-    cs = spec.cross_section
-    L = spec.length
-    bl, br = spec.bc_left, spec.bc_right
+    cs, L, bl, br = spec.cross_section, spec.length, spec.bc_left, spec.bc_right
+    robin = [bc.alpha for bc in (bl, br) if bc.kind == ROBIN]
+    n_robin = len(robin)
+    if n_robin == 2 and robin[0] != robin[1]:
+        raise ValidationError("two Robin ends are supported only with equal parameters")
+    (w_l, s_l, p_l), (w_r, s_r, p_r) = _ENDS[bl.kind], _ENDS[br.kind]
+    sign, power = s_l * s_r, p_l + p_r
+    if (sign, power) not in _PAIR_SERIES:
+        raise ValidationError(
+            f"unsupported boundary pair {bl.kind}/{br.kind}; supported: "
+            "D/D, N/N, N/D, D/N, Robin/Robin (equal), N/Robin, Robin/N"
+        )
+    alpha = robin[0] if robin else 0.0
+    weight = w_l + w_r
     q0 = kernel_dim(cs)
-    kinds = (bl.kind, br.kind)
 
-    if kinds in ((DIRICHLET, DIRICHLET), (NEUMANN, NEUMANN)):
-        # the two differ in the sign of the cross-section term and the kernel
-        neumann = kinds[0] == NEUMANN
-        res_t, fp_t = _zeta_terms(cs, L, backend)
-        star = log_det_star(cs, backend=backend)
-        ser = series_sum(cs, L, "log1m_exp", tol=tol)
-        terms = {
-            "zero_modes": q0 * math.log(2.0 * L),
-            "residue_term": res_t,
-            "finite_part_term": fp_t,
-            "cross_det_half": (0.5 if neumann else -0.5) * star.log_modulus,
-            "series": ser.value,
-        }
-        return DetReport.assemble(terms, ser.phase, q0 if neumann else 0, ser.tail_bound)
-
-    if set(kinds) == {NEUMANN, DIRICHLET}:
-        res_t, fp_t = _zeta_terms(cs, L, backend)
-        ser = series_sum(cs, L, "log1p_exp", tol=tol)
-        terms = {
-            "zero_modes": q0 * _LN2,
-            "residue_term": res_t,
-            "finite_part_term": fp_t,
-            "series": ser.value,
-        }
-        return DetReport.assemble(terms, ser.phase, 0, ser.tail_bound)
-
-    if kinds == (ROBIN, ROBIN):
-        if bl.alpha != br.alpha:
-            raise ValidationError(
-                "two Robin ends are supported only with equal parameters"
-            )
-        alpha = bl.alpha
-        _check_robin_admissible(cs, L, alpha, both_ends=True)
-        res_t, fp_t = _zeta_terms(cs, L, backend)
-        star = log_det_star(cs, backend=backend)
+    if robin:
+        _check_robin_admissible(cs, L, alpha, both_ends=n_robin == 2)
+    zp = zeta_point(cs, -0.5, backend=backend)
+    star = log_det_star(cs, backend=backend) if weight else None
+    if robin:
         shifted = log_det_shifted(cs, alpha, backend=backend)
         heat = heat_coefficients(cs, order=cs.dim // 2)
-        ser = series_sum(cs, L, "robin_both", alpha=alpha, tol=tol)
-        lm0, ph0 = signed_log(2.0 * (L + 2.0 / alpha))
-        terms = {
-            "s_alpha_term": -2.0 * s_alpha(heat, alpha),
-            "zero_modes": q0 * lm0,
-            "residue_term": res_t,
-            "finite_part_term": fp_t,
-            "det_shifted": 2.0 * shifted.log_modulus,
-            "cross_det_half": -0.5 * star.log_modulus,
-            "series": ser.value,
-        }
-        phase = q0 * ph0 + 2 * shifted.phase_multiple + ser.phase
-        return DetReport.assemble(terms, phase, 0, ser.tail_bound)
+    ser = series_sum(cs, L, _PAIR_SERIES[sign, power], alpha=alpha, tol=tol)
+    # r_l r_r is sign (-1)**power at x = 0; a reflection of -1 leaves a factor 2
+    zero_length = L + sum(1.0 / a for a in robin)
+    lm0, ph0 = (_LN2, 0) if sign * (-1) ** power == -1 else signed_log(2.0 * zero_length)
 
-    if set(kinds) == {NEUMANN, ROBIN}:
-        alpha = bl.alpha if bl.kind == ROBIN else br.alpha
-        _check_robin_admissible(cs, L, alpha, both_ends=False)
-        res_t, fp_t = _zeta_terms(cs, L, backend)
-        shifted = log_det_shifted(cs, alpha, backend=backend)
-        heat = heat_coefficients(cs, order=cs.dim // 2)
-        ser = series_sum(cs, L, "robin_end", alpha=alpha, tol=tol)
-        terms = {
-            "s_alpha_term": -s_alpha(heat, alpha),
-            "zero_modes": q0 * _LN2,
-            "residue_term": res_t,
-            "finite_part_term": fp_t,
-            "det_shifted": shifted.log_modulus,
-            "series": ser.value,
-        }
-        phase = shifted.phase_multiple + ser.phase
-        return DetReport.assemble(terms, phase, 0, ser.tail_bound)
-
-    raise ValidationError(
-        f"unsupported boundary pair {bl.kind}/{br.kind}; supported: "
-        "D/D, N/N, N/D, D/N, Robin/Robin (equal), N/Robin, Robin/N"
-    )
+    terms = {"s_alpha_term": -n_robin * s_alpha(heat, alpha)} if robin else {}
+    terms["zero_modes"] = q0 * lm0
+    terms["residue_term"] = -2.0 * L * (_LN2 - 1.0) * zp.residue
+    terms["finite_part_term"] = L * zp.value
+    phase = q0 * ph0 + ser.phase
+    if robin:
+        terms["det_shifted"] = n_robin * shifted.log_modulus
+        phase += n_robin * shifted.phase_multiple
+    if weight:
+        terms["cross_det_half"] = weight * star.log_modulus
+    terms["series"] = ser.value
+    kernel = q0 if bl.kind == br.kind == NEUMANN else 0
+    return DetReport.assemble(terms, phase, kernel, ser.tail_bound)

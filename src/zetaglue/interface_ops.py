@@ -56,6 +56,7 @@ BOTH_ENDS = "both_ends"
 LEFT_NEUMANN_CUT = "left_neumann_cut"
 CUT_LEFT = "cut_left"
 CUT_RIGHT = "cut_right"
+_GEOMETRIES = (BOTH_ENDS, LEFT_NEUMANN_CUT, CUT_LEFT, CUT_RIGHT)
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ def spec_interface(
     """
     if not (length > 0):
         raise ValidationError("interface geometry needs a positive length")
-    if geometry not in (BOTH_ENDS, LEFT_NEUMANN_CUT, CUT_LEFT, CUT_RIGHT):
+    if geometry not in _GEOMETRIES:
         raise ValidationError(f"unknown interface geometry {geometry!r}")
     sign = -1.0 if geometry == CUT_RIGHT else 1.0
     out = []
@@ -225,13 +226,16 @@ def log_det_interface(
     The eigenvalues grow like sqrt(mu), so the determinant is assembled
     as a regularized leading part (shifted first-order determinants of
     the cross-section) times an absolutely convergent correction series,
-    never by naive regularization of the raw list.
+    never by naive regularization of the raw list.  Only the four
+    ``spec_interface`` geometries are accepted.
     """
     cs = reference
     a = spectrum.alpha
     L = spectrum.length
     q0 = kernel_dim(cs)
     geometry = spectrum.geometry
+    if geometry not in _GEOMETRIES:
+        raise ValidationError(f"unknown interface geometry {geometry!r}")
 
     if geometry == BOTH_ENDS:
         if a == 0.0:

@@ -415,8 +415,9 @@ _spectrum_lock = threading.Lock()
 
 
 def enumerate_spectrum(cs: CrossSection, cutoff: float) -> list:
-    """All eigenvalues <= cutoff with exact multiplicities, sorted ascending,
-    in a new list (circles and tori bisect a cached spectrum)."""
+    """All eigenvalues <= cutoff with exact multiplicities, ascending in exact
+    value (a torus's floats may tie or fall out of order), in a new list
+    (circles and tori bisect a cached spectrum)."""
     if not 0 < cutoff < math.inf:
         raise ValidationError(f"cutoff must be finite and > 0, got {cutoff}")
     return cs.enumerate_spectrum(cutoff)
@@ -602,7 +603,14 @@ def explicit_from_json(doc) -> ExplicitSpectrum:
 def explicit_mirror(cs: CrossSection, cutoff: float) -> ExplicitSpectrum:
     """Explicit copy of a built-in cross-section truncated at ``cutoff``.
 
-    Useful for exercising the numeric backends against closed forms.
+    Useful for exercising the numeric backends against closed forms.  Entries
+    are sorted by float and equal floats merged, ``ExplicitSpectrum``'s rule:
+    a torus's distinct eigenvalues can round to tied or out-of-order floats.
     """
-    entries = tuple(enumerate_spectrum(cs, cutoff))
-    return ExplicitSpectrum(entries=entries, dim=cs.dim, heat=heat_coefficients(cs, order=0))
+    entries: list = []
+    for e in sorted(enumerate_spectrum(cs, cutoff), key=lambda e: e.eigenvalue):
+        if entries and entries[-1].eigenvalue == e.eigenvalue:
+            e = SpectrumEntry(e.eigenvalue, entries.pop().multiplicity + e.multiplicity)
+        entries.append(e)
+    heat = heat_coefficients(cs, order=0)
+    return ExplicitSpectrum(entries=tuple(entries), dim=cs.dim, heat=heat)

@@ -106,6 +106,15 @@ class TestRun:
         # a dotted key is spelled nested in a config, never at the top level
         ({"command": "det", "tolerances.target": 1e-9}, "tolerances.target"),
         ({"command": "det", "output.format": "table"}, "output.format"),
+        # keys the mode chosen by the other keys does not read
+        ({"command": "dn-spec", "cut": 0.5}, "'cut'"),
+        ({"command": "dn-spec", "geometry": "both_ends", "cut": 0.5}, "'cut'"),
+        ({"command": "dn-spec", "geometry": "left_neumann_cut", "cut": 0.5}, "'cut'"),
+        ({"command": "zeta", "det_star": True, "shift": 0.3}, "'shift'"),
+        ({"command": "zeta", "det_star": True, "s": 0.5}, "'s'"),
+        ({"command": "zeta", "det_star": True, "include_zero": True}, "'include_zero'"),
+        ({"command": "zeta", "shift": 0.3, "s": 0.5}, "'s'"),
+        ({"command": "zeta", "shift": 0.3, "include_zero": True}, "'include_zero'"),
     ])
     def test_config_refusals_name_the_key(self, config, key):
         code, rep = run(config)

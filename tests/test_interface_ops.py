@@ -1,6 +1,7 @@
 """Interface operators: the segment matrix, cut spectra, regularized dets."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -165,6 +166,13 @@ class TestInterfaceDeterminants:
         expect = math.log(2.0 / L) + log_det_star(CIRCLE).log_modulus
         assert d.log_modulus == pytest.approx(expect, abs=1e-13)
         assert d.excluded_zero_modes == 1
+
+    @pytest.mark.parametrize("geometry", ["interface_jump", "middle"])
+    def test_unknown_geometry_is_refused(self, geometry):
+        # an interface-jump list, or any other, is not read as cut_right
+        sp = dataclasses.replace(spec_RS0(CIRCLE, 2.0, 0.7, 0.3), geometry=geometry)
+        with pytest.raises(ValidationError, match=f"unknown interface geometry '{geometry}'"):
+            log_det_interface(sp, CIRCLE)
 
     def test_partial_products_converge_to_assembled_value(self):
         alpha, L = 0.3, 2.0

@@ -333,6 +333,22 @@ class TestExplicitIngestion:
         with pytest.raises(ValidationError):
             explicit_from_json(doc)
 
+    def test_mirror_sorts_and_merges_tied_floats(self):
+        # distinct exact eigenvalues of this torus round to tied or
+        # out-of-order floats (31 neighbouring pairs below 1500)
+        cs = FlatTorus(math.sqrt(2.0), math.sqrt(28.0))
+        exact = enumerate_spectrum(cs, 1500.0)
+        merged = {}
+        for e in exact:
+            merged[e.eigenvalue] = merged.get(e.eigenvalue, 0) + e.multiplicity
+        mirror = explicit_mirror(cs, 1500.0)
+        assert entries_as_pairs(mirror.entries) == sorted(merged.items())
+        assert len(mirror.entries) < len(exact)
+
+    @pytest.mark.parametrize("cs", [Circle(2.2 * math.pi), FlatTorus(TWO_PI, 4.8 * math.pi)])
+    def test_mirror_of_an_ascending_list_is_a_copy(self, cs):
+        assert list(explicit_mirror(cs, 2000.0).entries) == enumerate_spectrum(cs, 2000.0)
+
     def test_rejects_negative_eigenvalue(self):
         doc = {"dim": 1, "entries": [[-1.0, 1]]}
         with pytest.raises(ValidationError):
