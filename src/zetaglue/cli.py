@@ -47,6 +47,8 @@ EXIT_INADMISSIBLE = 4
 
 # every two-letter word over d, n, r, in sorted order
 _BC_PAIRS = [left + right for left in "dnr" for right in "dnr"]
+# the boundary-pair keys of the commands that read them, with their defaults
+_BC_DEFAULTS = {"det": {"bc": "dd"}, "oracle-compare": {"bc": "rr", "ref_bc": "dd"}}
 
 
 def parse_cross_section(token: str):
@@ -115,7 +117,7 @@ def _cmd_det(cfg: dict) -> dict:
     """cylinder log-determinant"""
     cs = parse_cross_section(cfg["cross_section"])
     alpha = float(cfg.get("alpha", 0.0))
-    bl, br = _parse_bc_pair(cfg.get("bc", "dd"), alpha)
+    bl, br = _parse_bc_pair(cfg.get("bc", _BC_DEFAULTS["det"]["bc"]), alpha)
     tol = cfg.get("tolerances", {}).get("target", 1e-12)
     spec = CylinderSpec(cs, float(cfg["length"]), bl, br)
     rep = log_det_cylinder(spec, tol=tol, backend=cfg.get("backend", "auto"))
@@ -228,8 +230,9 @@ def _cmd_oracle_compare(cfg: dict) -> dict:
     """segment oracle vs closed form"""
     alpha = float(cfg.get("alpha", 0.0))
     L = float(cfg["length"])
-    bl, br = _parse_bc_pair(cfg.get("bc", "rr"), alpha)
-    rl, rr_ = _parse_bc_pair(cfg.get("ref_bc", "dd"), alpha)
+    defaults = _BC_DEFAULTS["oracle-compare"]
+    bl, br = _parse_bc_pair(cfg.get("bc", defaults["bc"]), alpha)
+    rl, rr_ = _parse_bc_pair(cfg.get("ref_bc", defaults["ref_bc"]), alpha)
     count = int(cfg.get("count", 4096))
     prob = SecularProblem(L, bl, br)
     ref = SecularProblem(L, rl, rr_)
@@ -345,6 +348,14 @@ def _config_error(config) -> Optional[str]:
     return None
 
 
+def _reads_alpha(config: dict) -> bool:
+    """Whether the boundary pairs of a ``_BC_DEFAULTS`` command read alpha:
+    an r end does, and a malformed pair is left for the command to refuse
+    by name."""
+    tokens = [config.get(key, d).strip().lower() for key, d in _BC_DEFAULTS[config["command"]].items()]
+    return any("r" in token or token not in _BC_PAIRS for token in tokens)
+
+
 def _mode_error(config: dict) -> Optional[str]:
     """A key that the mode the other keys choose does not read, or None."""
     command, geometry = config["command"], config.get("geometry", "both_ends")
@@ -354,6 +365,8 @@ def _mode_error(config: dict) -> Optional[str]:
         mode, unread = "det_star", ("shift", "s", "include_zero")
     elif command == "zeta" and "shift" in config:
         mode, unread = "shift", ("s", "include_zero")
+    elif command in _BC_DEFAULTS and not _reads_alpha(config):
+        mode, unread = "no Robin end", ("alpha",)
     else:
         return None
     key = next((key for key in unread if key in config), None)

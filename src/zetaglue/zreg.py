@@ -197,6 +197,13 @@ class _CircleBackend:
 # log_det_shifted.  Their Bessel orders |s - 1/2| are 0, 1/2, 1, ..., 7.
 _STANDARD_S = (-0.5,) + tuple(k / 2.0 for k in range(1, 16))
 
+# 2 pi a, 1 - cos a and -ln cos a on the strip half-widths a = i pi / 64,
+# i = 1..31, that ``_BesselK._step`` tries
+_TWO_PI_A, _VERSINE, _LOG_SEC = np.array([
+    (2.0 * math.pi * a, 1.0 - math.cos(a), -math.log(math.cos(a)))
+    for a in (i * math.pi / 64.0 for i in range(1, 32))
+]).T
+
 
 class _BesselK:
     """K_nu(z) at a fixed set of real orders from two trapezoid sums per class.
@@ -223,18 +230,22 @@ class _BesselK:
 
         4 sec(a)^max(nu*, 1/2) exp(z (1 - cos a) - 2 pi a / h).
 
-    A grid takes the largest step h = 2^(-k/2) for which some a makes this
-    at most eps = 2^-(p + 8) at its largest z, p the precision in bits; the
-    bound grows with z, so the step serves every smaller z too.
+    ``_step`` takes the largest step h = 2^(-k/2) for which some a on a
+    grid of 31 makes this at most a budget e <= 1/2 (so exp(2 pi a / h)
+    >= 8, as the factor 4 needs) at each z it is given.  The bound grows
+    with z and with 1/e, so a step serves every smaller z at the same budget.  A single z takes
+    e = eps = 2^-(p + 8), p the precision in bits; ``_bessel_pass`` gives
+    each shell its own budget.
 
     Truncation.  d/dt ln f <= nu* - z sinh t, so beyond the first node
     with z sinh t_j >= nu* + 1/h the summands fall by a factor e at least
     per node and the rest of the sum is below 0.6 f(t_j).  With the common
     factor e^-z taken out, every sum is at least f(0)/2 = 1/2, so stopping
     at the first such node with exp(-z (cosh t_j - 1)) cosh(nu* t_j) <=
-    eps/2 bounds the truncation of every integrated order by 0.6 eps
-    relative.  The node count n is found in floating point, with a margin
-    that covers its rounding, before any sum is formed.
+    e/2 bounds the truncation of every integrated order by 0.6 e relative;
+    past that node the bound only falls, so a later stop keeps it.  The
+    node count n is found in floating point, with a margin that covers its
+    rounding, before any sum is formed.
 
     Rounding.  ``shell`` works on integers scaled by 2^P: weights within
     rho units relative plus A units, table entries within one unit, and a
@@ -246,8 +257,9 @@ class _BesselK:
     other roundings, rounded up to a multiple of 16 so that grids share
     tables: the rounding stays below eps/4.
 
-    Every value therefore lies within (1 + 0.6 + 0.25) eps plus a few
-    roundings at p + 40 bits, below 2 eps, relative of K_nu(z).
+    A value at a single z therefore lies within (1 + 0.6 + 0.25) eps plus
+    a few roundings at p + 40 bits, below 2 eps, relative of K_nu(z); in a
+    pass, within 1.6 e + eps/4 at its shell's budget e.
     """
 
     def __init__(self, orders, p=None):
@@ -279,19 +291,19 @@ class _BesselK:
         self._size = len(ladder)
         self.numax = float(max(self.integrated))
 
-    def _step(self, z: float) -> float:
+    def _step(self, zs, log_eps) -> float:
+        """The largest step that serves every z of zs at the budget e =
+        exp(log_eps) <= 1/2 of the same index."""
         nu = max(self.numax, 0.5)
-        budget = math.log(4.0) - self.log_eps
-        hmax = max(
-            2.0 * math.pi * a / (budget + z * (1.0 - math.cos(a)) - nu * math.log(math.cos(a)))
-            for a in (i * math.pi / 64.0 for i in range(1, 32))
-        )
-        return 2.0 ** (-math.ceil(-2.0 * math.log2(hmax)) / 2.0)
+        budget = math.log(4.0) - np.asarray(log_eps)
+        hmax = (_TWO_PI_A / (budget[:, None] + np.asarray(zs)[:, None] * _VERSINE + nu * _LOG_SEC)).max(axis=1)
+        return 2.0 ** (-math.ceil(-2.0 * math.log2(hmax.min())) / 2.0)
 
-    def _nodes(self, z: float, h: float, least: int = 2) -> int:
-        """Node count at z, at least ``least`` (say the count at a larger z)."""
+    def _nodes(self, z: float, h: float, log_eps: float, least: int = 2) -> int:
+        """Node count at z for the budget exp(log_eps), at least ``least``
+        (say the count at a larger z)."""
         nu = self.numax
-        limit = self.log_eps - math.log(2.0) - 1e-9
+        limit = log_eps - math.log(2.0) - 1e-9
         j = least - 1
         while True:
             t = j * h
@@ -330,8 +342,8 @@ class _BesselK:
         with mp.workprec(self.prec):
             z = mp.mpf(z)
             zf = float(z)
-            h = self._step(zf)
-            n = self._nodes(zf, h)
+            h = self._step([zf], [self.log_eps])
+            n = self._nodes(zf, h, self.log_eps)
             table = _cosh_table(self.integrated, h, self.p + self._guard(zf, h, [n]))
             zfix = to_fixed(z._mpf_, table.bits)
             k = self.shell(table, table.weights(zfix, n), zfix)
@@ -394,7 +406,18 @@ def _cosh_table(orders, h: float, bits: int) -> _CoshTable:
     return _CoshTable(orders, h, bits)
 
 
-_bessel_plan = functools.lru_cache(maxsize=64)(_BesselK)
+@functools.lru_cache(maxsize=64)
+def _pass_plan(svals: tuple, prec: int) -> tuple:
+    """(plan, picks) of a pass over svals at prec bits: the ``_BesselK`` of
+    the orders |s - 1/2|, lowest first, and per s the index of its order and
+    the exponent 2s - 1 of r^(1/2 - s) = u^(2s - 1), an int where 2s is one."""
+    nus = [abs(Fraction(s) - Fraction(1, 2)) for s in svals]
+    orders = sorted(set(nus))
+    picks = tuple(
+        (orders.index(nu), int(2 * s - 1) if 2 * s == int(2 * s) else 2 * s - 1)
+        for s, nu in zip(svals, nus)
+    )
+    return _BesselK(tuple(orders), prec), picks
 
 
 @functools.lru_cache(maxsize=1024)
@@ -486,12 +509,23 @@ class _TorusBackend:
     K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt per residue class of
     the orders mod 1 and the upward recurrence.  With nu = |s - 1/2|,
     (r m)^(1/2-s) sigma_{2s-1}(m) = r^(1/2-s) m^-nu sigma_{2nu}(m), an
-    exact integer divisor sum for the standard s.  Each B(s) lies within
-    2^-(p + 6) relative at precision p; with the values of
-    ``_torus_constants`` within a unit each, ``point_mp`` is within
-    2^-(p + 6) |t_B| + 2^-(p - 4) sum |t_i| of Z(s), t_i the ``terms`` and
-    t_B the last.  The first request for an s of ``_STANDARD_S`` sums B
-    for the whole set in one pass; only the per-s sums are kept.
+    exact integer divisor sum for the standard s.  A pass sums every shell
+    on one node grid.  Step and truncation cost shell 1 at most 1.6 eps
+    relative of its own K_nu(z_1), eps = 2^-(p + 8) (``_BesselK``); a
+    later shell m of M is held instead to 0.8 eps / (M - 1) of the pass
+    total, through t_m / t_1 <= m^(nu + 1) e^(-(m - 1) z1)
+    (``_bessel_pass``), so the grid takes shell 1's step in most passes.
+    With the shells after the one the pass stops at (1.25 eps) and the
+    roundings (eps/4), each B(s) lies within (1.6 + 0.8 + 1.25 + 1/4) eps
+    < 2^-(p + 6) relative at precision p; with the values of
+    ``_torus_constants`` within a unit each, ``point_mp`` is within 2^-(p + 6) |t_B| + 2^-(p - 4) sum |t_i| of
+    Z(s), t_i the ``terms`` and t_B the last.
+
+    One table per torus: the first request for an s of ``_STANDARD_S``
+    runs one pass for the whole set and fills the finite parts and
+    residues of all of it through ``terms``; every other s is a pass of
+    its own.  ``_bessel_sum`` and ``terms`` are the per-s steps both
+    routes take.
     """
 
     def __init__(self, cs: FlatTorus):
@@ -500,41 +534,66 @@ class _TorusBackend:
         self.c2 = 2.0 * math.pi / lb
         self.ell_big = la
         self.ratio = self.c2 / self.c1  # = la/lb >= 1
-        self._mp_cache: dict = {}
-        self._bessel_cache: dict = {}  # (s, prec) -> B(s) not yet handed out
+        self._mp_cache: dict = {}  # (s, prec) -> (finite part, residue)
+        self._blocks: dict = {}  # prec -> {s: B(s)} of the standard pass
 
     def _bessel_sum(self, s: float):
-        # point_mp caches each value, so a sum is handed out once and dropped
+        """B(s) at the working precision."""
+        if s not in _STANDARD_S:
+            return self._bessel_pass((s,))[0]
         prec = mp.mp.prec
-        total = self._bessel_cache.pop((s, prec), None)
-        if total is None:
-            batch = _STANDARD_S if s in _STANDARD_S else (s,)
-            sums = dict(zip(batch, self._bessel_pass(batch)))
-            total = sums.pop(s)
-            self._bessel_cache.update(((t, prec), b) for t, b in sums.items())
-        return total
+        blocks = self._blocks.get(prec)
+        if blocks is None:
+            blocks = self._blocks[prec] = dict(zip(_STANDARD_S, self._bessel_pass(_STANDARD_S)))
+        return blocks[s]
 
     def _bessel_pass(self, svals):
         """B(s) for every s of svals in one fixed-point pass over the shells.
 
         B(s) = r^(1/2-s) h e^(-z1) A_nu, nu = |s - 1/2|, z_m = m z1 = 2 pi r m,
-        A_nu = sum_m m^-nu sigma_2nu(m) e^(-(m-1) z1) e^(z_m) K_nu(z_m) / h
-        >= 1/2 at any aspect ratio.  One node grid (the step of the last
-        shell) serves all; shell m's weights are m-th powers of shell 1's.
-        B(s) is within 3 eps = 3 * 2^-(p + 8) < 2^-(p + 6) relative: step
-        and node truncation 1.6 eps per K_nu(z_m), kept by positive terms;
-        later shells eps (``_settle_shifts``); the powers (m roundings in
-        shell m), recurrence, accumulation and z (z_m within m units) below
-        eps/4 (``_BesselK._guard``); the final products a few units more.
+        A_nu = sum_m t_m e^(z1) / h, t_m = m^-nu sigma_2nu(m) K_nu(z_m), and
+        A_nu >= 1/2 at any aspect ratio.  Shell m's weights are m-th powers
+        of shell 1's, so one node grid serves every shell.
+
+        Budgets.  With nu now the largest order of the pass,
+        t_m <= m^(nu + 1) e^(-(m - 1) z1) t_1 (``_settle_shifts``) and t_1 is
+        at most the total, so a relative error d of shell m's K values is
+        at most d m^(nu + 1) e^(-(m - 1) z1) of the total.  Shell 1 takes
+        the budget e_1 = eps = 2^-(p + 8) of ``_BesselK``; each later shell
+        of the M that ``_settle_shifts`` allows takes
+
+            e_m = min(1/8, eps e^((m - 1) z1) / (2 (M - 1) m^(nu + 1))),
+
+        so step and truncation, 1.6 e_m relative of each K_nu(z_m), cost
+        at most 1.6 eps of the total in shell 1 and 0.8 eps in all later
+        shells together.  The pass stops at a shell by comparing its
+        computed terms, at least 1 - 1.6 e_m >= 4/5 of the true ones, with
+        the totals, so the shells after it add at most eps / (4/5) =
+        1.25 eps, not the eps of ``_settle_shifts``.  The budgets grow fast
+        with m, so the step is shell 1's own in most passes: the grid
+        takes the smallest of the shells' steps at their budgets, and each
+        shell the nodes its budget needs, at least as many as the next.
+
+        B(s) is then within (2.4 + 1.25 + 1/4) eps < 4 eps = 2^-(p + 6)
+        relative: step and truncation 2.4 eps; the shells after the one
+        the pass stops at 1.25 eps; the powers (m roundings in shell m),
+        recurrence, accumulation and z (z_m within m units) below eps/4
+        (``_BesselK._guard``); the final products a few units more.
         """
-        orders = sorted({abs(Fraction(s) - Fraction(1, 2)) for s in svals})
-        besselk = _bessel_plan(tuple(orders), mp.mp.prec)
+        besselk, picks = _pass_plan(tuple(svals), mp.mp.prec)
         z1f = 2.0 * math.pi * self.ratio
-        shifts = _settle_shifts(besselk.p, float(orders[-1]), z1f)
-        h = besselk._step(len(shifts) * z1f)
-        counts = [besselk._nodes(len(shifts) * z1f, h)]
-        for m in range(len(shifts) - 1, 0, -1):
-            counts.insert(0, besselk._nodes(m * z1f, h, counts[0]))
+        nu = float(besselk.orders[-1])
+        shifts = _settle_shifts(besselk.p, nu, z1f)
+        shells = len(shifts)
+        budgets = [besselk.log_eps] + [
+            min(besselk.log_eps + (m - 1) * z1f - (nu + 1.0) * math.log(m) - math.log(2.0 * (shells - 1)),
+                -math.log(8.0))
+            for m in range(2, shells + 1)
+        ]
+        h = besselk._step([m * z1f for m in range(1, shells + 1)], budgets)
+        counts = [besselk._nodes(shells * z1f, h, budgets[-1])]
+        for m in range(shells - 1, 0, -1):
+            counts.insert(0, besselk._nodes(m * z1f, h, budgets[m - 1], counts[0]))
         table = _cosh_table(besselk.integrated, h, besselk.p + besselk._guard(z1f, h, counts))
         bits = table.bits
         with mp.workprec(bits + 16):
@@ -559,21 +618,18 @@ class _TorusBackend:
         with mp.workprec(besselk.prec):
             u = 1 / mp.sqrt(mp.mpf(self.ratio))  # r^(1/2 - s) = u^(2s - 1)
             scale = mp.ldexp(h * mp.exp(-z1), -bits)
-            return [
-                scale * totals[orders.index(abs(Fraction(s) - Fraction(1, 2)))]
-                * (u ** int(2 * s - 1) if 2 * s == int(2 * s) else mp.power(u, 2 * s - 1))
-                for s in svals
-            ]
+            return [scale * totals[i] * (u**e if isinstance(e, int) else mp.power(u, e)) for i, e in picks]
 
     def point_mp(self, s: float):
         """(finite part, residue) as mpmath values; cached per location."""
-        key = (s, mp.mp.prec)
-        hit = self._mp_cache.get(key)
-        if hit is not None:
-            return hit
-        terms, res = self.terms(s)
-        out = self._mp_cache[key] = sum(terms), res
-        return out
+        prec = mp.mp.prec
+        hit = self._mp_cache.get((s, prec))
+        if hit is None:
+            for t in _STANDARD_S if s in _STANDARD_S else (s,):
+                terms, res = self.terms(t)
+                self._mp_cache[(t, prec)] = sum(terms), res
+            hit = self._mp_cache[(s, prec)]
+        return hit
 
     def terms(self, s: float):
         """(terms, residue): the finite part is sum(terms), added in order."""
@@ -837,7 +893,7 @@ class _NumericBackend:
 # its own value caches, so an unbounded map would grow with every new
 # cross-section of a sweep
 _BACKEND_CACHE_SIZE = 32
-_SHIFTED_CACHE_SIZE = 16  # shifted determinants kept per backend
+_SHIFTED_CACHE_SIZE = 16  # shifted determinants, and truncated-zeta rows, kept per backend
 _backend_cache: OrderedDict = OrderedDict()
 _backend_lock = threading.Lock()
 # every other cross-section runs on the numeric backend
@@ -864,7 +920,7 @@ def _get_backend(cs: CrossSection, backend: str = "auto"):
         b = closed(cs)
     else:
         b = _NumericBackend(cs)
-    b.shifted = OrderedDict()
+    b.shifted, b.rows = OrderedDict(), OrderedDict()
     with _backend_lock:
         b = _backend_cache.setdefault(key, b)
         _backend_cache.move_to_end(key)
@@ -957,6 +1013,60 @@ def _log1p_tail(x: float, kmax: int) -> float:
 _KORDER = 16  # binomial terms expanded by _shifted_via_series
 
 
+def _truncated_row(cs: CrossSection, mu0: float, backend) -> tuple:
+    """The alpha-free part of ``_shifted_via_series`` at the split mu0.
+
+    (low, c0, zetas): the positive modes up to mu0; the k = 0 binomial
+    term -1/2 d/ds zeta_{Delta,>mu0}(0), where removing the split-off low
+    modes adds +ln(mu) per mode to the derivative; and the truncated zeta
+    values zeta_{>mu0}(k/2) for k = 1, ..., _KORDER - 1, with the
+    harmonic-number weight of a residue at a pole.
+
+    The difference zeta(k/2) - partial cancels catastrophically in doubles
+    for large k, so closed-form backends evaluate it at elevated precision;
+    on stored data the numeric backend switches to the directly summed
+    tail (its modes above mu0 plus half the model tail beyond them) once
+    the defining series converges comfortably.
+    """
+    low = [e for e in enumerate_spectrum(cs, mu0) if e.eigenvalue > 0]
+    low_logsum = math.fsum(e.multiplicity * math.log(e.eigenvalue) for e in low)
+    c0 = -0.5 * (backend.derivative0() + low_logsum)
+    d = cs.dim
+    stored = enumerate_spectrum(cs, cs.max_trusted) if cs.max_trusted < math.inf else None
+    zetas = []
+    with mp.workdps(_DPS):
+        for k in range(1, _KORDER):
+            if hasattr(backend, "point_mp"):
+                val, res = backend.point_mp(k / 2.0)
+                partial = mp.fsum(
+                    e.multiplicity * mp.power(e.eigenvalue, -mp.mpf(k) / 2) for e in low
+                )
+                zk = float(val - partial) + 2.0 * harmonic(k - 1) * float(res)
+            elif k / 2.0 > d / 2.0 + 1.5 and stored is not None:
+                zk = _sum_above(stored, mu0, lambda mu: mu ** (-k / 2.0))
+                zk += 0.5 * power_tail_bound(cs, cs.max_trusted, k / 2.0)
+            else:
+                zp = backend.point(k / 2.0)
+                partial = math.fsum(
+                    e.multiplicity * e.eigenvalue ** (-k / 2.0) for e in low
+                )
+                if zp.residue == 0.0:
+                    zk = zp.value - partial
+                else:
+                    zk = (zp.value - partial) + 2.0 * harmonic(k - 1) * zp.residue
+            zetas.append(zk)
+    return low, c0, zetas
+
+
+def _keep(cache: OrderedDict, key, value) -> None:
+    """Store value in one of a backend's maps, which keep their newest
+    ``_SHIFTED_CACHE_SIZE`` entries."""
+    with _backend_lock:
+        cache[key] = value
+        while len(cache) > _SHIFTED_CACHE_SIZE:
+            cache.popitem(last=False)
+
+
 def _shifted_via_series(cs: CrossSection, alpha: float, backend) -> RegularizedDet:
     """Binomial reduction of ln Det(sqrt(Delta)+alpha) to zeta data of Delta.
 
@@ -964,7 +1074,10 @@ def _shifted_via_series(cs: CrossSection, alpha: float, backend) -> RegularizedD
     expanded binomially to ``_KORDER`` terms whose s-derivatives at 0 hit
     zeta values (finite parts and residues at poles, with harmonic-number
     weights) of the cross-section Laplacian; the remainder is an
-    absolutely convergent log-tail sum with a certified bound.
+    absolutely convergent log-tail sum with a certified bound.  The
+    alpha-free zeta data (``_truncated_row``) depend on alpha only through
+    the split mu0 = max(4 alpha^2, 1), so alpha and -alpha share one row,
+    kept on the backend.
     """
     q0 = kernel_dim(cs)
     logmod = 0.0
@@ -975,46 +1088,17 @@ def _shifted_via_series(cs: CrossSection, alpha: float, backend) -> RegularizedD
         phase += q0 * ph
 
     mu0 = max(4.0 * alpha * alpha, 1.0)
-    low = [e for e in enumerate_spectrum(cs, mu0) if e.eigenvalue > 0]
+    row = backend.rows.get(mu0)
+    if row is None:
+        row = _truncated_row(cs, mu0, backend)
+        _keep(backend.rows, mu0, row)
+    low, c0, zetas = row
     for e in low:
         lm, ph = signed_log(math.sqrt(e.eigenvalue) + alpha)
         logmod += e.multiplicity * lm
         phase += e.multiplicity * ph
-
-    # k = 0 binomial term: -1/2 * d/ds zeta_{Delta,>mu0}(0), where removing
-    # the split-off low modes adds +ln(mu) per mode to the derivative
-    deriv0 = backend.derivative0()
-    low_logsum = math.fsum(e.multiplicity * math.log(e.eigenvalue) for e in low)
-    logmod += -0.5 * (deriv0 + low_logsum)
-
-    # k >= 1 binomial terms against truncated zeta values.  The difference
-    # zeta(k/2) - partial cancels catastrophically in doubles for large k,
-    # so closed-form backends evaluate it at elevated precision; on stored
-    # data the numeric backend switches to the directly summed tail (its
-    # modes above mu0 plus half the model tail beyond them) once the
-    # defining series converges comfortably.
-    d = cs.dim
-    stored = enumerate_spectrum(cs, cs.max_trusted) if cs.max_trusted < math.inf else None
-    for k in range(1, _KORDER):
-        if hasattr(backend, "point_mp"):
-            with mp.workdps(_DPS):
-                val, res = backend.point_mp(k / 2.0)
-                partial = mp.fsum(
-                    e.multiplicity * mp.power(e.eigenvalue, -mp.mpf(k) / 2) for e in low
-                )
-                zk = float(val - partial) + 2.0 * harmonic(k - 1) * float(res)
-        elif k / 2.0 > d / 2.0 + 1.5 and stored is not None:
-            zk = _sum_above(stored, mu0, lambda mu: mu ** (-k / 2.0))
-            zk += 0.5 * power_tail_bound(cs, cs.max_trusted, k / 2.0)
-        else:
-            zp = backend.point(k / 2.0)
-            partial = math.fsum(
-                e.multiplicity * e.eigenvalue ** (-k / 2.0) for e in low
-            )
-            if zp.residue == 0.0:
-                zk = zp.value - partial
-            else:
-                zk = (zp.value - partial) + 2.0 * harmonic(k - 1) * zp.residue
+    logmod += c0
+    for k, zk in enumerate(zetas, 1):
         logmod -= (-alpha) ** k / k * zk
 
     # convergent log-remainder over the high modes, up to where its tail
@@ -1057,10 +1141,6 @@ def log_det_shifted(
     b = _get_backend(cs, backend)
     det = b.shifted.get(alpha)
     if det is None:
-        closed = hasattr(b, "shifted_closed")
-        det = b.shifted_closed(alpha) if closed else _shifted_via_series(cs, alpha, b)
-        with _backend_lock:
-            b.shifted[alpha] = det
-            while len(b.shifted) > _SHIFTED_CACHE_SIZE:
-                b.shifted.popitem(last=False)
+        det = b.shifted_closed(alpha) if hasattr(b, "shifted_closed") else _shifted_via_series(cs, alpha, b)
+        _keep(b.shifted, alpha, det)
     return det

@@ -115,6 +115,8 @@ class TestRun:
         ({"command": "zeta", "det_star": True, "include_zero": True}, "'include_zero'"),
         ({"command": "zeta", "shift": 0.3, "s": 0.5}, "'s'"),
         ({"command": "zeta", "shift": 0.3, "include_zero": True}, "'include_zero'"),
+        ({"command": "det", "alpha": 0.0}, "'alpha'"),  # the default pair dd
+        ({"command": "oracle-compare", "ref_bc": "nn", "bc": "DN", "alpha": 0.5}, "'alpha'"),
     ])
     def test_config_refusals_name_the_key(self, config, key):
         code, rep = run(config)

@@ -7,6 +7,7 @@ mpmath's ``besselk``; the grouped sum must reproduce them bit for bit.
 import hashlib
 import math
 import random
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -254,7 +255,8 @@ def spy_shells(monkeypatch):
 
     def shell(self, table, weights, zfix):
         k = real_shell(self, table, weights, zfix)
-        calls.append((self, table, mp.mpf(zfix) / 2**table.bits, k))
+        with mp.workprec(zfix.bit_length()):  # z exactly
+            calls.append((self, table, mp.ldexp(zfix, -table.bits), k))
         return k
 
     monkeypatch.setattr(zreg._BesselK, "shell", shell)
@@ -301,21 +303,98 @@ def test_generic_class_recurrence_matches_besselk(z):
     _assert_matches_besselk(orders, mp.mpf(z))
 
 
-def test_standard_orders_at_last_shell_of_square_torus(monkeypatch):
-    # the values the pass itself forms at its last shell, from the m-th
-    # powers of the first shell's weights
+def square_torus_shells(monkeypatch):
+    """(plan, shells M allowed, [(m, z_m, {nu: K_nu(z_m)})]) of the square
+    torus's standard pass, the values as the pass itself forms them."""
     recorded = spy_shells(monkeypatch)
     with mp.workdps(zreg._DPS):
         zreg._TorusBackend(FlatTorus(2.0, 2.0)).point_mp(0.5)
-    plan, table, z, k = recorded[-1]
-    assert z > 11 * TWO_PI
-    orders = [abs(Fraction(s) - Fraction(1, 2)) for s in zreg._STANDARD_S]
+    plan = recorded[0][0]
+    shells = len(zreg._settle_shifts(plan.p, float(plan.orders[-1]), TWO_PI))
+    values = []
     with mp.workdps(60):
-        scale = mp.mpf(table.h) * mp.exp(-z) / 2**table.bits
-        for nu in orders:
-            got = scale * k[plan.out[plan.orders.index(nu)]]
-            ref = mp.besselk(mp.mpf(nu.numerator) / nu.denominator, z)
-            assert abs(got - ref) <= 1e-28 * ref, nu
+        for m, (_, table, z, k) in enumerate(recorded, 1):
+            assert mp.nint(z / TWO_PI) == m
+            scale = mp.mpf(table.h) * mp.exp(-z) / 2**table.bits
+            values.append((m, z, {nu: scale * k[plan.out[i]] for i, nu in enumerate(plan.orders)}))
+    return plan, shells, values
+
+
+def assert_within_share(plan, shells, m, nu, got, ref):
+    """Shell m's share of the pass total (``_bessel_pass``): shell 1 within
+    1.6 eps + eps/4 of its own K_nu(z_1); a later shell, weighted by
+    m^-nu sigma_2nu(m), within (1.6 / (2 (M - 1)) + 1/4) eps t_1, where
+    t_1 = K_nu(z_1) is at most the total."""
+    x = mp.mpf(nu.numerator) / nu.denominator
+    eps = mp.ldexp(1, -(plan.p + 8))
+    weight = mp.fsum(mp.mpf(d) ** (2 * x) for d in range(1, m + 1) if m % d == 0) / mp.mpf(m) ** x
+    share = mp.mpf(1.85) if m == 1 else mp.mpf(1.6) / (2 * (shells - 1)) + mp.mpf(0.25)
+    assert abs(got - ref) * weight <= share * eps * mp.besselk(x, TWO_PI), (nu, m)
+
+
+def test_standard_orders_at_last_shell_of_square_torus(monkeypatch):
+    # every order at the last shell, from the m-th powers of the first
+    # shell's weights on shell 1's step, against 60-digit mp.besselk: a
+    # later shell is held to its share of the pass total, not to its own
+    # K_nu(z_m)
+    plan, shells, values = square_torus_shells(monkeypatch)
+    m, z, last = values[-1]
+    assert z > 11 * TWO_PI
+    with mp.workdps(60):
+        for nu, got in last.items():
+            assert_within_share(plan, shells, m, nu, got, mp.besselk(mp.mpf(nu.numerator) / nu.denominator, z))
+
+
+def test_half_integer_orders_at_every_shell_of_square_torus(monkeypatch):
+    # mp.besselk is elementary at half-integer orders, so every shell is
+    # checked there; the other orders share their step and node count
+    plan, shells, values = square_torus_shells(monkeypatch)
+    with mp.workdps(60):
+        for m, z, shell in values:
+            for nu, got in shell.items():
+                if nu.denominator == 2:
+                    ref = mp.besselk(mp.mpf(nu.numerator) / nu.denominator, z)
+                    assert_within_share(plan, shells, m, nu, got, ref)
+
+
+def test_square_torus_pass_sums_shell_one_grid(monkeypatch):
+    # shell 1's weights are the pass's only exp_fixed calls, one per node
+    # after the first, and one more for e^-z1: 39 nodes on shell 1's own
+    # step (77 when the step came from the last shell)
+    calls = []
+    real_exp_fixed = zreg.exp_fixed
+
+    def exp_fixed(*args):
+        calls.append(args)
+        return real_exp_fixed(*args)
+
+    monkeypatch.setattr(zreg, "exp_fixed", exp_fixed)
+    with mp.workdps(zreg._DPS):
+        zreg._TorusBackend(FlatTorus(2.0, 2.0)).point_mp(0.5)
+    assert 0 < len(calls) <= 40
+
+
+def test_cold_robin_check_is_one_pass_and_one_row(monkeypatch):
+    passes, rows = [], []
+    real_pass, real_row = zreg._TorusBackend._bessel_pass, zreg._truncated_row
+
+    def bessel_pass(self, svals):
+        passes.append(tuple(svals))
+        return real_pass(self, svals)
+
+    def truncated_row(cs, mu0, backend):
+        rows.append(mu0)
+        return real_row(cs, mu0, backend)
+
+    monkeypatch.setattr(zreg._TorusBackend, "_bessel_pass", bessel_pass)
+    monkeypatch.setattr(zreg, "_truncated_row", truncated_row)
+    monkeypatch.setattr(zreg, "_backend_cache", OrderedDict())  # every backend cold
+    cs = FlatTorus(2.0, 3.4)
+    rep = glue_robin_check(GluingConfig(cs, 2.2, 1.1, -0.4))
+    assert rep.residual < 1e-12
+    # alpha and -alpha (the interface determinant) share the row at mu0 = 1
+    assert sorted(zreg._get_backend(cs).shifted) == [-0.4, 0.4]
+    assert passes == [zreg._STANDARD_S] and rows == [1.0]
 
 
 def test_tables_are_shared_and_two_orders_per_class_are_summed(monkeypatch):
