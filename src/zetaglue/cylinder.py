@@ -36,6 +36,7 @@ from .spectra import (
 from .zreg import (
     _check_admissible,
     _check_alpha,
+    _check_modes,
     log_det_shifted,
     log_det_star,
     signed_log,
@@ -219,7 +220,8 @@ def series_sum(
     Deterministic ascending-eigenvalue order with compensated summation;
     the returned tail bound certifies the truncation.  Factors that cross
     zero contribute ln|.| and one pi unit of phase.  ``alpha`` must be
-    finite with |alpha| <= 1e150, or the cutoff 4(|alpha| + 1)^2 overflows.
+    finite with |alpha| <= 1e150, or the cutoff 4(|alpha| + 1)^2 overflows,
+    and that cutoff must hold at most ``zreg._MODE_BUDGET`` modes.
     """
     if not (length > 0):
         raise ValidationError("series length must be > 0")
@@ -231,6 +233,7 @@ def series_sum(
             raise ValidationError("pair forms need a cut 0 < a < L")
     rows = _FORMS[form](length, alpha, a if a is not None else length)
     min_len = min(row[0] for row in rows)
+    _check_modes(cs, (abs(alpha) + 1.0) ** 2 * 4.0, alpha)
     lam = max((abs(alpha) + 1.0) ** 2 * 4.0, (8.0 / min_len) ** 2, 16.0, min_cutoff or 0.0)
     while True:
         bound = 0.0

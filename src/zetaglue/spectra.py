@@ -265,18 +265,24 @@ class FlatTorus(_FlatSection):
         c1 = 2.0 * math.pi / self.ell1
         c2 = 2.0 * math.pi / self.ell2
         jmax = int(math.floor(math.sqrt(cutoff) / c1 + 1e-12))
+        # per column k: (c2 k)^2, its part of the key and its multiplicity;
+        # ** 2, not x * x, which rounds differently on some doubles
+        kmax = int(math.floor(math.sqrt(cutoff) / c2 + 1e-12))
+        columns = [((c2 * k) ** 2, k * k * w1, 1 if k == 0 else 2) for k in range(kmax + 1)]
         groups: dict = {}
         for j in range(0, jmax + 1):
-            rem = cutoff - (c1 * j) ** 2
+            row_mu = (c1 * j) ** 2
+            rem = cutoff - row_mu
             if rem < 0:
                 break
+            row_key, row_mult = j * j * w2, 1 if j == 0 else 2
             kmax = int(math.floor(math.sqrt(max(rem, 0.0)) / c2 + 1e-12))
-            for k in range(0, kmax + 1):
-                mu = (c1 * j) ** 2 + (c2 * k) ** 2
+            for col_mu, col_key, col_mult in columns[:kmax + 1]:
+                mu = row_mu + col_mu
                 if mu > cutoff:
                     continue
-                key = j * j * w2 + k * k * w1
-                mult = (1 if j == 0 else 2) * (1 if k == 0 else 2)
+                key = row_key + col_key
+                mult = row_mult * col_mult
                 group = groups.get(key)
                 if group is None:
                     groups[key] = [mu, mult, mu, mu]

@@ -32,8 +32,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import to_fixed
-from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
+from mpmath.libmp import dps_to_prec, from_float, mpf_log, to_fixed
+from mpmath.libmp.libelefun import exp_fixed, ln2_fixed, pi_fixed
 
 from .errors import (
     ConvergenceError,
@@ -52,6 +52,7 @@ from .spectra import (
     enumerate_spectrum,
     heat_coefficients,
     heat_tail_bound,
+    heat_trace,
     kernel_dim,
 )
 
@@ -126,9 +127,6 @@ class _PointBackend:
     def __init__(self, cs: Point):
         pass
 
-    def point_mp(self, s: float):
-        return mp.mpf(0), mp.mpf(0)
-
     def point(self, s: float) -> ZetaPoint:
         return ZetaPoint(s, 0.0, 0.0)
 
@@ -149,21 +147,18 @@ class _CircleBackend:
         self.ell = cs.circumference
         self._points: dict = {}
 
-    def point_mp(self, s: float):
-        """(finite part, residue) as mpmath values at the working precision."""
-        c = mp.mpf(self.c)
-        if s == 0.5:
-            # zeta_R(2s) has its pole here: residue 1/c, finite part from
-            # the gamma-free Laurent expansion of the prefactor
-            return 2 / c * (mp.euler - mp.log(c)), 1 / c
-        ss = mp.mpf(s)
-        return 2 * mp.power(c, -2 * ss) * mp.zeta(2 * ss), mp.mpf(0)
-
     def point(self, s: float) -> ZetaPoint:
         hit = self._points.get(s)
         if hit is None:
             with mp.workdps(_DPS):
-                val, res = self.point_mp(s)
+                c = mp.mpf(self.c)
+                if s == 0.5:
+                    # zeta_R(2s) has its pole here: residue 1/c, finite part from
+                    # the gamma-free Laurent expansion of the prefactor
+                    val, res = 2 / c * (mp.euler - mp.log(c)), 1 / c
+                else:
+                    ss = mp.mpf(s)
+                    val, res = 2 * mp.power(c, -2 * ss) * mp.zeta(2 * ss), 0
                 hit = self._points[s] = ZetaPoint(s, float(val), float(res))
         return hit
 
@@ -196,6 +191,86 @@ class _CircleBackend:
 # cylinder heat constant and k/2, k = 1..15, for the binomial series of
 # log_det_shifted.  Their Bessel orders |s - 1/2| are 0, 1/2, 1, ..., 7.
 _STANDARD_S = (-0.5,) + tuple(k / 2.0 for k in range(1, 16))
+
+# The torus backend's precision p, in bits, and the bits F of the
+# fixed-point factors it assembles its values from (``_TorusBackend``).
+_PREC = dps_to_prec(_DPS)
+_FIX = _PREC + 24
+
+
+def _man_exp(x: float) -> tuple:
+    """(m, e) with x = m 2^e exactly, m a 53-bit integer, for a double x > 0."""
+    f, e = math.frexp(x)
+    return int(f * 2.0**53), e - 53
+
+
+def _shift(n: int, k: int) -> int:
+    """n 2^-k, rounded down."""
+    return n >> k if k >= 0 else n << -k
+
+
+def _to_float(n: int, e: int) -> float:
+    """n 2^-e correctly rounded to a double."""
+    return n / (1 << e) if e >= 0 else float(n << -e)
+
+
+def _mul(*factors) -> tuple:
+    """The product of values (n, e), each n 2^-e."""
+    n, e = 1, 0
+    for fn, fe in factors:
+        n *= fn
+        e += fe
+    return n, e
+
+
+def _fix(v) -> tuple:
+    """The mpf tuple v as (n, e), v = n 2^-e, n its leading _FIX bits
+    rounded down: within 2^(1 - _FIX) relative."""
+    e = _FIX - v[2] - v[3]
+    return to_fixed(v, e), e
+
+
+def _half_power(x: float, j: int, e: int) -> int:
+    """2^e x^(j/2) within 2 units, for a double x > 0 and an integer j: for
+    even j, formed exactly and rounded down once; for odd j, the integer
+    square root of 2^(2e) x^j, so formed."""
+    m, ex = _man_exp(x)
+    k, scale = (j, 2 * e) if j % 2 else (j // 2, e)  # 2^scale x^k, x = m 2^ex
+    shift = scale + ex * k
+    if k >= 0:
+        n = _shift(m**k, -shift)
+    else:
+        n = (1 << shift) // m**-k if shift >= 0 else 0
+    return math.isqrt(n) if j % 2 else n
+
+
+def _powers(x: float, ys) -> list:
+    """[x^y for y in ys] as (n, e), each within 2^(7 - _FIX) relative, n of
+    about _FIX bits, for doubles x > 0 and y.
+
+    Where 2y is an integer, ``_half_power`` gives n within 2 units of
+    n >= 2^(_FIX - 1).  Otherwise x^y = 2^k exp(t) with y ln x = k ln 2 + t,
+    formed at g = _FIX + 16 + (bits of 2|y| + 4|y ln x|) bits from ln x
+    within an ulp at g + 8 bits: y ln x is within 2|y| + |y ln x| + 1 units
+    of 2^-g, and t within |k| <= 1.45 |y ln x| + 1 more, below 2^-(_FIX + 15)
+    in all, before it is cut to _FIX bits; ``exp_fixed`` on [0, ln 2) is
+    within 2^6 units (about ten series roundings at _FIX + r bits, r =
+    isqrt(_FIX), and r squarings that double the relative error), and
+    n >= 2^_FIX.
+    """
+    out, log2_x = [], math.log2(x)
+    for y in ys:
+        if 2.0 * y == math.floor(2.0 * y):
+            e = _FIX - math.floor(y * log2_x)
+            out.append((_half_power(x, int(2.0 * y), e), e))
+            continue
+        g = _FIX + 16 + math.ceil(math.log2(2.0 * abs(y) + 4.0 * abs(y * math.log(x)) + 1.0))
+        num, den = y.as_integer_ratio()
+        ln2 = ln2_fixed(g)
+        k, t = divmod(num * to_fixed(mpf_log(from_float(x), g + 8), g) // den, ln2)
+        out.append((exp_fixed(t >> (g - _FIX), _FIX, ln2_fixed(_FIX)), _FIX - k))
+    return out
+
 
 # 2 pi a, 1 - cos a and -ln cos a on the strip half-widths a = i pi / 64,
 # i = 1..31, that ``_BesselK._step`` tries
@@ -298,6 +373,12 @@ class _BesselK:
         budget = math.log(4.0) - np.asarray(log_eps)
         hmax = (_TWO_PI_A / (budget[:, None] + np.asarray(zs)[:, None] * _VERSINE + nu * _LOG_SEC)).max(axis=1)
         return 2.0 ** (-math.ceil(-2.0 * math.log2(hmax.min())) / 2.0)
+
+    def _log_need(self, z: float, h: float) -> float:
+        """ln of the least budget at which ``_step`` lets the step h serve z,
+        raised by 1e-9 so that its roundings keep h."""
+        nu = max(self.numax, 0.5)
+        return float((math.log(4.0) + z * _VERSINE + nu * _LOG_SEC - _TWO_PI_A / h).min()) + 1e-9
 
     def _nodes(self, z: float, h: float, log_eps: float, least: int = 2) -> int:
         """Node count at z for the budget exp(log_eps), at least ``least``
@@ -407,17 +488,13 @@ def _cosh_table(orders, h: float, bits: int) -> _CoshTable:
 
 
 @functools.lru_cache(maxsize=64)
-def _pass_plan(svals: tuple, prec: int) -> tuple:
-    """(plan, picks) of a pass over svals at prec bits: the ``_BesselK`` of
-    the orders |s - 1/2|, lowest first, and per s the index of its order and
-    the exponent 2s - 1 of r^(1/2 - s) = u^(2s - 1), an int where 2s is one."""
+def _pass_plan(svals: tuple) -> tuple:
+    """(plan, picks) of a pass over svals: the ``_BesselK`` of the orders
+    |s - 1/2|, lowest first, at the torus precision _PREC, and per s the
+    index of its order."""
     nus = [abs(Fraction(s) - Fraction(1, 2)) for s in svals]
     orders = sorted(set(nus))
-    picks = tuple(
-        (orders.index(nu), int(2 * s - 1) if 2 * s == int(2 * s) else 2 * s - 1)
-        for s, nu in zip(svals, nus)
-    )
-    return _BesselK(tuple(orders), prec), picks
+    return _BesselK(tuple(orders), _PREC), tuple(orders.index(nu) for nu in nus)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -458,33 +535,83 @@ def _settle_shifts(p: int, nu: float, z1: float) -> list:
         m += 1
 
 
-@functools.lru_cache(maxsize=64)
-def _torus_constants(s: float, prec: int) -> tuple:
-    """The torus-independent factors of ``_TorusBackend`` at s, at prec bits.
+def _shell_budgets(plan: _BesselK, z1: float, shells: int) -> list:
+    """ln e_m, the step-and-truncation budget of each shell m = 1..M of a
+    pass at z1 over M = shells shells (``_bessel_pass``).
 
-    s = 1: (2 sqrt(pi), Gamma(1/2), psi(1/2) - psi(1), zeta_R(2), 8 pi);
-    s = 1/2: (gamma/2 - ln 2 pi + psi(1/2)/2,);
-    otherwise: (zeta_R(2s), 2 sqrt(pi), 1/Gamma(s), G(s), 8 pi^s / Gamma(s))
-    with G(s) = Gamma(s - 1/2) zeta_R(2s - 1), or its limit
+    A term t_m = m^-nu sigma_2nu(m) K_nu(z_m) of order nu is at most
+    r_m t_1, r_m = max(d(m), m^-nu* sigma_2nu*(m)) e^(-(m - 1) z1) with d(m)
+    the number of divisors and nu* the largest order: K_nu(m z1) <=
+    e^(-(m - 1) z1) K_nu(z1) as cosh t >= 1, and m^-nu sigma_2nu(m) =
+    sum_{d|m} (d^2/m)^nu is convex in nu >= 0, so at most its larger end.
+
+    Shell 1 takes eps = 2^-(p + 8).  The later shells share eps/2 of the
+    pass total: shell m takes e_m = min(1/8, max(n_m, theta / r_m)), where
+    n_m is the least budget at which shell 1's own step serves z_m and
+    theta fills the share, sum_m max(n_m r_m, theta) = eps/2; so
+    sum_m e_m r_m <= eps/2.  Where no shell needs more than the even share
+    eps / (2 (M - 1)), theta is that share.  Where the needs n_m r_m add up
+    to eps/2 or more, or some n_m exceeds 1/8, shell 1's step is out of
+    reach: the shells take even shares and the grid the finer step they
+    ask for.
+    """
+    nu = float(plan.orders[-1])
+    later = range(2, shells + 1)
+    log_ratio = []
+    for m in later:
+        logs = [2.0 * math.log(d) - math.log(m) for d in range(1, m + 1) if m % d == 0]
+        top = math.log(math.fsum(math.exp(nu * x) for x in logs))
+        log_ratio.append(max(math.log(len(logs)), top) - (m - 1) * z1)
+    h = plan._step([z1], [plan.log_eps])
+    log_need = [plan._log_need(m * z1, h) for m in later]
+    needs = sorted((math.exp(n + r) for n, r in zip(log_need, log_ratio)), reverse=True)
+    theta, spent, half = None, 0.0, math.exp(plan.log_eps) / 2.0
+    if needs and max(log_need) <= -math.log(8.0):
+        for i, a in enumerate(needs):
+            share = (half - spent) / (len(needs) - i)
+            if share >= a and share > 0.0:
+                theta = share
+                break
+            spent += a
+    if theta is None:
+        log_theta, log_need = plan.log_eps - math.log(2.0 * max(shells - 1, 1)), [-math.inf] * len(log_need)
+    else:
+        log_theta = math.log(theta)
+    return [plan.log_eps] + [min(max(n, log_theta - r), -math.log(8.0)) for n, r in zip(log_need, log_ratio)]
+
+
+@functools.lru_cache(maxsize=64)
+def _torus_constants(s: float) -> tuple:
+    """(C1, D1, C2, D2, C3, CR): the torus-independent factors of
+    ``_TorusBackend`` at s, each as (n, e) from ``_fix``, or None where the
+    term is absent.
+
+    s = 1/2: C1 = 2 gamma, D1 = -2, C2 = gamma - 2 ln 2 pi + psi(1/2), D2 = 2,
+    C3 = 8; s = 1: C1 = 2 zeta_R(2), C2 = 2 pi (gamma + (psi(1/2) - psi(1))/2),
+    D2 = -2 pi, C3 = 8 pi, CR = pi; otherwise C1 = 2 zeta_R(2s),
+    C2 = 2 sqrt(pi) G(s) / Gamma(s), C3 = 8 pi^s / Gamma(s), with
+    G(s) = Gamma(s - 1/2) zeta_R(2s - 1), or its limit
     (-1)^n 2 zeta_R'(-2n) / n! at s = 1/2 - n, n >= 1, where the pole of
     Gamma meets a trivial zero of zeta_R.
     """
-    with mp.workprec(prec):
+    with mp.workprec(_FIX + 16):
         if s == 0.5:
-            return (mp.euler / 2 - mp.log(2 * mp.pi) + mp.digamma(mp.mpf(0.5)) / 2,)
-        two_sqrt_pi = 2 * mp.sqrt(mp.pi)
-        if s == 1.0:
-            psi_diff = mp.digamma(mp.mpf(0.5)) - mp.digamma(1)
-            return two_sqrt_pi, mp.gamma(mp.mpf(0.5)), psi_diff, mp.zeta(2), 8 * mp.pi
-        ss = mp.mpf(s)
-        n = 0.5 - s
-        if n == round(n) and n >= 1:
-            n = int(round(n))
-            gz = mp.mpf(2) * (-1) ** n * mp.zeta(-2 * mp.mpf(n), derivative=1) / mp.factorial(n)
+            c = (2 * mp.euler, -2, mp.euler - 2 * mp.log(2 * mp.pi) + mp.digamma(mp.mpf(0.5)), 2, 8, None)
+        elif s == 1.0:
+            c = (2 * mp.zeta(2), None, 2 * mp.pi * (mp.euler + (mp.digamma(mp.mpf(0.5)) - mp.digamma(1)) / 2),
+                 -2 * mp.pi, 8 * mp.pi, mp.pi)
         else:
-            gz = mp.gamma(ss - mp.mpf(0.5)) * mp.zeta(2 * ss - 1)
-        rgamma_s = mp.rgamma(ss)
-        return mp.zeta(2 * ss), two_sqrt_pi, rgamma_s, gz, 8 * mp.power(mp.pi, ss) * rgamma_s
+            ss = mp.mpf(s)
+            n = 0.5 - s
+            if n == round(n) and n >= 1:
+                n = int(round(n))
+                gz = mp.mpf(2) * (-1) ** n * mp.zeta(-2 * mp.mpf(n), derivative=1) / mp.factorial(n)
+            else:
+                gz = mp.gamma(ss - mp.mpf(0.5)) * mp.zeta(2 * ss - 1)
+            rgamma_s = mp.rgamma(ss)
+            c = (2 * mp.zeta(2 * ss), None, 2 * mp.sqrt(mp.pi) * rgamma_s * gz, None,
+                 8 * mp.power(mp.pi, ss) * rgamma_s, None)
+        return tuple(None if x is None else _fix(mp.mpf(x)._mpf_) for x in c)
 
 
 class _TorusBackend:
@@ -510,22 +637,40 @@ class _TorusBackend:
     the orders mod 1 and the upward recurrence.  With nu = |s - 1/2|,
     (r m)^(1/2-s) sigma_{2s-1}(m) = r^(1/2-s) m^-nu sigma_{2nu}(m), an
     exact integer divisor sum for the standard s.  A pass sums every shell
-    on one node grid.  Step and truncation cost shell 1 at most 1.6 eps
-    relative of its own K_nu(z_1), eps = 2^-(p + 8) (``_BesselK``); a
-    later shell m of M is held instead to 0.8 eps / (M - 1) of the pass
-    total, through t_m / t_1 <= m^(nu + 1) e^(-(m - 1) z1)
-    (``_bessel_pass``), so the grid takes shell 1's step in most passes.
-    With the shells after the one the pass stops at (1.25 eps) and the
-    roundings (eps/4), each B(s) lies within (1.6 + 0.8 + 1.25 + 1/4) eps
-    < 2^-(p + 6) relative at precision p; with the values of
-    ``_torus_constants`` within a unit each, ``point_mp`` is within 2^-(p + 6) |t_B| + 2^-(p - 4) sum |t_i| of
-    Z(s), t_i the ``terms`` and t_B the last.
+    on one node grid, shell 1's own in most passes, and gives
+    r^(s-1/2) B(s) within 2^-(p + 6) relative, p = _PREC.
+
+    Assembly.  With the constants of ``_torus_constants``,
+
+        Z(s) = c1^(-2s) (C1 + D1 ln c1) + c1^-1 c2^(1-2s) (C2 + D2 ln c2)
+             + C3 c1^(-2s) r^(1/2-s) (r^(s-1/2) B(s)),
+
+    and the residue is CR c1^-1 c2^(1-2s); r is the double c2/c1 that the
+    pass's z1 = 2 pi r takes too.  Every factor is an integer n
+    with a binary scale e, the value n 2^-e: constants and the logarithms
+    (mpmath's ``mpf_log`` of the doubles c1 and c2) within 2^(2 - F)
+    relative, F = _FIX = p + 24 (``_fix``), and the powers within
+    2^(7 - F) (``_powers``).  A term t_i, the product of one constant, at
+    most two powers and at most one logarithm or Bessel block, is then an
+    exact integer within 2^(10 - F) relative of its value, apart from the
+    2^-(p + 6) of the Bessel term t_B.  The terms are rounded down to the
+    scale S at which the largest has F bits, so that a unit 2^-S is at most
+    2^(1 - F) max |t_i|, and summed: the finite part N 2^-S is within
+
+        2^-(p + 6) |t_B| + 2^(10 - F) sum |t_i| + 5 units
+        <= 2^-(p + 6) |t_B| + 2^-(p + 13) sum |t_i|
+
+    of Z(s), and the residue R 2^-S within 2^(10 - F) of its value and a
+    unit; ``fixed`` states one bound for both in units of 2^-S, and
+    ``point`` rounds N / 2^S and R / 2^S correctly to doubles.  No value
+    depends on mpmath's global precision.
 
     One table per torus: the first request for an s of ``_STANDARD_S``
-    runs one pass for the whole set and fills the finite parts and
-    residues of all of it through ``terms``; every other s is a pass of
-    its own.  ``_bessel_sum`` and ``terms`` are the per-s steps both
-    routes take.
+    runs one pass for the whole set and assembles all of it; every other
+    s is a pass of its own.  ln c1 and ln c2 enter at s = 1/2 and s = 1,
+    and every standard power is a half-integer one, so a standard table
+    evaluates nothing in mpmath but ln c1 and ln c2 and libmp's fixed-point
+    helpers, once the torus-independent plans, tables and constants exist.
     """
 
     def __init__(self, cs: FlatTorus):
@@ -534,133 +679,117 @@ class _TorusBackend:
         self.c2 = 2.0 * math.pi / lb
         self.ell_big = la
         self.ratio = self.c2 / self.c1  # = la/lb >= 1
-        self._mp_cache: dict = {}  # (s, prec) -> (finite part, residue)
-        self._blocks: dict = {}  # prec -> {s: B(s)} of the standard pass
+        self._table: dict = {}  # s -> fixed(s)
 
-    def _bessel_sum(self, s: float):
-        """B(s) at the working precision."""
-        if s not in _STANDARD_S:
-            return self._bessel_pass((s,))[0]
-        prec = mp.mp.prec
-        blocks = self._blocks.get(prec)
-        if blocks is None:
-            blocks = self._blocks[prec] = dict(zip(_STANDARD_S, self._bessel_pass(_STANDARD_S)))
-        return blocks[s]
+    def _bessel_pass(self, svals) -> list:
+        """r^(s - 1/2) B(s) = h e^(-z1) A_nu for every s of svals, as (n, e),
+        from one fixed-point pass over the shells.
 
-    def _bessel_pass(self, svals):
-        """B(s) for every s of svals in one fixed-point pass over the shells.
+        A_nu = sum_m t_m e^(z1) / h, nu = |s - 1/2|, z_m = m z1 = 2 pi r m,
+        t_m = m^-nu sigma_2nu(m) K_nu(z_m), and A_nu >= 1/2 at any aspect
+        ratio.  Shell m's weights are m-th powers of shell 1's, so one node
+        grid serves every shell.
 
-        B(s) = r^(1/2-s) h e^(-z1) A_nu, nu = |s - 1/2|, z_m = m z1 = 2 pi r m,
-        A_nu = sum_m t_m e^(z1) / h, t_m = m^-nu sigma_2nu(m) K_nu(z_m), and
-        A_nu >= 1/2 at any aspect ratio.  Shell m's weights are m-th powers
-        of shell 1's, so one node grid serves every shell.
+        Budgets.  Every order's t_m <= r_m t_1 (``_shell_budgets``), and t_1
+        is at most the total, so a relative error d of shell m's K values is
+        at most d r_m of the total.  Shell 1 takes the budget
+        e_1 = eps = 2^-(p + 8) of ``_BesselK``; the later shells of the M
+        that ``_settle_shifts`` allows take budgets e_m <= 1/8 with
+        sum_m e_m r_m <= eps/2 (``_shell_budgets``), so step and truncation,
+        1.6 e_m relative of each K_nu(z_m), cost at most 1.6 eps of the
+        total in shell 1 and 0.8 eps in all later shells together.  The
+        pass stops at a shell by comparing its computed terms, at least
+        1 - 1.6 e_m >= 4/5 of the true ones, with the totals, so the shells
+        after it add at most eps / (4/5) = 1.25 eps, not the eps of
+        ``_settle_shifts``.  The budgets let every later shell take shell
+        1's own step wherever their needs fit in eps/2; the grid takes the
+        smallest of the shells' steps at their budgets, and each shell the
+        nodes its budget needs, at least as many as the next.
 
-        Budgets.  With nu now the largest order of the pass,
-        t_m <= m^(nu + 1) e^(-(m - 1) z1) t_1 (``_settle_shifts``) and t_1 is
-        at most the total, so a relative error d of shell m's K values is
-        at most d m^(nu + 1) e^(-(m - 1) z1) of the total.  Shell 1 takes
-        the budget e_1 = eps = 2^-(p + 8) of ``_BesselK``; each later shell
-        of the M that ``_settle_shifts`` allows takes
-
-            e_m = min(1/8, eps e^((m - 1) z1) / (2 (M - 1) m^(nu + 1))),
-
-        so step and truncation, 1.6 e_m relative of each K_nu(z_m), cost
-        at most 1.6 eps of the total in shell 1 and 0.8 eps in all later
-        shells together.  The pass stops at a shell by comparing its
-        computed terms, at least 1 - 1.6 e_m >= 4/5 of the true ones, with
-        the totals, so the shells after it add at most eps / (4/5) =
-        1.25 eps, not the eps of ``_settle_shifts``.  The budgets grow fast
-        with m, so the step is shell 1's own in most passes: the grid
-        takes the smallest of the shells' steps at their budgets, and each
-        shell the nodes its budget needs, at least as many as the next.
-
-        B(s) is then within (2.4 + 1.25 + 1/4) eps < 4 eps = 2^-(p + 6)
-        relative: step and truncation 2.4 eps; the shells after the one
-        the pass stops at 1.25 eps; the powers (m roundings in shell m),
-        recurrence, accumulation and z (z_m within m units) below eps/4
-        (``_BesselK._guard``); the final products a few units more.
+        h e^(-z1) A_nu is then within (2.4 + 1.25 + 1/4) eps < 4 eps =
+        2^-(p + 6) relative: step and truncation 2.4 eps; the shells after
+        the one the pass stops at 1.25 eps; the powers (m roundings in
+        shell m), recurrence, accumulation and z (z_m within m units) below
+        eps/4 (``_BesselK._guard``); and e^(-z1), which ``exp_fixed`` gives
+        within 2^6 units of its leading 2^P (P >= p + 32, as the guard's
+        bound exceeds 2^6), below 2^-(p + 25) more.  The step h is a double
+        and enters exactly.
         """
-        besselk, picks = _pass_plan(tuple(svals), mp.mp.prec)
+        besselk, picks = _pass_plan(tuple(svals))
         z1f = 2.0 * math.pi * self.ratio
-        nu = float(besselk.orders[-1])
-        shifts = _settle_shifts(besselk.p, nu, z1f)
+        shifts = _settle_shifts(besselk.p, float(besselk.orders[-1]), z1f)
         shells = len(shifts)
-        budgets = [besselk.log_eps] + [
-            min(besselk.log_eps + (m - 1) * z1f - (nu + 1.0) * math.log(m) - math.log(2.0 * (shells - 1)),
-                -math.log(8.0))
-            for m in range(2, shells + 1)
-        ]
+        budgets = _shell_budgets(besselk, z1f, shells)
         h = besselk._step([m * z1f for m in range(1, shells + 1)], budgets)
         counts = [besselk._nodes(shells * z1f, h, budgets[-1])]
         for m in range(shells - 1, 0, -1):
             counts.insert(0, besselk._nodes(m * z1f, h, budgets[m - 1], counts[0]))
         table = _cosh_table(besselk.integrated, h, besselk.p + besselk._guard(z1f, h, counts))
         bits = table.bits
-        with mp.workprec(bits + 16):
-            z1 = 2 * mp.pi * mp.mpf(self.ratio)
-        zfix = to_fixed(z1._mpf_, bits)
+        mr, er = _man_exp(self.ratio)
+        zfix = _shift(pi_fixed(bits + 16) * mr, 15 - er)  # 2 pi r 2^bits, rounded down
         weights = table.weights(zfix, counts[0])
         powers = [1 << bits] + weights[1:]  # b_0 = 1 keeps w_0 halved
-        e1, decay = exp_fixed(-zfix, bits, ln2_fixed(bits)), 1 << bits
+        ln2 = ln2_fixed(bits)
+        k, t = divmod(-zfix, ln2)
+        e1 = exp_fixed(t, bits, ln2)  # e^-z1 = e1 2^(k - bits)
+        decay = 1 << bits
         totals = [0] * len(besselk.orders)
         for m, (n, shift) in enumerate(zip(counts, shifts), 1):
             if m > 1:
                 weights = [(w * b) >> bits for w, b in zip(weights, powers[:n])]
-                decay = (decay * e1) >> bits
-            k = besselk.shell(table, weights, m * zfix)
+                decay = (decay * (e1 >> -k)) >> bits
+            kv = besselk.shell(table, weights, m * zfix)
             settled = shift is not None
             for i, (j, w) in enumerate(zip(besselk.out, _divisor_weights(besselk, m, bits))):
-                term = (k[j] * w * decay) >> (2 * bits)
+                term = (kv[j] * w * decay) >> (2 * bits)
                 totals[i] += term
                 settled = settled and term << shift <= totals[i]
             if settled:
                 break
-        with mp.workprec(besselk.prec):
-            u = 1 / mp.sqrt(mp.mpf(self.ratio))  # r^(1/2 - s) = u^(2s - 1)
-            scale = mp.ldexp(h * mp.exp(-z1), -bits)
-            return [scale * totals[i] * (u**e if isinstance(e, int) else mp.power(u, e)) for i, e in picks]
+        mh, eh = _man_exp(h)
+        return [(mh * e1 * totals[i], 2 * bits - k - eh) for i in picks]
 
-    def point_mp(self, s: float):
-        """(finite part, residue) as mpmath values; cached per location."""
-        prec = mp.mp.prec
-        hit = self._mp_cache.get((s, prec))
+    def _assemble(self, s: float, block, pa, pb, pr, logs) -> tuple:
+        """``fixed(s)`` from the pass's r^(s - 1/2) B(s), the powers
+        pa = c1^(-2s), pb = c1^-1 c2^(1-2s) and pr = r^(1/2-s), and at s = 1/2
+        and s = 1 (ln c1, ln c2)."""
+        c1_term, d1, c2_term, d2, c3, cr = _torus_constants(s)
+        terms = [_mul(c3, pa, pr, block), _mul(c1_term, pa), _mul(c2_term, pb)]
+        if d1 is not None:
+            terms.append(_mul(d1, logs[0], pa))
+        if d2 is not None:
+            terms.append(_mul(d2, logs[1], pb))
+        scale = _FIX - max((n.bit_length() - e for n, e in terms if n), default=0)
+        ints = [_shift(n, e - scale) for n, e in terms]
+        res = 0
+        if cr is not None:
+            n, e = _mul(cr, pb)
+            res = _shift(n, e - scale)
+        err = ((sum(map(abs, ints)) + abs(res)) >> (_FIX - 10)) + (abs(ints[0]) >> (_PREC + 6)) + 8
+        return sum(ints), res, scale, err
+
+    def fixed(self, s: float) -> tuple:
+        """(N, R, S, E): the finite part N 2^-S and the residue R 2^-S of
+        Z(s), both within E units of 2^-S; integers, kept per s."""
+        hit = self._table.get(s)
         if hit is None:
-            for t in _STANDARD_S if s in _STANDARD_S else (s,):
-                terms, res = self.terms(t)
-                self._mp_cache[(t, prec)] = sum(terms), res
-            hit = self._mp_cache[(s, prec)]
+            if s == 0.0:
+                return -1, 0, 0, 0
+            svals = _STANDARD_S if s in _STANDARD_S else (s,)
+            # ln c1 and ln c2 enter at s = 1/2 and s = 1, both standard
+            logs = [_fix(mpf_log(from_float(c), _FIX + 8)) for c in (self.c1, self.c2)] if len(svals) > 1 else None
+            (inv_c1,) = _powers(self.c1, [-1.0])
+            columns = zip(svals, self._bessel_pass(svals), _powers(self.c1, [-2.0 * t for t in svals]),
+                          _powers(self.c2, [1.0 - 2.0 * t for t in svals]), _powers(self.ratio, [0.5 - t for t in svals]))
+            for t, block, pa, pc2, pr in columns:
+                self._table[t] = self._assemble(t, block, pa, _mul(inv_c1, pc2), pr, logs)
+            hit = self._table[s]
         return hit
 
-    def terms(self, s: float):
-        """(terms, residue): the finite part is sum(terms), added in order."""
-        c1 = mp.mpf(self.c1)
-        c2 = mp.mpf(self.c2)
-        if s == 0.0:
-            return [mp.mpf(-1)], mp.mpf(0)
-        const = _torus_constants(s, mp.mp.prec)
-        if s == 1.0:
-            # pole of zeta_R(2s-1); residue pi/(c1 c2) = area/(4 pi)
-            two_sqrt_pi, gamma_half, psi_diff, zeta2, eight_pi = const
-            d1 = two_sqrt_pi / c1 * gamma_half / c2
-            dlog = psi_diff - 2 * mp.log(c2)
-            c1_pow = c1**-2
-            return [2 * c1_pow * zeta2, d1 * mp.euler, d1 * dlog / 2,
-                    eight_pi * c1_pow * self._bessel_sum(1.0)], mp.pi / (c1 * c2)
-        if s == 0.5:
-            # the prefactor pole of Gamma(s-1/2) cancels the zeta_R(2s) pole
-            (offset,) = const
-            return [2 / c1 * (mp.euler - mp.log(c1)), 2 / c1 * (offset + mp.log(c2)),
-                    8 / c1 * self._bessel_sum(0.5)], mp.mpf(0)
-        zeta_2s, two_sqrt_pi, rgamma_s, gz, eight_pi_s_rgamma = const
-        k = int(2 * s) if 2 * s == int(2 * s) else 2 * mp.mpf(s)  # an integer exponent when 2s is one
-        c1_pow = c1**-k
-        return [2 * c1_pow * zeta_2s, two_sqrt_pi / c1 * rgamma_s * c2 ** (1 - k) * gz,
-                eight_pi_s_rgamma * c1_pow * self._bessel_sum(s)], mp.mpf(0)
-
     def point(self, s: float) -> ZetaPoint:
-        with mp.workdps(_DPS):
-            val, res = self.point_mp(s)
-            return ZetaPoint(s, float(val), float(res))
+        n, r, scale, _ = self.fixed(s)
+        return ZetaPoint(s, _to_float(n, scale), _to_float(r, scale))
 
     def derivative0(self) -> float:
         # d/ds at 0: the Bessel block collapses to a dilogarithm-free
@@ -976,6 +1105,31 @@ def _check_alpha(alpha: float) -> None:
         raise ValidationError(f"alpha must be finite with |alpha| <= 1e150, got {alpha}")
 
 
+# modes that a scan or series whose cutoff alpha sets may enumerate; a
+# million torus modes take about two seconds to list
+_MODE_BUDGET = 10**6
+
+
+def _check_modes(cs: CrossSection, cutoff: float, alpha: float) -> None:
+    """Refuse alpha, before any mode is enumerated, when the spectrum of cs
+    up to the cutoff that alpha sets may hold more than _MODE_BUDGET modes.
+
+    On a spectrum known in full the count is at most e^(t cutoff) Theta(t)
+    for every t > 0, Theta the heat trace; t = max(dim, 1) / (2 cutoff)
+    makes this about e^(dim/2) times the Weyl count.  Stored spectra stop
+    at their largest mode.
+    """
+    if cs.max_trusted < math.inf:
+        return
+    t = max(cs.dim, 1) / (2.0 * cutoff)
+    count = math.exp(t * cutoff) * heat_trace(cs, t)
+    if count > _MODE_BUDGET:
+        raise ValidationError(
+            f"alpha = {alpha} needs the spectrum up to {cutoff:.3g}, up to {count:.3g} modes: "
+            f"more than the mode budget of {_MODE_BUDGET:,}"
+        )
+
+
 def _check_admissible(cs: CrossSection, alpha: float, cutoff: float, values, message):
     """Refuse a parameter alpha at which an operator over cs is singular.
 
@@ -985,6 +1139,7 @@ def _check_admissible(cs: CrossSection, alpha: float, cutoff: float, values, mes
     1e-14 max(1, |alpha|) of zero at the mode mu raises
     ``SingularParameterError(message(mu))``.
     """
+    _check_modes(cs, cutoff, alpha)
     tol = 1e-14 * max(1.0, abs(alpha))
     for e in enumerate_spectrum(cs, cutoff):
         if any(abs(v) < tol for v in values(math.sqrt(e.eigenvalue))):
@@ -998,7 +1153,14 @@ def _shift_refusal(alpha: float, mu: float) -> str:
 
 
 def _log1p_tail(x: float, kmax: int) -> float:
-    """sum_{k>=kmax} (-1)^(k+1) x^k / k, summed directly (no cancellation)."""
+    """sum_{k>=kmax} (-1)^(k+1) x^k / k, summed directly (no cancellation),
+    for |x| < 1.
+
+    The sum stops once |x|^k falls below 2^-54 of the total: every later
+    term is then under half an ulp of it and cannot move it.  The floor
+    1e-55 stops a zero or tiny total where the rule that summed on to
+    1e-25 max(|total|, 1e-30) stopped it, so the two agree bit for bit.
+    """
     term = (-1.0) ** (kmax + 1) * x**kmax
     total = 0.0
     k = kmax
@@ -1006,56 +1168,73 @@ def _log1p_tail(x: float, kmax: int) -> float:
         total += term / k
         term *= -x
         k += 1
-        if abs(term) < 1e-25 * max(abs(total), 1e-30) or k > kmax + 400:
+        if abs(term) < max(2.0**-54 * abs(total), 1e-55) or k > kmax + 400:
             return total
 
 
 _KORDER = 16  # binomial terms expanded by _shifted_via_series
+# largest stated error of the binomial series on a torus that
+# _shifted_via_series answers with; above it it raises ConvergenceError
+_SERIES_GATE = 1e-8
 
 
 def _truncated_row(cs: CrossSection, mu0: float, backend) -> tuple:
     """The alpha-free part of ``_shifted_via_series`` at the split mu0.
 
-    (low, c0, zetas): the positive modes up to mu0; the k = 0 binomial
-    term -1/2 d/ds zeta_{Delta,>mu0}(0), where removing the split-off low
-    modes adds +ln(mu) per mode to the derivative; and the truncated zeta
-    values zeta_{>mu0}(k/2) for k = 1, ..., _KORDER - 1, with the
-    harmonic-number weight of a residue at a pole.
+    (low, c0, zetas, errors): the positive modes up to mu0; the k = 0
+    binomial term -1/2 d/ds zeta_{Delta,>mu0}(0), where removing the
+    split-off low modes adds +ln(mu) per mode to the derivative; the
+    truncated zeta values zeta_{>mu0}(k/2) for k = 1, ..., _KORDER - 1,
+    with the harmonic-number weight of a residue at a pole; and per k a
+    stated bound on the error of zetas[k - 1], or None where the backend
+    states none.
 
     The difference zeta(k/2) - partial cancels catastrophically in doubles
-    for large k, so closed-form backends evaluate it at elevated precision;
-    on stored data the numeric backend switches to the directly summed
-    tail (its modes above mu0 plus half the model tail beyond them) once
-    the defining series converges comfortably.
+    for large k.  A torus forms it at the scale of its fixed-point table
+    (``_TorusBackend.fixed``), each low mode's power within 2 units, and
+    rounds it once.  Its error bound adds the table's, those units, and
+    the rounding of the low eigenvalues themselves: ``FlatTorus`` forms
+    (c1 j)^2 + (c2 k)^2 from the doubles c1, c2 of the table in four
+    roundings, within 4 2^-53 relative of the exact value, so that a
+    power -k/2 of it is within 2.02 k 2^-53 relative.  On stored data
+    the numeric backend switches to the directly summed tail (its modes
+    above mu0 plus half the model tail beyond them) once the defining
+    series converges comfortably.
     """
     low = [e for e in enumerate_spectrum(cs, mu0) if e.eigenvalue > 0]
     low_logsum = math.fsum(e.multiplicity * math.log(e.eigenvalue) for e in low)
     c0 = -0.5 * (backend.derivative0() + low_logsum)
+    zetas = []
+    if isinstance(backend, _TorusBackend):
+        errors = []
+        modes = sum(e.multiplicity for e in low)
+        for k in range(1, _KORDER):
+            val, res, scale, err = backend.fixed(k / 2.0)
+            partial = sum(e.multiplicity * _half_power(e.eigenvalue, -k, scale) for e in low)
+            weight, res = 2.0 * harmonic(k - 1), _to_float(res, scale)
+            zk = _to_float(val - partial, scale) + weight * res
+            zetas.append(zk)
+            errors.append((1.0 + weight) * _to_float(err + 2 * modes, scale)
+                          + 2.02 * k * 2.0**-53 * _to_float(partial, scale)
+                          + 2.0**-52 * (abs(zk) + weight * abs(res)))
+        return low, c0, zetas, errors
     d = cs.dim
     stored = enumerate_spectrum(cs, cs.max_trusted) if cs.max_trusted < math.inf else None
-    zetas = []
-    with mp.workdps(_DPS):
-        for k in range(1, _KORDER):
-            if hasattr(backend, "point_mp"):
-                val, res = backend.point_mp(k / 2.0)
-                partial = mp.fsum(
-                    e.multiplicity * mp.power(e.eigenvalue, -mp.mpf(k) / 2) for e in low
-                )
-                zk = float(val - partial) + 2.0 * harmonic(k - 1) * float(res)
-            elif k / 2.0 > d / 2.0 + 1.5 and stored is not None:
-                zk = _sum_above(stored, mu0, lambda mu: mu ** (-k / 2.0))
-                zk += 0.5 * power_tail_bound(cs, cs.max_trusted, k / 2.0)
+    for k in range(1, _KORDER):
+        if k / 2.0 > d / 2.0 + 1.5 and stored is not None:
+            zk = _sum_above(stored, mu0, lambda mu: mu ** (-k / 2.0))
+            zk += 0.5 * power_tail_bound(cs, cs.max_trusted, k / 2.0)
+        else:
+            zp = backend.point(k / 2.0)
+            partial = math.fsum(
+                e.multiplicity * e.eigenvalue ** (-k / 2.0) for e in low
+            )
+            if zp.residue == 0.0:
+                zk = zp.value - partial
             else:
-                zp = backend.point(k / 2.0)
-                partial = math.fsum(
-                    e.multiplicity * e.eigenvalue ** (-k / 2.0) for e in low
-                )
-                if zp.residue == 0.0:
-                    zk = zp.value - partial
-                else:
-                    zk = (zp.value - partial) + 2.0 * harmonic(k - 1) * zp.residue
-            zetas.append(zk)
-    return low, c0, zetas
+                zk = (zp.value - partial) + 2.0 * harmonic(k - 1) * zp.residue
+        zetas.append(zk)
+    return low, c0, zetas, None
 
 
 def _keep(cache: OrderedDict, key, value) -> None:
@@ -1077,7 +1256,10 @@ def _shifted_via_series(cs: CrossSection, alpha: float, backend) -> RegularizedD
     absolutely convergent log-tail sum with a certified bound.  The
     alpha-free zeta data (``_truncated_row``) depend on alpha only through
     the split mu0 = max(4 alpha^2, 1), so alpha and -alpha share one row,
-    kept on the backend.
+    kept on the backend.  Where the row states errors (a torus), their sum
+    over the series, sum_k |alpha|^k / k err_k, above _SERIES_GATE raises
+    ``ConvergenceError``: the cancellation in the truncated zeta values
+    then costs more digits than the result can spare.
     """
     q0 = kernel_dim(cs)
     logmod = 0.0
@@ -1090,9 +1272,18 @@ def _shifted_via_series(cs: CrossSection, alpha: float, backend) -> RegularizedD
     mu0 = max(4.0 * alpha * alpha, 1.0)
     row = backend.rows.get(mu0)
     if row is None:
+        _check_modes(cs, mu0, alpha)
         row = _truncated_row(cs, mu0, backend)
         _keep(backend.rows, mu0, row)
-    low, c0, zetas = row
+    low, c0, zetas, errors = row
+    if errors is not None:
+        err = math.fsum(abs(alpha) ** k / k * e for k, e in enumerate(errors, 1))
+        if err > _SERIES_GATE:
+            raise ConvergenceError(
+                f"the binomial series of ln Det(sqrt(Delta) + alpha) at alpha = {alpha} "
+                "loses its digits to cancellation against the low torus modes",
+                achieved=err,
+            )
     for e in low:
         lm, ph = signed_log(math.sqrt(e.eigenvalue) + alpha)
         logmod += e.multiplicity * lm

@@ -22,6 +22,7 @@ from zetaglue.cli import (
     main,
     run,
 )
+from zetaglue import spectra
 from zetaglue.spectra import Circle, explicit_mirror
 
 CIRCLE = "circle:6.283185307179586"
@@ -143,6 +144,22 @@ class TestRun:
             assert main(argv + ["--cross", cross, f"--alpha={alpha}"]) == EXIT_VALIDATION, argv
             error = json.loads(capsys.readouterr().out)["error"]
             assert "alpha must be finite with |alpha| <= 1e150" in error, argv
+
+    @pytest.mark.parametrize("cross", ["circle:6.28", "torus:6.28:3"])
+    def test_alpha_past_the_mode_budget_is_refused_before_enumerating(self, cross, capsys, monkeypatch):
+        # the admissibility scan would list the modes up to (2|alpha| + 2/L + 1)^2
+        listed = []
+        monkeypatch.setattr(spectra.Circle, "_lattice", lambda cs, cutoff: listed.append(cutoff))
+        monkeypatch.setattr(spectra.FlatTorus, "_lattice", lambda cs, cutoff: listed.append(cutoff))
+        for argv in (
+            ["det", "--bc", "nr", "--L", "1"],
+            ["det", "--bc", "rr", "--L", "1"],
+            ["glue", "--L", "1", "--a", "0.4"],
+        ):
+            assert main(argv + ["--cross", cross, "--alpha=1e20"]) == EXIT_VALIDATION, argv
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert "alpha = 1e+20" in error and "mode budget" in error, argv
+        assert listed == []
 
     def test_target_sets_the_series_truncation(self):
         cfg = {"command": "det", "cross_section": CIRCLE, "length": 1.5, "bc": "rr", "alpha": 0.4}

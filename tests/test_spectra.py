@@ -66,6 +66,17 @@ def fraction_keyed_torus_entries(cs, cutoff):
 
 
 class TestEnumerate:
+    def test_lattice_matches_the_per_point_loop(self):
+        # the lattice forms each row's and each column's square, key part
+        # and multiplicity once; the reference forms them at every point
+        rng = random.Random(20261019)
+        for _ in range(50):
+            aspect = math.exp(rng.uniform(0.0, math.log(8.0)))
+            side = math.sqrt(rng.uniform(2.0, 30.0) / aspect)
+            cs = FlatTorus(side, side * aspect)
+            for cutoff in (10.0, 100.0, 400.0, rng.uniform(1.0, 1e3)):
+                assert cs._lattice(cutoff)[0] == fraction_keyed_torus_entries(cs, cutoff), (cs, cutoff)
+
     def test_point(self):
         assert entries_as_pairs(enumerate_spectrum(Point(), 10.0)) == [(0.0, 1)]
 

@@ -127,14 +127,22 @@ def test_aspect_robin_reports_bit_identical(ell1, ell2, L, a, alpha, expected):
     assert (rep.lhs, rep.rhs, rep.residual) == expected
 
 
-class _DoubleSumTorus(zreg._TorusBackend):
-    """The Bessel block as the ungrouped (k, n) double sum with mp.besselk,
-    summed until a term falls below 10^-digits of the total."""
+class DoubleSumTorus:
+    """Z(s) of a flat torus in mp floats at the working precision, from the
+    library's doubles c1 <= c2 and r = c2/c1: the terms of the Chowla-Selberg
+    form, with the Bessel block B(s) as the ungrouped (k, n) double sum
+    with mp.besselk, summed until a term falls below 10^-digits of the
+    total.  Shares no code with the library."""
 
     digits = 32
     besselk = staticmethod(mp.besselk)
 
-    def _bessel_sum(self, s):
+    def __init__(self, cs):
+        la, lb = max(cs.ell1, cs.ell2), min(cs.ell1, cs.ell2)
+        self.c1, self.c2 = TWO_PI / la, TWO_PI / lb
+        self.ratio = self.c2 / self.c1
+
+    def bessel_sum(self, s):
         r, x, tol = mp.mpf(self.ratio), mp.mpf(s) - mp.mpf(0.5), mp.mpf(10) ** -self.digits
         besselk = lru_cache(maxsize=None)(lambda m: self.besselk(x, 2 * mp.pi * r * m))
         total, k = mp.mpf(0), 1
@@ -150,6 +158,37 @@ class _DoubleSumTorus(zreg._TorusBackend):
             if abs(inner) < tol * abs(total):
                 return total
             k += 1
+
+    def terms(self, s):
+        """(terms, residue): the finite part is the sum of the terms, each one
+        constant times powers and at most one logarithm or B(s), B last."""
+        c1, c2, ss = mp.mpf(self.c1), mp.mpf(self.c2), mp.mpf(s)
+        if s == 1.0:
+            # pole of zeta_R(2s - 1); residue pi/(c1 c2) = area/(4 pi)
+            d1 = 2 * mp.pi / (c1 * c2)
+            psi = mp.digamma(mp.mpf(0.5)) - mp.digamma(1)
+            return [2 * c1**-2 * mp.zeta(2), d1 * (mp.euler + psi / 2), -d1 * mp.log(c2),
+                    8 * mp.pi * c1**-2 * self.bessel_sum(s)], mp.pi / (c1 * c2)
+        if s == 0.5:
+            # the prefactor pole of Gamma(s - 1/2) cancels the zeta_R(2s) pole
+            offset = mp.euler / 2 - mp.log(2 * mp.pi) + mp.digamma(mp.mpf(0.5)) / 2
+            return [2 / c1 * mp.euler, -2 / c1 * mp.log(c1), 2 / c1 * offset, 2 / c1 * mp.log(c2),
+                    8 / c1 * self.bessel_sum(s)], mp.mpf(0)
+        n = 0.5 - s
+        if n == round(n) and n >= 1:
+            # Gamma(s - 1/2) zeta_R(2s - 1) at a pole of Gamma and a trivial zero
+            n = int(round(n))
+            gz = 2 * (-1) ** n * mp.zeta(-2 * mp.mpf(n), derivative=1) / mp.factorial(n)
+        else:
+            gz = mp.gamma(ss - mp.mpf(0.5)) * mp.zeta(2 * ss - 1)
+        return [2 * c1 ** (-2 * ss) * mp.zeta(2 * ss),
+                2 * mp.sqrt(mp.pi) / c1 * mp.rgamma(ss) * c2 ** (1 - 2 * ss) * gz,
+                8 * mp.pi**ss * mp.rgamma(ss) * c1 ** (-2 * ss) * self.bessel_sum(s)], mp.mpf(0)
+
+
+def table_value(n, scale):
+    """The value n 2^-scale of a fixed-point table entry, exactly."""
+    return mp.ldexp(mp.mpf(n), -scale)
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +210,7 @@ def trapezoid_besselk(nu, z):
         j += 1
 
 
-class _TrapezoidDoubleSum(_DoubleSumTorus):
+class TrapezoidDoubleSum(DoubleSumTorus):
     """The double sum to 45 digits with K_nu from ``trapezoid_besselk``.
 
     mp.besselk takes 0.1 to 0.3 s per integer order at 60 digits for z
@@ -188,44 +227,48 @@ class _TrapezoidDoubleSum(_DoubleSumTorus):
 @pytest.mark.parametrize("ells", [(2.0, 2.0), (1.3, 1.3 * 2.37)], ids=["square", "aspect2.37"])
 def test_grouped_block_matches_double_sum(ells):
     cs = FlatTorus(*ells)
-    grouped, reference = zreg._TorusBackend(cs), _DoubleSumTorus(cs)
+    grouped, reference = zreg._TorusBackend(cs), DoubleSumTorus(cs)
     with mp.workdps(zreg._DPS):
         for s in zreg._STANDARD_S + (0.3, 2.7, -1.3):
-            for got, ref in zip(grouped.point_mp(s), reference.point_mp(s)):
-                assert abs(got - ref) <= 1e-25 * abs(ref), s
-
-
-class _RecordingTorus(zreg._TorusBackend):
-    """The library's backend, keeping every Bessel block B(s) it uses."""
-
-    def __init__(self, cs):
-        super().__init__(cs)
-        self.blocks = {}
-
-    def _bessel_sum(self, s):
-        self.blocks[s] = super()._bessel_sum(s)
-        return self.blocks[s]
+            value, residue, scale, _ = grouped.fixed(s)
+            terms, ref_residue = reference.terms(s)
+            for got, ref in ((value, mp.fsum(terms)), (residue, ref_residue)):
+                assert abs(table_value(got, scale) - ref) <= 1e-25 * abs(ref), s
 
 
 @pytest.mark.parametrize("aspect", [1.0, 1.5, 3.0, 8.0])
-def test_point_within_stated_bound_of_double_sum(aspect):
+def test_point_within_stated_bound_of_double_sum(aspect, monkeypatch):
     # at aspect 8 the first shell is e^(-2 pi 8) small: the pass keeps its
     # relative precision only with that factor taken out
+    blocks = {}
+    real_pass = zreg._TorusBackend._bessel_pass
+
+    def bessel_pass(self, svals):
+        out = real_pass(self, svals)
+        blocks.update(zip(svals, out))
+        return out
+
+    monkeypatch.setattr(zreg._TorusBackend, "_bessel_pass", bessel_pass)
     cs = FlatTorus(1.1, 1.1 * aspect)
-    got = _RecordingTorus(cs)
-    with mp.workdps(zreg._DPS):
-        p = mp.mp.prec
-        points = {s: got.point_mp(s)[0] for s in ALL_S}
-    reference = _TrapezoidDoubleSum(cs)
+    got = zreg._TorusBackend(cs)
+    table = {s: got.fixed(s) for s in ALL_S}
+    reference = TrapezoidDoubleSum(cs)
+    p = zreg._PREC
     with mp.workdps(60):
+        r = mp.mpf(reference.ratio)
         for s in ALL_S:
-            terms, _ = reference.terms(s)
-            block = reference._bessel_sum(s)
-            # B(s) within 2^-(p + 6) relative, and point_mp within that
-            # share of the Bessel term plus 16 units of 2^-p of the terms
-            assert abs(got.blocks[s] - block) <= mp.ldexp(block, -(p + 6)), s
-            bound = mp.ldexp(abs(terms[-1]), -(p + 6)) + mp.ldexp(mp.fsum(map(abs, terms)), 4 - p)
-            assert abs(points[s] - mp.fsum(terms)) <= bound, s
+            terms, residue = reference.terms(s)
+            # the pass's r^(s - 1/2) B(s) within 2^-(p + 6) relative
+            block = r ** (mp.mpf(s) - mp.mpf(0.5)) * reference.bessel_sum(s)
+            assert abs(table_value(*blocks[s]) - block) <= mp.ldexp(block, -(p + 6)), s
+            # the finite part within that share of the Bessel term plus
+            # 2^-(p + 13) of the terms, and within the stated bound; the
+            # residue within the stated bound
+            value, res, scale, err = table[s]
+            error = abs(table_value(value, scale) - mp.fsum(terms))
+            assert error <= mp.ldexp(abs(terms[-1]), -(p + 6)) + mp.ldexp(mp.fsum(map(abs, terms)), -(p + 13)), s
+            assert error <= table_value(err, scale), s
+            assert abs(table_value(res, scale) - residue) <= table_value(err, scale), s
 
 
 def test_trapezoid_reference_matches_besselk():
@@ -274,9 +317,8 @@ def test_standard_set_is_one_pass_without_besselk(monkeypatch):
     monkeypatch.setattr(mp, "besselk", no_besselk)
     recorded = spy_shells(monkeypatch)
     backend = zreg._TorusBackend(FlatTorus(2.0, 2.0 * 1.7))
-    with mp.workdps(zreg._DPS):
-        for s in zreg._STANDARD_S:
-            backend.point_mp(s)
+    for s in zreg._STANDARD_S:
+        backend.fixed(s)
     shells = [z for _, _, z, _ in recorded]
     assert calls["besselk"] == 0
     assert shells and len(shells) == len(set(shells))
@@ -304,63 +346,75 @@ def test_generic_class_recurrence_matches_besselk(z):
 
 
 def square_torus_shells(monkeypatch):
-    """(plan, shells M allowed, [(m, z_m, {nu: K_nu(z_m)})]) of the square
-    torus's standard pass, the values as the pass itself forms them."""
+    """(plan, budgets, [(m, z_m, {nu: K_nu(z_m)})]) of the square torus's
+    standard pass, the values as the pass itself forms them."""
     recorded = spy_shells(monkeypatch)
-    with mp.workdps(zreg._DPS):
-        zreg._TorusBackend(FlatTorus(2.0, 2.0)).point_mp(0.5)
+    zreg._TorusBackend(FlatTorus(2.0, 2.0)).fixed(0.5)
     plan = recorded[0][0]
     shells = len(zreg._settle_shifts(plan.p, float(plan.orders[-1]), TWO_PI))
+    budgets = [mp.exp(b) for b in zreg._shell_budgets(plan, TWO_PI, shells)]
     values = []
     with mp.workdps(60):
         for m, (_, table, z, k) in enumerate(recorded, 1):
             assert mp.nint(z / TWO_PI) == m
             scale = mp.mpf(table.h) * mp.exp(-z) / 2**table.bits
             values.append((m, z, {nu: scale * k[plan.out[i]] for i, nu in enumerate(plan.orders)}))
-    return plan, shells, values
+    return plan, budgets, values
 
 
-def assert_within_share(plan, shells, m, nu, got, ref):
-    """Shell m's share of the pass total (``_bessel_pass``): shell 1 within
-    1.6 eps + eps/4 of its own K_nu(z_1); a later shell, weighted by
-    m^-nu sigma_2nu(m), within (1.6 / (2 (M - 1)) + 1/4) eps t_1, where
-    t_1 = K_nu(z_1) is at most the total."""
-    x = mp.mpf(nu.numerator) / nu.denominator
+def assert_within_budget(plan, budgets, m, got, ref):
+    """Shell m's K values within 1.6 e_m + eps/4 relative (``_BesselK``),
+    e_m its budget; ``test_later_shells_share_half_of_eps`` checks that
+    the budgets hold the shells to their share of the pass total."""
     eps = mp.ldexp(1, -(plan.p + 8))
-    weight = mp.fsum(mp.mpf(d) ** (2 * x) for d in range(1, m + 1) if m % d == 0) / mp.mpf(m) ** x
-    share = mp.mpf(1.85) if m == 1 else mp.mpf(1.6) / (2 * (shells - 1)) + mp.mpf(0.25)
-    assert abs(got - ref) * weight <= share * eps * mp.besselk(x, TWO_PI), (nu, m)
+    assert abs(got - ref) <= (mp.mpf(1.6) * budgets[m - 1] + eps / 4) * ref, m
 
 
 def test_standard_orders_at_last_shell_of_square_torus(monkeypatch):
     # every order at the last shell, from the m-th powers of the first
-    # shell's weights on shell 1's step, against 60-digit mp.besselk: a
-    # later shell is held to its share of the pass total, not to its own
-    # K_nu(z_m)
-    plan, shells, values = square_torus_shells(monkeypatch)
+    # shell's weights on shell 1's step, against 60-digit mp.besselk
+    plan, budgets, values = square_torus_shells(monkeypatch)
     m, z, last = values[-1]
     assert z > 11 * TWO_PI
     with mp.workdps(60):
         for nu, got in last.items():
-            assert_within_share(plan, shells, m, nu, got, mp.besselk(mp.mpf(nu.numerator) / nu.denominator, z))
+            assert_within_budget(plan, budgets, m, got, mp.besselk(mp.mpf(nu.numerator) / nu.denominator, z))
 
 
 def test_half_integer_orders_at_every_shell_of_square_torus(monkeypatch):
     # mp.besselk is elementary at half-integer orders, so every shell is
     # checked there; the other orders share their step and node count
-    plan, shells, values = square_torus_shells(monkeypatch)
+    plan, budgets, values = square_torus_shells(monkeypatch)
     with mp.workdps(60):
         for m, z, shell in values:
             for nu, got in shell.items():
                 if nu.denominator == 2:
-                    ref = mp.besselk(mp.mpf(nu.numerator) / nu.denominator, z)
-                    assert_within_share(plan, shells, m, nu, got, ref)
+                    assert_within_budget(plan, budgets, m, got, mp.besselk(mp.mpf(nu.numerator) / nu.denominator, z))
 
 
-def test_square_torus_pass_sums_shell_one_grid(monkeypatch):
-    # shell 1's weights are the pass's only exp_fixed calls, one per node
-    # after the first, and one more for e^-z1: 39 nodes on shell 1's own
-    # step (77 when the step came from the last shell)
+@pytest.mark.parametrize("aspect", [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 5.0, 8.0])
+def test_later_shells_share_half_of_eps(aspect):
+    # sum_m e_m r_m <= eps/2 over the later shells, r_m = max over the
+    # orders of m^-nu sigma_2nu(m), times e^(-(m - 1) z1), and every e_m <= 1/8
+    plan, _ = zreg._pass_plan(zreg._STANDARD_S)
+    z1 = TWO_PI * aspect
+    shells = len(zreg._settle_shifts(plan.p, float(plan.orders[-1]), z1))
+    budgets = zreg._shell_budgets(plan, z1, shells)
+    assert len(budgets) == shells and budgets[0] == plan.log_eps
+    with mp.workdps(40):
+        orders = [mp.mpf(nu.numerator) / nu.denominator for nu in plan.orders]
+        spent = mp.mpf(0)
+        for m, b in enumerate(budgets[1:], 2):
+            divisors = [mp.mpf(d) for d in range(1, m + 1) if m % d == 0]
+            top = max(mp.fsum(d ** (2 * x) for d in divisors) / mp.mpf(m) ** x for x in orders)
+            assert b <= -math.log(8.0)
+            spent += mp.exp(b) * top * mp.exp(-(m - 1) * mp.mpf(z1))
+        assert spent <= mp.exp(plan.log_eps) / 2 * (1 + mp.mpf(10) ** -12)
+
+
+def exp_fixed_calls(monkeypatch, aspect):
+    """The exp_fixed calls of the standard pass of a torus of this aspect:
+    shell 1's weights, one per node after the first, and one for e^-z1."""
     calls = []
     real_exp_fixed = zreg.exp_fixed
 
@@ -369,9 +423,53 @@ def test_square_torus_pass_sums_shell_one_grid(monkeypatch):
         return real_exp_fixed(*args)
 
     monkeypatch.setattr(zreg, "exp_fixed", exp_fixed)
-    with mp.workdps(zreg._DPS):
-        zreg._TorusBackend(FlatTorus(2.0, 2.0)).point_mp(0.5)
-    assert 0 < len(calls) <= 40
+    zreg._TorusBackend(FlatTorus(2.0, 2.0 * aspect)).fixed(0.5)
+    return len(calls)
+
+
+def test_square_torus_pass_sums_shell_one_grid(monkeypatch):
+    # 39 nodes on shell 1's own step (77 when the step came from the last shell)
+    assert 0 < exp_fixed_calls(monkeypatch, 1.0) <= 39
+
+
+@pytest.mark.parametrize("aspect, most", [(2.5, 30), (3.0, 28)])
+def test_wide_torus_pass_sums_shell_one_grid(monkeypatch, aspect, most):
+    # shell 1's own step, where a middle shell's even share of the budget
+    # asked for a finer one (42 and 39 calls)
+    assert 0 < exp_fixed_calls(monkeypatch, aspect) <= most
+
+
+class _NoMpmath:
+    def __getattr__(self, name):
+        raise AssertionError(f"mp.{name} on a cold standard table")
+
+
+def test_cold_standard_table_does_no_mpf_arithmetic(monkeypatch):
+    # the torus-independent plan, tables and constants exist after one
+    # torus; a second of the same aspect then evaluates ln c1 and ln c2 and
+    # nothing else in mpmath but libmp's fixed-point helpers, and reads no
+    # global precision, up to the truncated-zeta row
+    zreg._TorusBackend(FlatTorus(2.0, 3.4)).fixed(0.5)
+    logs = []
+    real_log = zreg.mpf_log
+
+    def mpf_log(x, prec):
+        logs.append(x)
+        return real_log(x, prec)
+
+    monkeypatch.setattr(zreg, "mpf_log", mpf_log)
+    monkeypatch.setattr(zreg, "mp", _NoMpmath())
+    cs = FlatTorus(1.0, 1.7)
+    backend = zreg._TorusBackend(cs)
+    points = [backend.point(s) for s in zreg._STANDARD_S]
+    _, _, zetas, _ = zreg._truncated_row(cs, 1.0, backend)
+    assert logs == [zreg.from_float(backend.c1), zreg.from_float(backend.c2)]
+    monkeypatch.undo()
+    # the same floats at any global precision
+    with mp.workdps(15):
+        again = zreg._TorusBackend(cs)
+        assert [again.point(s) for s in zreg._STANDARD_S] == points
+        assert zreg._truncated_row(cs, 1.0, again)[2] == zetas
 
 
 def test_cold_robin_check_is_one_pass_and_one_row(monkeypatch):
@@ -408,11 +506,10 @@ def test_tables_are_shared_and_two_orders_per_class_are_summed(monkeypatch):
     monkeypatch.setattr(zreg._CoshTable, "__init__", init)
     recorded = spy_shells(monkeypatch)
     zreg._cosh_table.cache_clear()
-    with mp.workdps(zreg._DPS):
-        zreg._TorusBackend(FlatTorus(2.0, 3.4)).point_mp(0.5)
-        first = len(built)
-        # the same aspect ratio at another size has the same shells and steps
-        zreg._TorusBackend(FlatTorus(1.0, 1.7)).point_mp(0.5)
+    zreg._TorusBackend(FlatTorus(2.0, 3.4)).fixed(0.5)
+    first = len(built)
+    # the same aspect ratio at another size has the same shells and steps
+    zreg._TorusBackend(FlatTorus(1.0, 1.7)).fixed(0.5)
     assert first > 0 and len(built) == first
     half = Fraction(1, 2)
     summed = {table.orders for _, table, _, _ in recorded}

@@ -1,6 +1,8 @@
 """Zeta continuation and regularized determinants: closed vs numeric routes."""
 
+import hashlib
 import math
+import random
 
 import pytest
 import scipy.integrate
@@ -161,6 +163,25 @@ class TestLogDetShifted:
         d = log_det_shifted(Point(), 1e-8)
         assert d.log_modulus == pytest.approx(math.log(1e-8), abs=1e-6)
 
+    @pytest.mark.parametrize("alpha", [50.0, 60.0])
+    def test_large_alpha_on_a_torus_is_refused(self, alpha):
+        # the binomial series returned +7,311 and -12,925 here: its truncated
+        # zeta values lose every digit to cancellation against the low modes
+        with pytest.raises(ConvergenceError, match="alpha = "):
+            log_det_shifted(TORUS_ASYM, alpha)
+
+    def test_small_alpha_on_tori_is_answered_unchanged(self):
+        # aspects 1 to 3 at areas 3, 5 and 12, and the 2 pi x 3 torus, at
+        # |alpha| <= 1: the values, bit for bit, of the route before it
+        # stated an error
+        tori = [TORUS_ASYM] + [FlatTorus(math.sqrt(area / aspect), math.sqrt(area / aspect) * aspect)
+                               for aspect in (1.0, 1.5, 2.0, 2.5, 3.0) for area in (3.0, 5.0, 12.0)]
+        values = [log_det_shifted(cs, alpha) for cs in tori for alpha in (-0.95, -0.55, 0.35, 1.0)]
+        hexes = ",".join(f"{d.log_modulus.hex()}:{d.phase_multiple}" for d in values)
+        assert hashlib.sha256(hexes.encode()).hexdigest() == (
+            "880433f54a58a8d3571323a10cb6cab5de9dc8f8abd35ef1780f69d20576bc33"
+        )
+
     def test_singular_shifts_rejected(self):
         with pytest.raises(SingularParameterError):
             log_det_shifted(CIRCLE, 0.0)
@@ -302,3 +323,25 @@ class TestNumericQuadrature:
         finally:
             # the backend cached the stubbed integrals
             forget(mirror)
+
+
+def log1p_tail_to_1e25(x, kmax):
+    """``zreg._log1p_tail`` as it stopped before: at a term below
+    1e-25 max(|total|, 1e-30)."""
+    term = (-1.0) ** (kmax + 1) * x**kmax
+    total = 0.0
+    k = kmax
+    while True:
+        total += term / k
+        term *= -x
+        k += 1
+        if abs(term) < 1e-25 * max(abs(total), 1e-30) or k > kmax + 400:
+            return total
+
+
+def test_log1p_tail_stops_at_half_an_ulp_bit_for_bit():
+    rng = random.Random(20261019)
+    xs = [rng.uniform(-0.5, 0.5) for _ in range(100_000)]
+    xs += [sign * 10.0**-e for e in range(1, 40) for sign in (1.0, -1.0)] + [0.0]
+    for x in xs:
+        assert zreg._log1p_tail(x, zreg._KORDER).hex() == log1p_tail_to_1e25(x, zreg._KORDER).hex(), x
