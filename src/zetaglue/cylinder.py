@@ -193,10 +193,6 @@ _FORMS = {
     # internal forms used by the determinant assemblies
     "robin_end": lambda L, alpha, a: ((L, alpha, 1, 0.0, +1),),
     "robin_both": lambda L, alpha, a: ((L, alpha, 2, 0.0, +1),),
-    "qd_correction": lambda L, alpha, a: ((L, alpha, 2, 0.0, +1), (L, 0.0, 0, 1.0, -1)),
-    "coth_correction": lambda L, alpha, a: ((L, 0.0, 0, -1.0, +1), (L, 0.0, 0, 1.0, -1)),
-    "neumann_pair": lambda L, alpha, a: (
-        (L, 0.0, 0, 1.0, +1), (a, 0.0, 0, 1.0, -1), (L - a, 0.0, 0, 1.0, -1)),
 }
 
 
@@ -213,28 +209,28 @@ def series_sum(
 
     A form is rows (length, alpha, power, sigma, sign); at x = sqrt(mu) a
     row adds sign * ln|1 - c exp(-2 length x)|, c = sigma if power == 0
-    else ((x - alpha)/(x + alpha))**power.  ``qd_correction``, the
-    ``robin_both`` row over a ``log1m_exp`` row, sums ln of
-    (1 - r^2 e)/(1 - e) = 1 + 4 alpha x/((x + alpha)^2 (e^(2Lx) - 1)), e = e^(-2Lx).
+    else ((x - alpha)/(x + alpha))**power.  ``robin_pair`` at alpha = 0 is
+    the Neumann pair.
 
     Deterministic ascending-eigenvalue order with compensated summation;
     the returned tail bound certifies the truncation.  Factors that cross
     zero contribute ln|.| and one pi unit of phase.  ``alpha`` must be
-    finite with |alpha| <= 1e150, or the cutoff 4(|alpha| + 1)^2 overflows,
-    and that cutoff must hold at most ``zreg._MODE_BUDGET`` modes.
+    finite with |alpha| <= 1e150, or the cutoff 4(|alpha| + 1)^2 overflows.
+    The starting cutoff, at least 4(|alpha| + 1)^2 and (8/l)^2 for the least
+    row length l, must hold at most ``zreg._MODE_BUDGET`` modes.
     """
     if not (length > 0):
         raise ValidationError("series length must be > 0")
     _check_alpha(alpha)
     if form not in _FORMS:
         raise ValidationError(f"unknown series form {form!r}")
-    if form in ("robin_pair", "neumann_pair"):
-        if a is None or not (0 < a < length):
-            raise ValidationError("pair forms need a cut 0 < a < L")
+    if form == "robin_pair" and (a is None or not (0 < a < length)):
+        raise ValidationError("pair forms need a cut 0 < a < L")
     rows = _FORMS[form](length, alpha, a if a is not None else length)
     min_len = min(row[0] for row in rows)
-    _check_modes(cs, (abs(alpha) + 1.0) ** 2 * 4.0, alpha)
-    lam = max((abs(alpha) + 1.0) ** 2 * 4.0, (8.0 / min_len) ** 2, 16.0, min_cutoff or 0.0)
+    by_alpha, by_length = (abs(alpha) + 1.0) ** 2 * 4.0, (8.0 / min_len) ** 2
+    lam = max(by_alpha, by_length, 16.0, min_cutoff or 0.0)
+    _check_modes(cs, lam, *((alpha,) if by_alpha >= by_length else (min_len, "length")))
     while True:
         bound = 0.0
         for plen, palpha, power, _, _ in rows:
@@ -275,41 +271,45 @@ def series_sum(
 
 
 # ----------------------------------------------------------------------------
-# interface-spectrum admissibility
+# interface operators
 # ----------------------------------------------------------------------------
 
 
+# interface geometry -> (far end of the piece, None for two interface ends; sign of alpha)
+_INTERFACES = {"both_ends": (None, 1.0), "left_neumann_cut": (DIRICHLET, 1.0),
+               "cut_left": (NEUMANN, 1.0), "cut_right": (NEUMANN, -1.0)}
+
+
 # exponents stop at 700: 2x e^(-700) moves no x + alpha that does not nearly vanish
-def _both_ends_values(x: float, length: float, alpha: float):
-    """The two eigenvalues of the both-ends operator over the mode sqrt(mu) = x."""
+def _interface_values(x: float, length: float, alpha: float, far) -> tuple:
+    """The interface operator of a piece over the mode sqrt(mu) = x: x tanh(length x)
+    + alpha with a Neumann far end, x coth(length x) + alpha with a Dirichlet one;
+    two interface ends (far None) are the even and odd halves of half the length."""
+    if far is None:
+        return (_interface_values(x, length / 2.0, alpha, NEUMANN)
+                + _interface_values(x, length / 2.0, alpha, DIRICHLET))
     if x == 0.0:
-        return (alpha, 2.0 / length + alpha)
-    t = min(length * x, 700.0)
-    return (x + alpha - 2.0 * x / (math.exp(t) + 1.0), x + alpha + 2.0 * x / math.expm1(t))
+        return (alpha if far == NEUMANN else 1.0 / length + alpha,)
+    t = min(2.0 * length * x, 700.0)
+    if far == NEUMANN:
+        return (x + alpha - 2.0 * x / (math.exp(t) + 1.0),)
+    return (x + alpha + 2.0 * x / math.expm1(t),)
 
 
-def _cut_value(x: float, length: float, alpha: float):
-    """The one-sided cut operator over the mode x, its complement held by a Neumann end."""
-    if x == 0.0:
-        return alpha
-    return x + alpha - 2.0 * x / (math.exp(min(2.0 * length * x, 700.0)) + 1.0)
-
-
-def _check_robin_admissible(cs: CrossSection, length: float, alpha: float, both_ends: bool):
-    """Reject alpha colliding with the relevant interface operator spectrum.
+def _check_robin_admissible(cs: CrossSection, length: float, alpha: float, geometry: str):
+    """Reject alpha colliding with the spectrum of an interface operator.
 
     Beyond the checked cutoff every eigenvalue exceeds sqrt(mu) - |alpha|
-    > 0, so collisions are impossible there.
+    > 0, so collisions are impossible there.  A Robin end has alpha != 0
+    (``BoundaryCondition``).
     """
-    if both_ends and alpha == 0.0:
-        raise SingularParameterError(
-            "singular Robin parameter: alpha = 0 makes the interface operator singular"
-        )
+    far, sign = _INTERFACES[geometry]
+    alpha = sign * alpha
     _check_admissible(
         cs, alpha, (2.0 * abs(alpha) + 2.0 / length + 1.0) ** 2,
-        (lambda x: _both_ends_values(x, length, alpha)) if both_ends
-        else (lambda x: (_cut_value(x, length, alpha),)),
+        lambda x: _interface_values(x, length, alpha, far),
         lambda mu: f"singular Robin parameter: interface eigenvalue vanishes at mu = {mu}",
+        (alpha,) if abs(alpha) >= 1.0 / length else (length, "length"),
     )
 
 
@@ -325,6 +325,16 @@ _ENDS = {DIRICHLET: (-0.25, -1, 0), NEUMANN: (0.25, 1, 0), ROBIN: (-0.25, 1, 1)}
 _PAIR_SERIES = {
     (1, 0): "log1m_exp", (-1, 0): "log1p_exp", (1, 1): "robin_end", (1, 2): "robin_both",
 }
+
+
+def _pair_series(left: str, right: str) -> tuple:
+    """The series form of two end kinds, and r_l r_r at x = 0; D/Robin is refused."""
+    (_, s_l, p_l), (_, s_r, p_r) = _ENDS[left], _ENDS[right]
+    sign, power = s_l * s_r, p_l + p_r
+    if (sign, power) not in _PAIR_SERIES:
+        raise ValidationError(f"unsupported boundary pair {left}/{right}; supported: D/D, "
+                              "N/N, N/D, D/N, Robin/Robin (equal), N/Robin, Robin/N")
+    return _PAIR_SERIES[sign, power], sign * (-1) ** power
 
 
 def log_det_cylinder(
@@ -343,28 +353,22 @@ def log_det_cylinder(
     n_robin = len(robin)
     if n_robin == 2 and robin[0] != robin[1]:
         raise ValidationError("two Robin ends are supported only with equal parameters")
-    (w_l, s_l, p_l), (w_r, s_r, p_r) = _ENDS[bl.kind], _ENDS[br.kind]
-    sign, power = s_l * s_r, p_l + p_r
-    if (sign, power) not in _PAIR_SERIES:
-        raise ValidationError(
-            f"unsupported boundary pair {bl.kind}/{br.kind}; supported: "
-            "D/D, N/N, N/D, D/N, Robin/Robin (equal), N/Robin, Robin/N"
-        )
+    form, r0 = _pair_series(bl.kind, br.kind)
     alpha = robin[0] if robin else 0.0
-    weight = w_l + w_r
+    weight = _ENDS[bl.kind][0] + _ENDS[br.kind][0]
     q0 = kernel_dim(cs)
 
     if robin:
-        _check_robin_admissible(cs, L, alpha, both_ends=n_robin == 2)
+        _check_robin_admissible(cs, L, alpha, "both_ends" if n_robin == 2 else "cut_left")
     zp = zeta_point(cs, -0.5, backend=backend)
     star = log_det_star(cs, backend=backend) if weight else None
     if robin:
         shifted = log_det_shifted(cs, alpha, backend=backend)
         heat = heat_coefficients(cs, order=cs.dim // 2)
-    ser = series_sum(cs, L, _PAIR_SERIES[sign, power], alpha=alpha, tol=tol)
-    # r_l r_r is sign (-1)**power at x = 0; a reflection of -1 leaves a factor 2
+    ser = series_sum(cs, L, form, alpha=alpha, tol=tol)
+    # a reflection r_l r_r = -1 at x = 0 leaves a factor 2
     zero_length = L + sum(1.0 / a for a in robin)
-    lm0, ph0 = (_LN2, 0) if sign * (-1) ** power == -1 else signed_log(2.0 * zero_length)
+    lm0, ph0 = (_LN2, 0) if r0 == -1 else signed_log(2.0 * zero_length)
 
     terms = {"s_alpha_term": -n_robin * s_alpha(heat, alpha)} if robin else {}
     terms["zero_modes"] = q0 * lm0

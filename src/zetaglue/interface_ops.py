@@ -26,7 +26,8 @@ from .spectra import (
     heat_coefficients,
     kernel_dim,
 )
-from .cylinder import _both_ends_values, _cut_value, _factor, series_sum
+from .cylinder import (DIRICHLET, NEUMANN, ROBIN, _INTERFACES, _factor, _interface_values,
+                       _pair_series, series_sum)
 from .zreg import (
     RegularizedDet,
     _check_admissible,
@@ -51,12 +52,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-
-BOTH_ENDS = "both_ends"
-LEFT_NEUMANN_CUT = "left_neumann_cut"
-CUT_LEFT = "cut_left"
-CUT_RIGHT = "cut_right"
-_GEOMETRIES = (BOTH_ENDS, LEFT_NEUMANN_CUT, CUT_LEFT, CUT_RIGHT)
 
 
 @dataclass(frozen=True)
@@ -161,10 +156,16 @@ def qd0_det_segment(alpha: float, length: float) -> float:
 # ----------------------------------------------------------------------------
 
 
-def _left_neumann_value(x: float, length: float):
-    if x == 0.0:
-        return 1.0 / length
-    return x * (1.0 + 2.0 / math.expm1(min(2.0 * length * x, 700.0)))
+def _interface(geometry: str, alpha: float) -> tuple:
+    """(far end, signed alpha, Robin-pair form, Dirichlet-pair form) of a geometry."""
+    if geometry not in _INTERFACES:
+        raise ValidationError(f"unknown interface geometry {geometry!r}")
+    far, sign = _INTERFACES[geometry]
+    alpha = sign * alpha
+    end = ROBIN if alpha else NEUMANN
+    robin, _ = _pair_series(far or end, end)
+    dirichlet, _ = _pair_series(far or DIRICHLET, DIRICHLET)
+    return far, alpha, robin, dirichlet
 
 
 def spec_interface(
@@ -178,27 +179,17 @@ def spec_interface(
 
     Geometries: ``both_ends`` (boundary operator of [0, L] x Y with the
     shift on both ends), ``left_neumann_cut`` (single-end operator with a
-    Dirichlet complement), ``cut_left``/``cut_right`` (one-sided cut
-    operators of a piece of length ``length``; ``cut_right`` flips the
-    sign of the shift).  Multiplicities are inherited from the
+    Dirichlet complement, alpha = 0 only), ``cut_left``/``cut_right``
+    (one-sided cut operators of a piece of length ``length``; ``cut_right``
+    flips the sign of the shift).  Multiplicities are inherited from the
     cross-section spectrum; exact zero modes are counted separately.
     """
     if not (length > 0):
         raise ValidationError("interface geometry needs a positive length")
-    if geometry not in _GEOMETRIES:
-        raise ValidationError(f"unknown interface geometry {geometry!r}")
-    sign = -1.0 if geometry == CUT_RIGHT else 1.0
-    out = []
-    zero_modes = 0
+    far, signed, _, _ = _interface(geometry, alpha)
+    out, zero_modes = [], 0
     for e in enumerate_spectrum(cs, cutoff):
-        x = math.sqrt(e.eigenvalue)
-        if geometry == BOTH_ENDS:
-            vals = _both_ends_values(x, length, alpha)
-        elif geometry == LEFT_NEUMANN_CUT:
-            vals = (_left_neumann_value(x, length),)
-        else:
-            vals = (_cut_value(x, length, sign * alpha),)
-        for v in vals:
+        for v in _interface_values(math.sqrt(e.eigenvalue), length, signed, far):
             if v == 0.0:
                 zero_modes += e.multiplicity
             else:
@@ -223,62 +214,34 @@ def log_det_interface(
 ) -> RegularizedDet:
     """Regularized log-determinant of an interface operator.
 
-    The eigenvalues grow like sqrt(mu), so the determinant is assembled
-    as a regularized leading part (shifted first-order determinants of
-    the cross-section) times an absolutely convergent correction series,
-    never by naive regularization of the raw list.  Only the four
-    ``spec_interface`` geometries are accepted.
+    Q is the Robin-over-Dirichlet quotient of a piece whose interface ends
+    carry Robin(alpha), less the local constant: ln Det Q is the sum over
+    the interface ends of ln Det(sqrt(Delta_Y) + alpha), 1/2 ln Det* Delta_Y
+    at alpha = 0, plus the series of the Robin pair less the Dirichlet
+    pair's (equal forms cancel unsummed), plus q0 ln of the x = 0
+    eigenvalues, over alpha each where alpha != 0.  The raw list, growing
+    like sqrt(mu), is never regularized directly.
     """
-    cs = reference
-    a = spectrum.alpha
-    L = spectrum.length
+    cs, L = reference, spectrum.length
+    far, alpha, robin, dirichlet = _interface(spectrum.geometry, spectrum.alpha)
     q0 = kernel_dim(cs)
-    geometry = spectrum.geometry
-    if geometry not in _GEOMETRIES:
-        raise ValidationError(f"unknown interface geometry {geometry!r}")
-
-    if geometry == BOTH_ENDS:
-        if a == 0.0:
-            star = log_det_star(cs, backend=backend)
-            logmod = q0 * math.log(2.0 / L) + star.log_modulus
-            return RegularizedDet(logmod, 0, q0)
-        shifted = log_det_shifted(cs, a, backend=backend)
-        lm0, ph0 = signed_log(1.0 + 2.0 / (L * a))
-        ser = series_sum(cs, L, "qd_correction", alpha=a, tol=tol)
-        return RegularizedDet(
-            2.0 * shifted.log_modulus + q0 * lm0 + ser.value,
-            2 * shifted.phase_multiple + q0 * ph0 + ser.phase,
-            0,
-        )
-
-    if geometry == LEFT_NEUMANN_CUT:
-        if a != 0.0:
-            raise ValidationError("the Neumann-complement operator carries no shift")
-        star = log_det_star(cs, backend=backend)
-        ser = series_sum(cs, L, "coth_correction", tol=tol)
-        return RegularizedDet(
-            -q0 * math.log(L) + 0.5 * star.log_modulus + ser.value, ser.phase, 0
-        )
-
-    # one-sided cut operators
-    eff = a if geometry == CUT_LEFT else -a
-    if eff == 0.0:
-        star = log_det_star(cs, backend=backend)
-        ser_m = series_sum(cs, L, "log1m_exp", tol=tol)
-        ser_p = series_sum(cs, L, "log1p_exp", tol=tol)
-        return RegularizedDet(
-            0.5 * star.log_modulus + ser_m.value - ser_p.value,
-            ser_m.phase - ser_p.phase,
-            q0,
-        )
-    shifted = log_det_shifted(cs, eff, backend=backend)
-    ser_r = series_sum(cs, L, "robin_end", alpha=eff, tol=tol)
-    ser_p = series_sum(cs, L, "log1p_exp", tol=tol)
-    return RegularizedDet(
-        shifted.log_modulus + ser_r.value - ser_p.value,
-        shifted.phase_multiple + ser_r.phase - ser_p.phase,
-        0,
-    )
+    # the x = 0 eigenvalues; at alpha = 0 the vanishing ones are the kernel
+    values = _interface_values(0.0, L, alpha, far)
+    zero = [v / alpha if alpha else v for v in values if v or alpha]
+    lm0, ph0 = signed_log(math.prod(zero))
+    logmod, phase = q0 * lm0, q0 * ph0
+    if alpha:
+        shifted = log_det_shifted(cs, alpha, backend=backend)
+        logmod += len(values) * shifted.log_modulus
+        phase += len(values) * shifted.phase_multiple
+    else:
+        logmod += len(values) * 0.5 * log_det_star(cs, backend=backend).log_modulus
+    if robin != dirichlet:
+        ser_r = series_sum(cs, L, robin, alpha=alpha, tol=tol)
+        ser_d = series_sum(cs, L, dirichlet, tol=tol)
+        logmod = logmod + ser_r.value - ser_d.value
+        phase += ser_r.phase - ser_d.phase
+    return RegularizedDet(logmod, phase, q0 * (len(values) - len(zero)))
 
 
 # ----------------------------------------------------------------------------
@@ -321,8 +284,9 @@ def rs0_eigenvalue_resolvent_form(mu: float, length: float, a: float, alpha: flo
     """
     _check_cut(length, a)
     x = math.sqrt(mu)
-    q1 = _cut_value(x, a, alpha)
-    q2 = _cut_value(x, length - a, -alpha)
+    (far1, sign1), (far2, sign2) = _INTERFACES["cut_left"], _INTERFACES["cut_right"]
+    (q1,), (q2,) = (_interface_values(x, a, sign1 * alpha, far1),
+                    _interface_values(x, length - a, sign2 * alpha, far2))
     if q1 == 0.0 or q2 == 0.0:
         raise SingularParameterError("one-sided operator singular at this mode")
     return 1.0 / q1 + 1.0 / q2
@@ -386,7 +350,7 @@ def log_det_star_RS0(
 
     if alpha == 0.0:
         z0 = zeta_point(cs, 0.0, backend=backend).value
-        ser = series_sum(cs, length, "neumann_pair", a=a, tol=tol)
+        ser = series_sum(cs, length, "robin_pair", alpha=0.0, a=a, tol=tol)
         return RegularizedDet(
             _LN2 * z0 - 0.5 * star.log_modulus + ser.value, ser.phase, q0
         )

@@ -527,8 +527,10 @@ def _settle_shifts(p: int, nu: float, z1: float) -> list:
     """
     shifts, m, ln2 = [], 1, math.log(2.0)
     while True:
-        q = math.exp(nu / m - z1)
-        log_c = math.log((m + 1) * q) - 2.0 * math.log1p(-q) if q < 1.0 else math.inf
+        # ln q, not q, enters ln C_m: on a thin torus q underflows to 0
+        log_q = nu / m - z1
+        q = math.exp(log_q)
+        log_c = math.log(m + 1) + log_q - 2.0 * math.log1p(-q) if q < 1.0 else math.inf
         shifts.append(max(0, p + 8 + math.ceil(log_c / ln2)) if q < 1.0 else None)
         if (nu + 1.0) * math.log(m) - (m - 1) * z1 + log_c <= -(p + 9) * ln2:
             return shifts
@@ -1110,9 +1112,9 @@ def _check_alpha(alpha: float) -> None:
 _MODE_BUDGET = 10**6
 
 
-def _check_modes(cs: CrossSection, cutoff: float, alpha: float) -> None:
-    """Refuse alpha, before any mode is enumerated, when the spectrum of cs
-    up to the cutoff that alpha sets may hold more than _MODE_BUDGET modes.
+def _check_modes(cs: CrossSection, cutoff: float, value: float, name: str = "alpha") -> None:
+    """Refuse ``name`` = value (alpha, or a piece length), before any mode is enumerated,
+    when the spectrum of cs up to the cutoff it sets may hold more than _MODE_BUDGET modes.
 
     On a spectrum known in full the count is at most e^(t cutoff) Theta(t)
     for every t > 0, Theta the heat trace; t = max(dim, 1) / (2 cutoff)
@@ -1125,21 +1127,22 @@ def _check_modes(cs: CrossSection, cutoff: float, alpha: float) -> None:
     count = math.exp(t * cutoff) * heat_trace(cs, t)
     if count > _MODE_BUDGET:
         raise ValidationError(
-            f"alpha = {alpha} needs the spectrum up to {cutoff:.3g}, up to {count:.3g} modes: "
+            f"{name} = {value} needs the spectrum up to {cutoff:.3g}, up to {count:.3g} modes: "
             f"more than the mode budget of {_MODE_BUDGET:,}"
         )
 
 
-def _check_admissible(cs: CrossSection, alpha: float, cutoff: float, values, message):
+def _check_admissible(cs: CrossSection, alpha: float, cutoff: float, values, message, culprit=()):
     """Refuse a parameter alpha at which an operator over cs is singular.
 
     ``values(x)`` gives the operator's eigenvalues over the cross-section
     mode with sqrt-eigenvalue x, and the caller knows that no mode above
     ``cutoff`` has one that vanishes.  A value within
     1e-14 max(1, |alpha|) of zero at the mode mu raises
-    ``SingularParameterError(message(mu))``.
+    ``SingularParameterError(message(mu))``.  ``culprit``, (value, name),
+    is what set the cutoff where alpha did not (``_check_modes``).
     """
-    _check_modes(cs, cutoff, alpha)
+    _check_modes(cs, cutoff, *(culprit or (alpha,)))
     tol = 1e-14 * max(1.0, abs(alpha))
     for e in enumerate_spectrum(cs, cutoff):
         if any(abs(v) < tol for v in values(math.sqrt(e.eigenvalue))):

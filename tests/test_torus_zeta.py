@@ -127,6 +127,33 @@ def test_aspect_robin_reports_bit_identical(ell1, ell2, L, a, alpha, expected):
     assert (rep.lhs, rep.rhs, rep.residual) == expected
 
 
+# thin tori, where q = e^(nu/m - z1) of the shell shifts underflows to 0
+THIN = [(1.0, 120.0), (1.0, 300.0), (1e-3, 1e3)]
+
+
+def _bessel_free(c1: float, c2: float, s: float) -> float:
+    """2 c1^(-2s) zeta(2s) + (2 sqrt(pi)/c1) Gamma(s - 1/2) zeta(2s - 1)/Gamma(s) c2^(1-2s),
+    the torus zeta less its Bessel block, at 60 digits and rounded once."""
+    with mp.workdps(60):
+        s, c1, c2 = mp.mpf(s), mp.mpf(c1), mp.mpf(c2)
+        u = s - mp.mpf(0.5)
+        # Gamma(u) zeta(2u) is -2 zeta'(-2) at its removable point u = -1
+        gz = -2 * mp.zeta(-2, derivative=1) if u == -1 else mp.gamma(u) * mp.zeta(2 * u)
+        first = 2 * c1 ** (-2 * s) * mp.zeta(2 * s)
+        return float(first + 2 * mp.sqrt(mp.pi) / c1 * gz / mp.gamma(s) * c2 ** (1 - 2 * s))
+
+
+@pytest.mark.parametrize("ell1, ell2", THIN, ids=[f"{a:g}x{b:g}" for a, b in THIN])
+def test_thin_torus_is_its_bessel_free_form(ell1, ell2):
+    # the Bessel block is below e^-750 of the total, so every standard value
+    # but the pole pair at 1/2 and the pole at 1 is the form rounded once
+    cs = FlatTorus(ell1, ell2)
+    c1, c2 = 2.0 * math.pi / max(ell1, ell2), 2.0 * math.pi / min(ell1, ell2)
+    for s in zreg._STANDARD_S:
+        if s not in (0.5, 1.0):
+            assert zreg.zeta_point(cs, s).value == _bessel_free(c1, c2, s), s
+
+
 class DoubleSumTorus:
     """Z(s) of a flat torus in mp floats at the working precision, from the
     library's doubles c1 <= c2 and r = c2/c1: the terms of the Chowla-Selberg
