@@ -299,17 +299,23 @@ def _interface_values(x: float, length: float, alpha: float, far) -> tuple:
 def _check_robin_admissible(cs: CrossSection, length: float, alpha: float, geometry: str):
     """Reject alpha colliding with the spectrum of an interface operator.
 
-    Beyond the checked cutoff every eigenvalue exceeds sqrt(mu) - |alpha|
-    > 0, so collisions are impossible there.  A Robin end has alpha != 0
-    (``BoundaryCondition``).
+    Over the mode x = sqrt(mu), a piece of length l has the eigenvalue
+    x tanh(l x) + alpha or x coth(l x) + alpha, and two interface ends are
+    those of half the length, l = L/2.  As tanh y >= y/(1 + y) for y >= 0,
+    x tanh(l x) >= x - x/(1 + l x) > x - 1/l, and coth >= 1, so every
+    eigenvalue exceeds x - 1/l - |alpha|.  Above the scanned cutoff
+    x = |alpha| (1 + 1e-14) + 1/l + 1 it thus exceeds 1 + 1e-14 |alpha|,
+    the refusal tolerance of ``_check_admissible`` or more, and nothing
+    there can be refused.  A Robin end has alpha != 0 (``BoundaryCondition``).
     """
     far, sign = _INTERFACES[geometry]
     alpha = sign * alpha
+    piece = length / 2.0 if far is None else length
     _check_admissible(
-        cs, alpha, (2.0 * abs(alpha) + 2.0 / length + 1.0) ** 2,
+        cs, alpha, (abs(alpha) * (1.0 + 1e-14) + 1.0 / piece + 1.0) ** 2,
         lambda x: _interface_values(x, length, alpha, far),
         lambda mu: f"singular Robin parameter: interface eigenvalue vanishes at mu = {mu}",
-        (alpha,) if abs(alpha) >= 1.0 / length else (length, "length"),
+        (alpha,) if abs(alpha) >= 1.0 / piece else (length, "length"),
     )
 
 

@@ -17,6 +17,7 @@ from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import attrgetter
 from typing import Optional
 
 import mpmath as mp
@@ -336,12 +337,16 @@ class ExplicitSpectrum(CrossSection):
     is read off the mu = 0 entry.  Heat coefficients are never inferred
     from the truncated list — they must be supplied.  The tail bounds add
     to the stored modes above lam a Weyl-density bound from a_0, with a
-    factor-2 safety margin, for the modes beyond the list.
+    factor-2 safety margin, for the modes beyond the list.  The hash is
+    formed once, as a lookup of a long list would otherwise rehash it.
     """
 
     entries: tuple
     dim: int
     heat: Optional[HeatExpansion] = None
+
+    def __hash__(self):
+        return self._hash
 
     def __post_init__(self):
         if self.dim < 0:
@@ -357,6 +362,7 @@ class ExplicitSpectrum(CrossSection):
             prev = e.eigenvalue
         if self.heat is not None and self.heat.cross_dim != self.dim:
             raise ValidationError("heat expansion dimension disagrees with dim")
+        object.__setattr__(self, "_hash", hash((self.entries, self.dim, self.heat)))
 
     @property
     def max_eigenvalue(self) -> float:
@@ -373,7 +379,7 @@ class ExplicitSpectrum(CrossSection):
                 "explicit spectrum is truncated below the requested cutoff",
                 max_trusted=self.max_eigenvalue,
             )
-        return [e for e in self.entries if e.eigenvalue <= cutoff]
+        return list(self.entries[:_count_upto(self.entries, cutoff)])
 
     def kernel_dim(self) -> int:
         for e in self.entries:
@@ -528,9 +534,14 @@ def heat_tail_bound(cs: CrossSection, lam: float, t: float) -> float:
     return cs.heat_tail_bound(lam, t)
 
 
+def _count_upto(entries, lam: float) -> int:
+    """The number of entries with mu_j <= lam, entries ascending."""
+    return bisect_right(entries, lam, key=attrgetter("eigenvalue"))
+
+
 def _sum_above(entries, lam: float, f) -> float:
-    """fsum of m_j f(mu_j) over the entries with mu_j > lam."""
-    return math.fsum(e.multiplicity * f(e.eigenvalue) for e in entries if e.eigenvalue > lam)
+    """fsum of m_j f(mu_j) over the entries with mu_j > lam, entries ascending."""
+    return math.fsum(e.multiplicity * f(e.eigenvalue) for e in entries[_count_upto(entries, lam):])
 
 
 def _weyl_density_scale(cs: CrossSection):

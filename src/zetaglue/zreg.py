@@ -819,6 +819,14 @@ class _TorusBackend:
 # largest error budget of F(s) the numeric backend answers with; above it
 # it raises ConvergenceError
 _NUMERIC_GATE = 1e-9
+_MAX_DOUBLINGS = 5  # the most times a Mellin rule's panels are halved
+
+
+@functools.lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple:
+    """Nodes and weights on [-1, 1] of every panel of the Mellin rules;
+    numpy.polynomial loads on the first numeric backend's use."""
+    return np.polynomial.legendre.leggauss(16)
 
 
 class _NumericBackend:
@@ -832,6 +840,16 @@ class _NumericBackend:
     b_j = d/2 - j, h(t) the truncated positive-mode heat sum, and R(t) the
     exponentially small difference between h(t) and the heat model.  All
     power terms continue in closed form; the two integrals are entire in s.
+
+    Both integrals are composite Gauss-Legendre rules in u = ln t, where
+    t^(s-1) dt = t^s du: R on the 47 cells between the 48 geometric
+    ``grid`` edges from tmin to T, from the cell ``_small_integration_start``
+    picks for s, and h on 8 equal cells of [ln T, ln(T + 60/mu_1)].  Each
+    cell holds 2^level panels of 16 nodes.  The nodes and weights times
+    R or h are kept per rule and level, so a new s costs one power t^s and
+    one dot product per rule.  Each integral is the rule at the coarsest
+    level whose distance from the next level, its error estimate, is within
+    a quarter of _NUMERIC_GATE, or at _MAX_DOUBLINGS.
     """
 
     def __init__(self, cs: CrossSection, split_point: float = 1.0):
@@ -858,6 +876,8 @@ class _NumericBackend:
         self.mult = np.array([float(e.multiplicity) for e in entries])
         self.tmin = tmin
         self._cache: dict = {}
+        self.grid = np.geomspace(tmin, self.T, 48)
+        self.grid_R = np.abs(self._R(self.grid))
         # error ledger: spectral-tail leakage plus the unmodelled part of
         # R(t) below tmin (exponentially small for exact heat data)
         self.err_tail = tail_err
@@ -897,11 +917,10 @@ class _NumericBackend:
             res -= self.q0
         return res
 
-    def _h(self, t):
-        if self.mu.size == 0:
-            return 0.0 if np.isscalar(t) else np.zeros_like(t)
+    def _heat(self, t, n=None):
+        """sum_j m_j exp(-t mu_j) over the n lowest modes, all by default."""
         t = np.asarray(t, dtype=float)
-        return np.exp(-np.outer(t, self.mu)).dot(self.mult).reshape(t.shape)
+        return np.exp(-np.outer(t, self.mu[:n])).dot(self.mult[:n]).reshape(t.shape)
 
     def _model(self, t):
         out = -float(self.q0) * np.ones_like(np.asarray(t, dtype=float))
@@ -910,7 +929,7 @@ class _NumericBackend:
         return out
 
     def _R(self, t):
-        return self._h(np.asarray(t, dtype=float)) - self._model(t)
+        return self._heat(t) - self._model(t)
 
     # -- the entire-in-s pieces ----------------------------------------------
     def _integrals(self, s: float):
@@ -918,54 +937,55 @@ class _NumericBackend:
         key = ("int", s)
         if key in self._cache:
             return self._cache[key]
-        # deferred: only explicit spectra need scipy, and its import costs more
-        # than the rest of the library's
-        from scipy.integrate import quad
-
         # R(t) falls off superexponentially towards small t; skip the part
         # below double-precision relevance and book a bound for it
-        t_lo, skip_err = self._small_integration_start(s)
-        # modes with mu*t > 55 contribute below 1e-20 on each range
-        small_n = int(np.searchsorted(self.mu, 55.0 / t_lo)) if self.mu.size else 0
-        large_n = int(np.searchsorted(self.mu, 55.0 / self.T)) if self.mu.size else 0
-        mu_s, m_s = self.mu[:small_n], self.mult[:small_n]
-        mu_l, m_l = self.mu[:large_n], self.mult[:large_n]
-
-        def h_small(t):
-            return float(np.exp(-t * mu_s).dot(m_s)) if small_n else 0.0
-
-        def small(t):
-            r = h_small(t) - float(self._model(np.array([t]))[0])
-            return r * t ** (s - 1.0)
-
-        def large(t):
-            return float(np.exp(-t * mu_l).dot(m_l)) * t ** (s - 1.0) if large_n else 0.0
-
-        def _q(f, a, b):
-            y = quad(f, a, b, epsabs=1e-15, epsrel=1e-13, limit=400, full_output=1)
-            return y[0], y[1]
-
-        ir, ir_err = _q(small, t_lo, self.T)
-        ir_err += skip_err
-        if self.mu.size:
-            g, g_err = _q(large, self.T, self.T + 60.0 / self.mu[0])
-        else:
-            g = g_err = 0.0
-        out = (ir, ir_err, g, g_err)
-        self._cache[key] = out
+        cell, skip_err = self._small_integration_start(s)
+        ir, ir_err = self._integrate("small", cell, s)
+        g, g_err = self._integrate("large", 0, s) if self.mu.size else (0.0, 0.0)
+        out = self._cache[key] = (ir, ir_err + skip_err, g, g_err)
         return out
 
+    def _integrate(self, rule: str, cell: int, s: float):
+        """(value, error estimate) of the rule's integral over its cells from ``cell`` on."""
+        level = 0
+        while True:
+            coarse, fine = (self._rule_sum(rule, k, cell, s) for k in (level, level + 1))
+            if abs(coarse - fine) <= _NUMERIC_GATE / 4.0 or level == _MAX_DOUBLINGS:
+                return coarse, abs(coarse - fine)
+            level += 1
+
+    def _rule_sum(self, rule: str, level: int, cell: int, s: float) -> float:
+        """The rule at s over its cells from ``cell`` on, with 2^level panels
+        per cell.  Its nodes t and weights times f(t) are kept per level: f
+        sees only the modes mu <= 55 / t_p, t_p the panel's lower end, as the
+        rest add below 1e-20."""
+        if (rule, level) not in self._cache:
+            if rule == "small":
+                edges, f = np.log(self.grid), lambda t, n: self._heat(t, n) - self._model(t)
+            else:
+                edges, f = np.linspace(math.log(self.T), math.log(self.T + 60.0 / self.mu[0]), 9), self._heat
+            nodes, weights = _gauss_legendre()
+            u = np.linspace(edges[:-1], edges[1:], 2**level + 1, axis=1)
+            lo, half = u[:, :-1].ravel(), np.diff(u, axis=1).ravel() / 2.0
+            t = np.exp((lo + half)[:, None] + half[:, None] * nodes)
+            counts = np.searchsorted(self.mu, 55.0 / np.exp(lo))
+            wf = [w * f(row, n) for row, w, n in zip(t, half[:, None] * weights, counts)]
+            self._cache[rule, level] = t.ravel(), np.concatenate(wf)
+        t, wf = self._cache[rule, level]
+        i = cell * 2**level * len(_gauss_legendre()[0])
+        return float(np.dot(wf[i:], t[i:] ** s))
+
     def _small_integration_start(self, s: float):
+        """(cell, bound): the grid cell from which the small range is
+        integrated at s, and a bound on the part below it."""
         # the max(1, |ln t|) factor only moves t_lo, but t_lo decides every
         # IR the backend returns: changing the weight changes every value
-        grid = np.geomspace(self.tmin, self.T, 48)
-        vals = np.abs(self._R(grid))
+        grid = self.grid
         weight = grid ** (min(s, 1.0) - 1.0) * np.maximum(1.0, np.abs(np.log(grid)))
-        mask = vals * weight * self.T > 1e-22
+        mask = self.grid_R * weight * self.T > 1e-22
         idx = int(np.argmax(mask)) if mask.any() else len(grid) - 1
-        t_lo = grid[max(idx - 1, 0)]
-        skipped = float(vals[max(idx - 1, 0)] * weight[max(idx - 1, 0)]) * self.T
-        return t_lo, min(skipped, 1e-22)
+        cell = max(idx - 1, 0)
+        return cell, min(float(self.grid_R[cell] * weight[cell]) * self.T, 1e-22)
 
     def _F_regular(self, s: float):
         """(regular part of F at s with the pole (if any) removed, residue);
@@ -1102,7 +1122,7 @@ def log_det_star(cs: CrossSection, backend: str = "auto") -> RegularizedDet:
 
 def _check_alpha(alpha: float) -> None:
     """Refuse a Robin parameter or shift unless |alpha| <= 1e150: the cutoffs of
-    the admissibility scans and series, like (2|alpha| + 2/L + 1)^2, overflow near 6.7e153."""
+    the admissibility scans and series, like the split 4 alpha^2, overflow near 6.7e153."""
     if not abs(alpha) <= 1e150:
         raise ValidationError(f"alpha must be finite with |alpha| <= 1e150, got {alpha}")
 

@@ -147,7 +147,7 @@ class TestRun:
 
     @pytest.mark.parametrize("cross", ["circle:6.28", "torus:6.28:3"])
     def test_alpha_past_the_mode_budget_is_refused_before_enumerating(self, cross, capsys, monkeypatch):
-        # the admissibility scan would list the modes up to (2|alpha| + 2/L + 1)^2
+        # the admissibility scan would list the modes up to (|alpha| + 2/L + 1)^2
         listed = []
         monkeypatch.setattr(spectra.Circle, "_lattice", lambda cs, cutoff: listed.append(cutoff))
         monkeypatch.setattr(spectra.FlatTorus, "_lattice", lambda cs, cutoff: listed.append(cutoff))
@@ -291,15 +291,16 @@ class TestReportContracts:
 
 class TestProcessInterface:
     def test_closed_form_checks_load_no_scipy(self):
-        # scipy serves only the numeric backend and the oracle, and its
-        # import would dominate a CLI call's start-up
+        # the library does not use scipy, whose import would dominate a CLI
+        # call's start-up; the mirror check runs on the numeric backend
         code = (
             "import math, sys\n"
             "import zetaglue.cli\n"
             "from zetaglue.gluing import GluingConfig, glue_robin_check\n"
-            "from zetaglue.spectra import Circle, FlatTorus\n"
+            "from zetaglue.spectra import Circle, FlatTorus, explicit_mirror\n"
             "glue_robin_check(GluingConfig(Circle(2 * math.pi), 2.0, 0.7, 0.3))\n"
             "glue_robin_check(GluingConfig(FlatTorus(2.0, 3.0), 2.0, 0.7, 0.3))\n"
+            "glue_robin_check(GluingConfig(explicit_mirror(Circle(8.5), 300.0), 2.0, 0.9, 0.37))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         proc = run_python("-c", code)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaglue import cylinder
 from zetaglue.cylinder import (
     BoundaryCondition as BC,
     CylinderSpec,
@@ -209,6 +210,62 @@ class TestValidation:
     def test_long_cylinder_scans_do_not_overflow(self, left):
         # the admissibility scans reach modes with L sqrt(mu) far above 710
         assert math.isfinite(det(CIRCLE, 400.0, left, BC.robin(1.0)).log_det)
+
+
+def old_scan_refuses(cs, length, alpha, geometry):
+    """The admissibility scan as it ran to (2|alpha| + 2/length + 1)^2."""
+    far, sign = cylinder._INTERFACES[geometry]
+    alpha = sign * alpha
+    tol = 1e-14 * max(1.0, abs(alpha))
+    return any(
+        abs(v) < tol
+        for e in enumerate_spectrum(cs, (2.0 * abs(alpha) + 2.0 / length + 1.0) ** 2)
+        for v in cylinder._interface_values(math.sqrt(e.eigenvalue), length, alpha, far)
+    )
+
+
+def refuses(cs, length, alpha, geometry):
+    try:
+        cylinder._check_robin_admissible(cs, length, alpha, geometry)
+    except SingularParameterError:
+        return True
+    return False
+
+
+def collisions(length, geometry, modes):
+    """Each alpha at which an interface eigenvalue of the geometry vanishes
+    over one of the modes x."""
+    far, sign = cylinder._INTERFACES[geometry]
+    return [-v / sign for x in modes for v in cylinder._interface_values(x, length, 0.0, far)]
+
+
+class TestAdmissibilityScan:
+    @pytest.mark.parametrize("geometry", sorted(cylinder._INTERFACES))
+    def test_collision_below_the_cutoff_is_refused(self, geometry):
+        # the mirror ends between the scan's cutoff and the old one, which
+        # would have raised InsufficientSpectrumError instead
+        for length, x in [(2.0 / 3.0, 3.0), (0.2, 3.0), (5.0, 4.0)]:
+            for alpha in collisions(length, geometry, [x]):
+                piece = length / 2.0 if cylinder._INTERFACES[geometry][0] is None else length
+                cutoff = (abs(alpha) * (1.0 + 1e-14) + 1.0 / piece + 1.0) ** 2
+                mirror = explicit_mirror(CIRCLE, math.ceil(math.sqrt(cutoff)) ** 2)
+                assert x * x < mirror.max_trusted < (2.0 * abs(alpha) + 2.0 / length + 1.0) ** 2
+                with pytest.raises(SingularParameterError):
+                    cylinder._check_robin_admissible(mirror, length, alpha, geometry)
+
+    @pytest.mark.parametrize("geometry", sorted(cylinder._INTERFACES))
+    def test_refusals_match_the_old_scan_near_collisions(self, geometry):
+        outcomes = set()
+        for length in (0.1, 0.35, 1.0, 3.0):
+            for alpha in collisions(length, geometry, range(8)):
+                for rel in (0.0, 3e-15, -3e-15, 3e-14, -3e-14, 1e-9):
+                    a = alpha * (1.0 + rel) + rel
+                    if a == 0.0:
+                        continue
+                    want = old_scan_refuses(CIRCLE, length, a, geometry)
+                    assert refuses(CIRCLE, length, a, geometry) == want, (length, a)
+                    outcomes.add(want)
+        assert outcomes == {True, False}
 
 
 class TestBoseSeries:

@@ -160,11 +160,11 @@ def cap_torus_listings(monkeypatch):
     monkeypatch.setattr(FlatTorus, "_lattice", capped)
 
 
-@pytest.mark.parametrize("a, cutoff", [(0.005, "2.56e+06"), (0.001, "4.01e+06")])
+@pytest.mark.parametrize("a, cutoff", [(0.005, "2.56e+06"), (0.001, "1e+06")])
 def test_cut_near_an_end_is_refused_by_its_length(a, cutoff, monkeypatch):
     # the left piece's series starts at (8/a)^2 and its admissibility scan
-    # runs to (2|alpha| + 2/a + 1)^2: about 4e6 torus modes at a = 0.005
-    # and 6e6 at a = 0.001, not alpha's to blame
+    # runs to (|alpha| + 1/a + 1)^2: the first refuses at a = 0.005 and
+    # the second at a = 0.001, each by the length, not alpha
     cap_torus_listings(monkeypatch)
     t0 = time.process_time()
     with pytest.raises(ValidationError, match=re.escape(f"length = {a} needs the spectrum up to {cutoff},")):

@@ -158,7 +158,10 @@ def test_robin_segment_eigenvalues():
 # (base, alpha) -> (lhs, rhs, residual, truncation) of the gluing check on the
 # explicit mirror of the base at cutoff 300 with L = 2, a = 0.9; alpha = 0 is
 # the Neumann check.  Recorded before the per-type dispatch moved onto the
-# cross-section classes; the numeric backend must reproduce them bit for bit.
+# cross-section classes, while the numeric backend integrated with adaptive
+# quadrature.  Its Gauss-Legendre grid moves lhs, rhs and residual by
+# rounding only (at most 3.6e-15), so they are held to within 16 ulp of the
+# pinned value or 1e-14, whichever is larger; truncation stays exact.
 MIRROR_BASES = {"circle": Circle(8.5), "torus": FlatTorus(TWO_PI, 3.5 * TWO_PI)}
 GOLDEN_MIRROR = [
     ("circle", 0.37, (2.8950548731549293, 2.895054873154933, 3.552713678800501e-15, 1e-12)),
@@ -175,7 +178,9 @@ GOLDEN_MIRROR = [
 def test_mirror_reports(base, alpha, want):
     cfg = GluingConfig(explicit_mirror(MIRROR_BASES[base], 300.0), 2.0, 0.9, alpha)
     rep = (glue_robin_check if alpha else glue_neumann_check)(cfg)
-    assert (rep.lhs, rep.rhs, rep.residual, rep.truncation) == want
+    assert rep.truncation == want[3]
+    for got, pinned in zip((rep.lhs, rep.rhs, rep.residual), want):
+        assert abs(got - pinned) <= max(16 * math.ulp(pinned), 1e-14), (got, pinned)
 
 
 # boundary pair -> (log_det, phase, kernel_dim, truncation) on [0, 1.5] x point

@@ -360,6 +360,20 @@ class TestExplicitIngestion:
     def test_mirror_of_an_ascending_list_is_a_copy(self, cs):
         assert list(explicit_mirror(cs, 2000.0).entries) == enumerate_spectrum(cs, 2000.0)
 
+    def test_stored_scans_start_where_the_full_scan_keeps(self):
+        # enumerate_spectrum and the stored part of every tail bound bisect
+        # the entries; the full scans they replaced are the reference
+        mirror = explicit_mirror(FlatTorus(TWO_PI, 3.0), 400.0)
+        eigs = [e.eigenvalue for e in mirror.entries]
+        cuts = [-math.inf, 0.0, 0.5, 1e3] + [f(mu) for mu in eigs[::7] for f in (
+            lambda mu: mu, lambda mu: math.nextafter(mu, 0.0), lambda mu: math.nextafter(mu, math.inf))]
+        for lam in cuts:
+            if lam <= mirror.max_trusted:
+                assert mirror.enumerate_spectrum(lam) == [e for e in mirror.entries if e.eigenvalue <= lam]
+            for f in (lambda mu: math.exp(-0.3 * mu), lambda mu: mu ** -1.5 if mu else 0.0):
+                full = math.fsum(e.multiplicity * f(e.eigenvalue) for e in mirror.entries if e.eigenvalue > lam)
+                assert spectra._sum_above(mirror.entries, lam, f) == full
+
     def test_rejects_negative_eigenvalue(self):
         doc = {"dim": 1, "entries": [[-1.0, 1]]}
         with pytest.raises(ValidationError):

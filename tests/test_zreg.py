@@ -5,7 +5,6 @@ import math
 import random
 
 import pytest
-import scipy.integrate
 
 from zetaglue import spectra, zreg
 from zetaglue.errors import ConvergenceError, SingularParameterError, ValidationError
@@ -219,6 +218,14 @@ class TestBackendCache:
         assert zreg._get_backend(TORUS_ASYM) is first
         assert next(reversed(zreg._backend_cache))[0] == TORUS_ASYM
 
+    def test_warm_mirror_lookup_hashes_no_entry(self, monkeypatch):
+        mirror, twin = (explicit_mirror(FlatTorus(TWO_PI, 3.0), 400.0) for _ in range(2))
+        assert mirror == twin and hash(mirror) == hash(twin)
+        first = zreg._get_backend(mirror)
+        hashes = counting(monkeypatch, spectra.SpectrumEntry, "__hash__")
+        assert zreg._get_backend(twin) is first
+        assert hashes == []
+
 
 def forget(cs):
     """Drop every cached spectrum and backend of ``cs``."""
@@ -291,38 +298,112 @@ class TestComputedOnce:
         assert len(zreg._get_backend(circle).shifted) == zreg._SHIFTED_CACHE_SIZE
 
 
-class TestNumericQuadrature:
-    """The numeric backend's calls of ``scipy.integrate.quad``."""
+# (base, cutoff) -> (IR, G) per s of MELLIN_S, from the adaptive scipy quad
+# the numeric backend used before its Gauss-Legendre grid, on the extreme
+# mirrors of the benchmark's mirror-shapes workload
+MELLIN_S = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
+MELLIN_BASES = {"circle": Circle(1.1 * TWO_PI), "torus": FlatTorus(TWO_PI, 2.4 * TWO_PI)}
+QUAD_INTEGRALS = {
+    ("circle", 100.0): [
+        (2.125550752655525e-06, 0.4868043379914676),
+        (2.0459017455718167e-06, 0.6102375985639406),
+        (1.9716816925724102e-06, 0.7941902819345387),
+        (1.9023797978907308e-06, 1.081340067400497),
+        (1.8375447665235525e-06, 1.5527813982396625),
+        (1.7767767024298659e-06, 2.3694576255120885),
+        (1.719720251692454e-06, 3.865099082231012),
+    ],
+    ("circle", 40000.0): [
+        (2.1255517887422063e-06, 0.4868043379914676),
+        (2.045902387997026e-06, 0.6102375985639406),
+        (1.9716821157492635e-06, 0.7941902819345387),
+        (1.9023800767994963e-06, 1.081340067400497),
+        (1.837544950424396e-06, 1.5527813982396625),
+        (1.7767768237293034e-06, 2.3694576255120885),
+        (1.7197203317265366e-06, 3.865099082231012),
+    ],
+    ("torus", 200.0): [
+        (8.285290706175997e-05, 3.790737416017196),
+        (7.902720726537996e-05, 5.203542651590676),
+        (7.5516287090524e-05, 7.905295769114208),
+        (7.228494277046878e-05, 13.84926703294477),
+        (6.930278641691936e-05, 29.034992762657872),
+        (6.654348332412193e-05, 73.84124974762958),
+        (6.398412453465889e-05, 224.1001402004559),
+    ],
+    ("torus", 2000.0): [
+        (8.285290689751657e-05, 3.790737416017196),
+        (7.90272072312309e-05, 5.203542651590676),
+        (7.551628708323781e-05, 7.905295769114208),
+        (7.228494276937044e-05, 13.84926703294477),
+        (6.930278641645163e-05, 29.034992762657872),
+        (6.654348332399533e-05, 73.84124974762958),
+        (6.398412453463894e-05, 224.1001402004559),
+    ],
+}
 
-    def test_two_quads_per_new_s(self, monkeypatch):
-        calls = counting(monkeypatch, scipy.integrate, "quad")
+
+class TestNumericGrid:
+    """The numeric backend's Gauss-Legendre rules for its two Mellin integrals."""
+
+    def test_new_s_builds_no_heat_values(self, monkeypatch):
+        calls = counting(monkeypatch, zreg._NumericBackend, "_heat")
         b = zreg._NumericBackend(explicit_mirror(Circle(8.5), 300.0))
-        for s in (0.5, -0.5, 0.0):
-            b.point(s)
-            assert len(calls) == 2
-            b.point(s)
-            assert len(calls) == 2
+        b.point(0.5)
+        assert calls
+        for s in (-0.5, 0.0, 1.5, 2.5):
             calls.clear()
+            b.point(s)
+            assert calls == []
         b.derivative0()
         assert calls == []
 
-    @pytest.mark.parametrize("quad_err, raises", [(2e-9, True), (1e-10, False)],
+    @pytest.mark.parametrize("estimate, raises", [(2e-9, True), (1e-10, False)],
                              ids=["above-gate", "below-gate"])
-    def test_error_gate(self, monkeypatch, quad_err, raises):
-        mirror = explicit_mirror(Circle(8.5), 300.0)
-        monkeypatch.setattr(scipy.integrate, "quad",
-                            lambda f, a, b, **kwargs: (0.0, quad_err, {}))
-        forget(mirror)
-        try:
-            if raises:
-                with pytest.raises(ConvergenceError) as exc:
-                    zeta_point(mirror, 0.5)
-                assert exc.value.achieved >= quad_err
-            else:
-                zeta_point(mirror, 0.5)
-        finally:
-            # the backend cached the stubbed integrals
-            forget(mirror)
+    def test_error_gate(self, monkeypatch, estimate, raises):
+        # every level lies ``estimate`` from the next, so the rule doubles to
+        # the cap where the estimate exceeds the integral's share of the gate
+        levels = []
+
+        def rule_sum(self, rule, level, cell, s):
+            levels.append(level)
+            return level * estimate
+
+        monkeypatch.setattr(zreg._NumericBackend, "_rule_sum", rule_sum)
+        b = zreg._NumericBackend(explicit_mirror(Circle(8.5), 300.0))
+        if raises:
+            with pytest.raises(ConvergenceError) as exc:
+                b.point(0.5)
+            assert exc.value.achieved >= 2.0 * estimate
+            assert max(levels) == zreg._MAX_DOUBLINGS + 1
+        else:
+            b.point(0.5)
+            assert b._integrals(0.5)[1] >= estimate and b._integrals(0.5)[3] == estimate
+            assert max(levels) == 1
+
+    def test_panels_double_until_the_estimate_fits(self, monkeypatch):
+        # level 0 lies 1e-6 from level 1, above the share; level 1 lies 1e-13 from level 2
+        def rule_sum(self, rule, level, cell, s):
+            return {0: 1e-6, 1: 1e-13}.get(level, 0.0)
+
+        monkeypatch.setattr(zreg._NumericBackend, "_rule_sum", rule_sum)
+        b = zreg._NumericBackend(explicit_mirror(Circle(8.5), 300.0))
+        ir, ir_err, g, g_err = b._integrals(0.5)
+        assert (g, g_err) == (1e-13, 1e-13)
+        assert ir == g and ir_err >= g_err
+
+    @pytest.mark.parametrize("base, cutoff", sorted(QUAD_INTEGRALS), ids=str)
+    def test_extreme_mirrors(self, base, cutoff):
+        b = zreg._NumericBackend(explicit_mirror(MELLIN_BASES[base], cutoff))
+        for s, (quad_ir, quad_g) in zip(MELLIN_S, QUAD_INTEGRALS[base, cutoff]):
+            ir, ir_err, g, g_err = b._integrals(s)
+            assert abs(ir - quad_ir) <= 1e-12 and abs(g - quad_g) <= 1e-12, s
+            # each error is at least the distance to the rule with twice the panels
+            cell = b._small_integration_start(s)[0]
+            for rule, value, err, start in (("small", ir, ir_err, cell), ("large", g, g_err, 0)):
+                level = max(k for r, k in b._cache if r == rule) - 1
+                assert b._rule_sum(rule, level, start, s) == value
+                assert err >= abs(value - b._rule_sum(rule, level + 1, start, s))
 
 
 def log1p_tail_to_1e25(x, kmax):
