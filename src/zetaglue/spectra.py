@@ -17,10 +17,9 @@ from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import attrgetter
 from typing import Optional
 
-import mpmath as mp
+import numpy as np
 
 from .errors import (
     HeatDataRequiredError,
@@ -54,9 +53,9 @@ class SpectrumEntry:
     multiplicity: int
 
     def __post_init__(self):
-        if self.eigenvalue < 0:
+        if not 0 <= self.eigenvalue < math.inf:
             raise ValidationError(
-                f"cross-section eigenvalues must be >= 0, got {self.eigenvalue}"
+                f"cross-section eigenvalues must be finite and >= 0, got {self.eigenvalue}"
             )
         if self.multiplicity < 1:
             raise ValidationError(
@@ -112,7 +111,8 @@ class CrossSection:
     * ``dim`` and ``heat``, the ``HeatExpansion`` (None when unknown);
     * ``max_trusted``, the largest eigenvalue the spectrum is known up
       to: ``math.inf`` when it is known in full;
-    * ``enumerate_spectrum(cutoff)``, the entries <= cutoff in a new list;
+    * ``enumerate_spectrum(cutoff)``, the entries <= cutoff in a new list
+      (``_arrays(cutoff)`` gives them as float64 arrays);
     * ``kernel_dim()`` and ``heat_trace(t)``;
     * ``exp_tail_bound(lam, rate)``, ``heat_tail_bound(lam, t)`` and
       ``power_tail_bound(lam, p)``, upper bounds on the sums of
@@ -140,6 +140,13 @@ class CrossSection:
             raise MissingHeatCoefficientError(order)
         coeffs = tuple(heat.coeff(j) for j in range(order + 1))
         return HeatExpansion(self.dim, coeffs, exact=heat.exact)
+
+    def _arrays(self, cutoff: float) -> tuple:
+        """(mu, mult): the entries <= cutoff as float64 arrays of their
+        eigenvalues and multiplicities, in ``enumerate_spectrum``'s order."""
+        entries = self.enumerate_spectrum(cutoff)
+        return (np.array([e.eigenvalue for e in entries], dtype=float),
+                np.array([float(e.multiplicity) for e in entries]))
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -339,6 +346,10 @@ class ExplicitSpectrum(CrossSection):
     to the stored modes above lam a Weyl-density bound from a_0, with a
     factor-2 safety margin, for the modes beyond the list.  The hash is
     formed once, as a lookup of a long list would otherwise rehash it.
+
+    Every scan of the stored modes is one numpy pass over the slice above
+    its cutoff of the list's float64 arrays (``_stored_arrays``), which are
+    kept in a bounded module cache and never on the instance.
     """
 
     entries: tuple
@@ -352,12 +363,13 @@ class ExplicitSpectrum(CrossSection):
         if self.dim < 0:
             raise ValidationError("dimension must be >= 0")
         prev = None
-        for e in self.entries:
+        for i, e in enumerate(self.entries):
             if not isinstance(e, SpectrumEntry):
                 raise ValidationError("entries must be SpectrumEntry instances")
             if prev is not None and not (e.eigenvalue > prev):
                 raise ValidationError(
-                    "explicit entries must be strictly ascending and pre-merged"
+                    f"explicit entries must be strictly ascending and pre-merged: "
+                    f"entry {i} ({e.eigenvalue!r}) follows {prev!r}"
                 )
             prev = e.eigenvalue
         if self.heat is not None and self.heat.cross_dim != self.dim:
@@ -373,13 +385,24 @@ class ExplicitSpectrum(CrossSection):
     def __repr__(self):
         return f"ExplicitSpectrum(n={len(self.entries)}, dim={self.dim})"
 
-    def enumerate_spectrum(self, cutoff: float) -> list:
+    def _arrays(self, cutoff: float) -> tuple:
         if self.max_eigenvalue < cutoff:
             raise InsufficientSpectrumError(
                 "explicit spectrum is truncated below the requested cutoff",
                 max_trusted=self.max_eigenvalue,
             )
-        return list(self.entries[:_count_upto(self.entries, cutoff)])
+        mu, mult = _stored_arrays(self)
+        n = mu.searchsorted(cutoff, side="right")
+        return mu[:n], mult[:n]
+
+    def _above(self, lam: float) -> tuple:
+        """Views of the stored eigenvalues > lam and of their multiplicities."""
+        mu, mult = _stored_arrays(self)
+        i = mu.searchsorted(lam, side="right")
+        return mu[i:], mult[i:]
+
+    def enumerate_spectrum(self, cutoff: float) -> list:
+        return list(self.entries[:len(self._arrays(cutoff)[0])])
 
     def kernel_dim(self) -> int:
         for e in self.entries:
@@ -390,7 +413,8 @@ class ExplicitSpectrum(CrossSection):
         return 0
 
     def heat_trace(self, t: float) -> float:
-        total = _sum_above(self.entries, -math.inf, lambda mu: math.exp(-t * mu))
+        mu, mult = _stored_arrays(self)
+        total = float(mult @ np.exp(-t * mu))
         tail = self.heat_tail_bound(self.max_eigenvalue, t)
         if tail > 1e-12 * max(total, 1e-300):
             raise InsufficientSpectrumError(
@@ -400,15 +424,18 @@ class ExplicitSpectrum(CrossSection):
         return total
 
     def exp_tail_bound(self, lam: float, rate: float) -> float:
-        stored = _sum_above(self.entries, lam, lambda mu: math.exp(-rate * math.sqrt(mu)))
+        mu, mult = self._above(lam)
+        stored = float(mult @ np.exp(-rate * np.sqrt(mu)))
         return stored + _weyl_exp_tail(self, max(lam, self.max_eigenvalue), rate)
 
     def heat_tail_bound(self, lam: float, t: float) -> float:
-        stored = _sum_above(self.entries, lam, lambda mu: math.exp(-t * mu))
+        mu, mult = self._above(lam)
+        stored = float(mult @ np.exp(-t * mu))
         return stored + _weyl_heat_tail(self, max(lam, self.max_eigenvalue), t)
 
     def power_tail_bound(self, lam: float, p: float) -> float:
-        stored = _sum_above(self.entries, lam, lambda mu: mu ** (-p))
+        mu, mult = self._above(lam)
+        stored = float(mult @ mu ** -p)
         pref, d = _weyl_density_scale(self)
         start = max(lam, self.max_eigenvalue, 1e-12)
         model = pref * start ** (d / 2.0 - p) / (p - d / 2.0) if pref else 0.0
@@ -424,6 +451,32 @@ class ExplicitSpectrum(CrossSection):
 _SPECTRUM_CACHE_SIZE = 32
 _spectrum_cache: OrderedDict = OrderedDict()
 _spectrum_lock = threading.Lock()
+
+
+# recent stored spectra, oldest first: (eigenvalues, multiplicities) as
+# read-only float64 arrays, which the numeric backend views too; kept here,
+# not on the instance, so that a caller holding many spectra holds no arrays
+_ARRAY_CACHE_SIZE = 32
+_array_cache: OrderedDict = OrderedDict()
+_array_lock = threading.Lock()
+
+
+def _stored_arrays(cs: ExplicitSpectrum) -> tuple:
+    """(mu, mult): every stored eigenvalue and multiplicity of cs, ascending."""
+    with _array_lock:
+        hit = _array_cache.get(cs)
+        if hit is not None:
+            _array_cache.move_to_end(cs)
+            return hit
+    mu = np.array([e.eigenvalue for e in cs.entries], dtype=float)
+    mult = np.array([float(e.multiplicity) for e in cs.entries])
+    mu.flags.writeable = mult.flags.writeable = False
+    with _array_lock:
+        hit = _array_cache.setdefault(cs, (mu, mult))
+        _array_cache.move_to_end(cs)
+        while len(_array_cache) > _ARRAY_CACHE_SIZE:
+            _array_cache.popitem(last=False)
+    return hit
 
 
 def enumerate_spectrum(cs: CrossSection, cutoff: float) -> list:
@@ -534,16 +587,6 @@ def heat_tail_bound(cs: CrossSection, lam: float, t: float) -> float:
     return cs.heat_tail_bound(lam, t)
 
 
-def _count_upto(entries, lam: float) -> int:
-    """The number of entries with mu_j <= lam, entries ascending."""
-    return bisect_right(entries, lam, key=attrgetter("eigenvalue"))
-
-
-def _sum_above(entries, lam: float, f) -> float:
-    """fsum of m_j f(mu_j) over the entries with mu_j > lam, entries ascending."""
-    return math.fsum(e.multiplicity * f(e.eigenvalue) for e in entries[_count_upto(entries, lam):])
-
-
 def _weyl_density_scale(cs: CrossSection):
     """(prefactor, d) of the Weyl eigenvalue density 2*a0*(d/2)u^(d/2-1)/Gamma(d/2+1)."""
     d = cs.dim
@@ -558,15 +601,41 @@ def _weyl_density_scale(cs: CrossSection):
     return 2.0 * a0 * (d / 2.0) / math.gamma(d / 2.0 + 1.0), d
 
 
+def _upper_gamma(two_a: int, x: float) -> float:
+    """Gamma(a, x), the upper incomplete gamma function, at a = two_a / 2
+    for an integer two_a >= 1 and x >= 0.
+
+    From Gamma(1, x) = e^-x or Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)), the
+    steps Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x add positive terms, so
+    the result is within a few roundings per step.  Past x = 700, where
+    e^-x nears underflow, x^a e^-x is formed as exp(a ln x - x).
+    """
+    if two_a % 2 == 0:
+        a, g = 1.0, math.exp(-x)
+    else:
+        y = math.sqrt(x)
+        a, g = 0.5, math.sqrt(math.pi) * math.erfc(y)
+        if x <= 700.0:
+            # erfc moves by 2y relative per unit of its argument, 1e-13 at
+            # x = 700 from the rounding of y; exp(y^2 - x) puts it back, with
+            # y^2 - x exact from the halves of y (Veltkamp's split)
+            c = 134217729.0 * y
+            hi = c - (c - y)
+            lo = y - hi
+            g *= math.exp((hi * hi - x) + 2.0 * hi * lo + lo * lo)
+    while 2.0 * a < two_a:
+        g = a * g + (x**a * math.exp(-x) if x <= 700.0 else math.exp(a * math.log(x) - x))
+        a += 1.0
+    return g
+
+
 def _weyl_exp_tail(cs: CrossSection, lam: float, rate: float) -> float:
     pref, d = _weyl_density_scale(cs)
     if pref == 0.0:
         return 0.0
-    x0 = rate * math.sqrt(max(lam, 0.0))
     # integral_lam^inf u^{d/2-1} e^{-rate sqrt(u)} du = (2/rate^d) Gamma(d, x0)
-    with mp.workdps(25):
-        gam = float(mp.gammainc(d, x0))
-    return pref * 2.0 * gam / rate**d
+    x0 = rate * math.sqrt(max(lam, 0.0))
+    return pref * 2.0 * _upper_gamma(2 * d, x0) / rate**d
 
 
 def _weyl_heat_tail(cs: CrossSection, lam: float, t: float) -> float:
@@ -574,14 +643,31 @@ def _weyl_heat_tail(cs: CrossSection, lam: float, t: float) -> float:
     if pref == 0.0:
         return 0.0
     # integral_lam^inf u^{d/2-1} e^{-t u} du = Gamma(d/2, t*lam) / t^{d/2}
-    with mp.workdps(25):
-        gam = float(mp.gammainc(d / 2.0, t * max(lam, 0.0)))
-    return pref * gam / t ** (d / 2.0)
+    return pref * _upper_gamma(d, t * max(lam, 0.0)) / t ** (d / 2.0)
 
 
 # ----------------------------------------------------------------------------
 # explicit-spectrum ingestion
 # ----------------------------------------------------------------------------
+
+
+def _json_integer(value, what: str) -> int:
+    """An integral JSON number as an int; anything else is refused by name."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _json_float(value, what: str) -> float:
+    """A JSON number or decimal string as a float; anything else is refused by name."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ValidationError(f"{what} must be a number or a decimal string, got {value!r}")
 
 
 def explicit_from_json(doc) -> ExplicitSpectrum:
@@ -591,29 +677,44 @@ def explicit_from_json(doc) -> ExplicitSpectrum:
 
         {"dim": int,
          "entries": [[mu, mult], ...],   # mu as float or decimal string
-         "heat": {"coeffs": [a0, a1, ...]}}
+         "heat": {"coeffs": [a0, a1, ...], "exact": bool}}
 
-    Entries must be sorted ascending and pre-merged.
+    Entries must be sorted ascending and pre-merged, eigenvalues finite
+    and >= 0, multiplicities integers >= 1.  Every malformed document
+    raises ``ValidationError``, naming the entry at fault.
     """
     if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except ValueError as exc:
+            raise ValidationError(f"explicit spectrum document is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError("explicit spectrum document must be a JSON object")
-    try:
-        dim = int(doc["dim"])
-        raw_entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed explicit spectrum document: {exc}") from exc
+    for key in ("dim", "entries"):
+        if key not in doc:
+            raise ValidationError(f"explicit spectrum document has no {key!r}")
+    dim = _json_integer(doc["dim"], "dim")
+    raw_entries = doc["entries"]
+    if not isinstance(raw_entries, (list, tuple)):
+        raise ValidationError(f"entries must be a list of [mu, mult] pairs, got {raw_entries!r}")
     entries = []
-    for item in raw_entries:
-        if len(item) != 2:
-            raise ValidationError("each entry must be a [mu, mult] pair")
-        mu, mult = item
-        entries.append(SpectrumEntry(float(mu), int(mult)))
-    heat = None
-    if "heat" in doc and doc["heat"] is not None:
-        coeffs = tuple(float(a) for a in doc["heat"]["coeffs"])
-        heat = HeatExpansion(dim, coeffs, exact=bool(doc["heat"].get("exact", False)))
+    for i, item in enumerate(raw_entries):
+        if not (isinstance(item, (list, tuple)) and len(item) == 2):
+            raise ValidationError(f"entry {i} must be a [mu, mult] pair, got {item!r}")
+        try:
+            mu = _json_float(item[0], "its eigenvalue")
+            entries.append(SpectrumEntry(mu, _json_integer(item[1], "its multiplicity")))
+        except ValidationError as exc:
+            raise ValidationError(f"entry {i} {item!r}: {exc}") from None
+    heat = doc.get("heat")
+    if heat is not None:
+        if not (isinstance(heat, dict) and isinstance(heat.get("coeffs"), (list, tuple))
+                and isinstance(heat.get("exact", False), bool)):
+            raise ValidationError(
+                f'heat must be {{"coeffs": [a0, ...], "exact": true or false}}, got {heat!r}'
+            )
+        coeffs = tuple(_json_float(a, f"heat coefficient {j}") for j, a in enumerate(heat["coeffs"]))
+        heat = HeatExpansion(dim, coeffs, exact=heat.get("exact", False))
     return ExplicitSpectrum(entries=tuple(entries), dim=dim, heat=heat)
 
 

@@ -48,7 +48,6 @@ from .spectra import (
     CrossSection,
     FlatTorus,
     Point,
-    _sum_above,
     enumerate_spectrum,
     heat_coefficients,
     heat_tail_bound,
@@ -868,12 +867,10 @@ class _NumericBackend:
         self.betas = [(self.d / 2.0 - j, a) for j, a in enumerate(coeffs) if a != 0.0]
 
         lam, tmin, tail_err = self._choose_truncation()
-        if lam > 0:
-            entries = [e for e in enumerate_spectrum(cs, lam) if e.eigenvalue > 0]
-        else:
-            entries = []
-        self.mu = np.array([e.eigenvalue for e in entries])
-        self.mult = np.array([float(e.multiplicity) for e in entries])
+        # the positive modes; on stored data views of the shared arrays
+        mu, mult = cs._arrays(lam) if lam > 0 else (np.empty(0), np.empty(0))
+        zero = mu.searchsorted(0.0, side="right")
+        self.mu, self.mult = mu[zero:], mult[zero:]
         self.tmin = tmin
         self._cache: dict = {}
         self.grid = np.geomspace(tmin, self.T, 48)
@@ -1242,10 +1239,15 @@ def _truncated_row(cs: CrossSection, mu0: float, backend) -> tuple:
                           + 2.0**-52 * (abs(zk) + weight * abs(res)))
         return low, c0, zetas, errors
     d = cs.dim
-    stored = enumerate_spectrum(cs, cs.max_trusted) if cs.max_trusted < math.inf else None
+    above = None  # on stored data, the modes above mu0
+    if cs.max_trusted < math.inf:
+        mu, mult = cs._arrays(cs.max_trusted)
+        i = mu.searchsorted(mu0, side="right")
+        above = mu[i:], mult[i:]
     for k in range(1, _KORDER):
-        if k / 2.0 > d / 2.0 + 1.5 and stored is not None:
-            zk = _sum_above(stored, mu0, lambda mu: mu ** (-k / 2.0))
+        if k / 2.0 > d / 2.0 + 1.5 and above is not None:
+            mu, mult = above
+            zk = float(mult @ mu ** (-k / 2.0))
             zk += 0.5 * power_tail_bound(cs, cs.max_trusted, k / 2.0)
         else:
             zp = backend.point(k / 2.0)

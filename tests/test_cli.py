@@ -383,6 +383,34 @@ class TestProcessInterface:
         rep = json.loads(proc.stdout)
         assert rep["log_det"] == pytest.approx(math.log(2.0), abs=1e-12)
 
+    @pytest.mark.parametrize("entries", [
+        [[0.0, 1], ["inf", 2]],  # an infinite entry used to pass the list off as complete (exit 3)
+        [[0.0, 1], ["nan", 2]],
+        [[0.0, 1], [1.0, 2.5]],
+        [[0.0, 1], [1.0, True]],
+        [[0, 1], 5],
+        5,
+        [["abc", 2]],
+    ], ids=["inf", "nan", "fraction", "bool", "not-a-pair", "not-a-list", "word"])
+    def test_malformed_explicit_file_exits_2(self, tmp_path, entries):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"dim": 1, "entries": entries, "heat": {"coeffs": [0.5]}}))
+        code, rep = run({"command": "det", "cross_section": f"explicit:{path}", "length": 1.0, "bc": "dd"})
+        assert code == EXIT_VALIDATION, rep
+
+    @pytest.mark.parametrize("doc", [
+        {"dim": 1, "entries": [[0.0, 1], ["inf", 2]], "heat": {"coeffs": [0.5]}},
+        {"dim": 1, "entries": [[0, 1], 5]},
+        {"dim": 1.7, "entries": [[0.0, 1]]},
+        {"dim": 1, "entries": [[0.0, 1]], "heat": {}},
+    ], ids=["inf", "not-a-pair", "fractional-dim", "empty-heat"])
+    def test_malformed_explicit_file_exits_2_from_the_command_line(self, tmp_path, doc):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli(["det", "--cross", f"explicit:{path}", "--L", "1", "--bc", "dd"])
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_cli_import_loads_no_jsonschema(self):
         # the key table validates configs; a schema library would add about
         # 0.15 s to every CLI start-up

@@ -277,9 +277,11 @@ def test_pair_reports(section, L, pair, alpha, log_det, phase, kernel, truncatio
     rep = log_det_cylinder(CylinderSpec(SECTIONS[section], L, *ends(pair, alpha)))
     if section == "mirror":
         # the numeric backend's Gauss-Legendre grid moves its values by rounding
-        # only (at most 2.2e-16 here); phases, kernels, truncation and term
-        # order stay exact
-        assert (rep.phase_multiple, rep.kernel_dim, rep.truncation) == (phase, kernel, truncation)
+        # only (at most 2.2e-16 here), and the array passes over the stored
+        # modes and the closed-form Weyl tails move the truncation by rounding
+        # only; phases, kernels and term order stay exact
+        assert (rep.phase_multiple, rep.kernel_dim) == (phase, kernel)
+        assert math.isclose(rep.truncation, truncation, rel_tol=1e-12, abs_tol=0.0)
         assert list(rep.terms) == list(terms)
         for got, pinned in zip([rep.log_det, *rep.terms.values()], [log_det, *terms.values()]):
             assert abs(got - pinned) <= max(16 * math.ulp(pinned), 1e-14), (got, pinned)

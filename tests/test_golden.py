@@ -264,7 +264,15 @@ GOLDEN_BOUNDS = {
 
 @pytest.mark.parametrize("name", list(GOLDEN_BOUNDS))
 def test_heat_traces_and_tail_bounds(name):
+    # the mirrors sum their stored modes in numpy passes, whose exp differs
+    # from libm's by up to an ulp per term, and form their Weyl tails from
+    # closed-form incomplete gamma functions: within 1e-12 relative of the
+    # pinned values; the built-ins stay exact
     cs = BOUND_SECTIONS[name]
     for fn, args in BOUND_ARGS.items():
         got = tuple(fn(cs, *a) for a in args)
-        assert got == GOLDEN_BOUNDS[name][fn.__name__], fn.__name__
+        pinned = GOLDEN_BOUNDS[name][fn.__name__]
+        if name.startswith("mirror-"):
+            assert all(math.isclose(g, p, rel_tol=1e-12, abs_tol=0.0) for g, p in zip(got, pinned)), fn.__name__
+        else:
+            assert got == pinned, fn.__name__

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from zetaglue.spectra import (
     explicit_from_json,
     explicit_mirror,
 )
+from zetaglue.zreg import power_tail_bound
 
 TWO_PI = 2.0 * math.pi
 
@@ -361,8 +363,9 @@ class TestExplicitIngestion:
         assert list(explicit_mirror(cs, 2000.0).entries) == enumerate_spectrum(cs, 2000.0)
 
     def test_stored_scans_start_where_the_full_scan_keeps(self):
-        # enumerate_spectrum and the stored part of every tail bound bisect
-        # the entries; the full scans they replaced are the reference
+        # enumerate_spectrum and the stored part of every tail bound slice
+        # the stored arrays at a searchsorted index; the full scans they
+        # replaced are the reference
         mirror = explicit_mirror(FlatTorus(TWO_PI, 3.0), 400.0)
         eigs = [e.eigenvalue for e in mirror.entries]
         cuts = [-math.inf, 0.0, 0.5, 1e3] + [f(mu) for mu in eigs[::7] for f in (
@@ -370,15 +373,166 @@ class TestExplicitIngestion:
         for lam in cuts:
             if lam <= mirror.max_trusted:
                 assert mirror.enumerate_spectrum(lam) == [e for e in mirror.entries if e.eigenvalue <= lam]
-            for f in (lambda mu: math.exp(-0.3 * mu), lambda mu: mu ** -1.5 if mu else 0.0):
-                full = math.fsum(e.multiplicity * f(e.eigenvalue) for e in mirror.entries if e.eigenvalue > lam)
-                assert spectra._sum_above(mirror.entries, lam, f) == full
+            kept = [e for e in mirror.entries if e.eigenvalue > lam]
+            mu, mult = mirror._above(lam)
+            assert mu.tolist() == [e.eigenvalue for e in kept]
+            assert mult.tolist() == [e.multiplicity for e in kept]
 
     def test_rejects_negative_eigenvalue(self):
         doc = {"dim": 1, "entries": [[-1.0, 1]]}
         with pytest.raises(ValidationError):
             explicit_from_json(doc)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_entry_refuses_non_finite_eigenvalue(self, mu):
+        with pytest.raises(ValidationError, match="finite"):
+            SpectrumEntry(mu, 1)
+
+    @pytest.mark.parametrize("entry", [["inf", 2], ["nan", 2], ["-inf", 2], ["1e400", 1]])
+    def test_rejects_non_finite_eigenvalue(self, entry):
+        # an infinite entry would make max_trusted infinite, and the list
+        # would pass for a complete spectrum; NaN would pass as unsorted
+        doc = {"dim": 1, "entries": [[0.0, 1], entry], "heat": {"coeffs": [1.0]}}
+        with pytest.raises(ValidationError, match=r"entry 1 .*finite"):
+            explicit_from_json(doc)
+
     def test_rejects_bad_multiplicity(self):
         with pytest.raises(ValidationError):
             SpectrumEntry(1.0, 0)
+
+
+# malformed explicit documents -> a fragment the refusal must contain
+MALFORMED = {
+    "fractional-multiplicity": ({"dim": 1, "entries": [[0.0, 1], [1.0, 2.5]]}, "entry 1"),
+    "boolean-multiplicity": ({"dim": 1, "entries": [[0.0, 1], [1.0, True]]}, "entry 1"),
+    "string-multiplicity": ({"dim": 1, "entries": [[0.0, "2"]]}, "entry 0"),
+    "fractional-dim": ({"dim": 1.7, "entries": [[0.0, 1]]}, "dim"),
+    "boolean-dim": ({"dim": True, "entries": [[0.0, 1]]}, "dim"),
+    "entry-not-a-pair": ({"dim": 1, "entries": [[0, 1], 5]}, "entry 1"),
+    "entry-of-three": ({"dim": 1, "entries": [[0, 1, 2]]}, "entry 0"),
+    "entries-not-a-list": ({"dim": 1, "entries": 5}, "entries"),
+    "no-entries": ({"dim": 1}, "entries"),
+    "no-dim": ({"entries": [[0.0, 1]]}, "dim"),
+    "empty-heat": ({"dim": 1, "entries": [[0.0, 1]], "heat": {}}, "heat"),
+    "heat-not-an-object": ({"dim": 1, "entries": [[0.0, 1]], "heat": [1.0]}, "heat"),
+    "string-exact": ({"dim": 1, "entries": [[0.0, 1]], "heat": {"coeffs": [1.0], "exact": "no"}}, "heat"),
+    "word-coefficient": ({"dim": 1, "entries": [[0.0, 1]], "heat": {"coeffs": ["abc"]}}, "heat coefficient 0"),
+    "word-eigenvalue": ({"dim": 1, "entries": [["abc", 2]]}, "entry 0"),
+    "object-eigenvalue": ({"dim": 1, "entries": [[{}, 2]]}, "entry 0"),
+    "unsorted": ({"dim": 1, "entries": [[0.0, 1], [2.0, 1], [1.0, 1]]}, "entry 2"),
+}
+
+
+class TestMalformedExplicitDocuments:
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_refused_by_name(self, name):
+        doc, fragment = MALFORMED[name]
+        with pytest.raises(ValidationError, match=fragment):
+            explicit_from_json(doc)
+        with pytest.raises(ValidationError, match=fragment):
+            explicit_from_json(json.dumps(doc))
+
+    def test_not_json(self):
+        with pytest.raises(ValidationError, match="not JSON"):
+            explicit_from_json("{dim: 1")
+
+    def test_integral_numbers_are_accepted(self):
+        doc = {"dim": 1.0, "entries": [["0", 1], [1, 2.0]], "heat": {"coeffs": [1], "exact": True}}
+        cs = explicit_from_json(doc)
+        assert cs.dim == 1 and type(cs.dim) is int
+        assert entries_as_pairs(cs.entries) == [(0.0, 1), (1.0, 2)]
+        assert all(type(e.multiplicity) is int for e in cs.entries)
+
+
+# the stored lists of the array tests: mirrors at cutoff 300, and a list of zero modes alone
+ARRAY_SECTIONS = {
+    "circle": explicit_mirror(Circle(8.5), 300.0),
+    "torus": explicit_mirror(FlatTorus(TWO_PI, 7.0 * math.pi), 300.0),
+    "zero-modes": ExplicitSpectrum((SpectrumEntry(0.0, 2),), 1, HeatExpansion(1, (0.4,))),
+}
+
+
+def _direct(cs, lam, f):
+    """fsum of m_j f(mu_j) over the stored entries with mu_j > lam."""
+    return math.fsum(e.multiplicity * f(e.eigenvalue) for e in cs.entries if e.eigenvalue > lam)
+
+
+def _cuts(cs):
+    """Below the first mode, inside the list (at a stored eigenvalue and
+    between two), at the largest mode, and above it (an empty slice)."""
+    eigs = [e.eigenvalue for e in cs.entries]
+    inside = [eigs[len(eigs) // 2], (eigs[len(eigs) // 3] + eigs[len(eigs) // 3 + 1]) / 2.0] if len(eigs) > 3 else []
+    return [-1.0, *inside, cs.max_eigenvalue, 2.0 * cs.max_eigenvalue + 400.0]
+
+
+class TestStoredArrayPasses:
+    """Each stored scan is one numpy pass; a direct fsum over the entries
+    is the reference, within 1e-12 relative."""
+
+    @pytest.mark.parametrize("name", list(ARRAY_SECTIONS))
+    def test_tail_bounds_and_listing(self, name):
+        cs = ARRAY_SECTIONS[name]
+        close = lambda got, want: math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)  # noqa: E731
+        for lam in _cuts(cs):
+            top = max(lam, cs.max_eigenvalue)
+            for rate in (0.05, 0.5, 4.0):
+                want = _direct(cs, lam, lambda mu: math.exp(-rate * math.sqrt(mu)))
+                assert close(cs.exp_tail_bound(lam, rate), want + spectra._weyl_exp_tail(cs, top, rate))
+            for t in (0.01, 0.2, 3.0):
+                want = _direct(cs, lam, lambda mu: math.exp(-t * mu))
+                assert close(cs.heat_tail_bound(lam, t), want + spectra._weyl_heat_tail(cs, top, t))
+            if lam >= 0.0:
+                pref, d = spectra._weyl_density_scale(cs)
+                for p in (1.5, 3.0, 7.5):
+                    want = _direct(cs, lam, lambda mu: mu ** -p)
+                    want += pref * max(top, 1e-12) ** (d / 2.0 - p) / (p - d / 2.0)
+                    assert close(power_tail_bound(cs, lam, p), want)
+                if lam <= cs.max_eigenvalue:
+                    assert cs.enumerate_spectrum(lam) == [e for e in cs.entries if e.eigenvalue <= lam]
+
+    @pytest.mark.parametrize("name", ["circle", "torus"])
+    def test_heat_trace(self, name):
+        cs = ARRAY_SECTIONS[name]
+        for t in (0.2, 1.0, 3.0):
+            want = math.fsum(e.multiplicity * math.exp(-t * e.eigenvalue) for e in cs.entries)
+            assert math.isclose(heat_trace(cs, t), want, rel_tol=1e-12, abs_tol=0.0)
+
+    def test_zero_modes_alone(self):
+        cs = ExplicitSpectrum((SpectrumEntry(0.0, 3),), 0, HeatExpansion(0, (3.0,), exact=True))
+        assert heat_trace(cs, 0.7) == 3.0
+        assert cs.exp_tail_bound(-1.0, 2.0) == cs.heat_tail_bound(-1.0, 2.0) == 3.0
+        assert cs.exp_tail_bound(0.0, 2.0) == cs.heat_tail_bound(0.0, 2.0) == cs.power_tail_bound(0.0, 2.0) == 0.0
+        assert cs.enumerate_spectrum(0.0) == [SpectrumEntry(0.0, 3)]
+
+
+class TestWeylTails:
+    def test_closed_form_upper_gamma_matches_mpmath(self):
+        xs = [0.0, 1e-300, 1e-9, 0.3, 1.0] + [700.0 * k / 499.0 for k in range(500)] + [699.99]
+        worst = 0.0
+        with mpmath.workdps(30):
+            for two_a in range(1, 13):
+                for x in xs:
+                    want = mpmath.gammainc(mpmath.mpf(two_a) / 2, x)
+                    worst = max(worst, float(abs(spectra._upper_gamma(two_a, x) - want) / want))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_weyl_tails_match_mpmath(self, dim):
+        cs = ExplicitSpectrum((SpectrumEntry(0.0, 1), SpectrumEntry(50.0, 4)), dim, HeatExpansion(dim, (0.8,)))
+        pref = 2.0 * 0.8 * (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+        with mpmath.workdps(30):
+            for lam, rate in ((50.0, 0.3), (400.0, 2.0), (1e4, 0.05)):
+                want = pref * 2.0 * float(mpmath.gammainc(dim, rate * math.sqrt(lam))) / rate**dim
+                assert math.isclose(spectra._weyl_exp_tail(cs, lam, rate), want, rel_tol=1e-13)
+                want = pref * float(mpmath.gammainc(dim / 2.0, rate * lam)) / rate ** (dim / 2.0)
+                assert math.isclose(spectra._weyl_heat_tail(cs, lam, rate), want, rel_tol=1e-13)
+
+    def test_upper_gamma_past_the_underflow(self):
+        assert spectra._upper_gamma(12, 745.0) == pytest.approx(6.5209811403463e-310, rel=1e-9)
+        assert [spectra._upper_gamma(n, x) for n in (1, 2, 7) for x in (800.0, 1e300)] == [0.0] * 6
+
+    def test_spectra_binds_no_mpmath(self):
+        bound = [name for name, value in vars(spectra).items()
+                 if getattr(value, "__name__", "").startswith("mpmath")
+                 or (getattr(value, "__module__", None) or "").startswith("mpmath")]
+        assert bound == []

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from zetaglue import spectra, zreg
@@ -225,6 +226,37 @@ class TestBackendCache:
         hashes = counting(monkeypatch, spectra.SpectrumEntry, "__hash__")
         assert zreg._get_backend(twin) is first
         assert hashes == []
+
+
+class TestStoredArrays:
+    @pytest.mark.parametrize("base", [Circle(8.5), FlatTorus(TWO_PI, 7.0 * math.pi)], ids=["circle", "torus"])
+    def test_truncated_row_stored_tails_match_direct_sums(self, base):
+        # splits below the first positive mode, at and between stored modes, and
+        # at the largest one (an empty slice)
+        cs = explicit_mirror(base, 300.0)
+        backend = zreg._get_backend(cs)
+        eigs = [e.eigenvalue for e in cs.entries]
+        mid = len(eigs) // 2
+        for mu0 in (eigs[1] / 2.0, eigs[mid], (eigs[mid] + eigs[mid + 1]) / 2.0, cs.max_eigenvalue):
+            zetas = zreg._truncated_row(cs, mu0, backend)[2]
+            stored = [k for k in range(1, zreg._KORDER) if k / 2.0 > cs.dim / 2.0 + 1.5]
+            assert stored
+            for k in stored:
+                direct = math.fsum(e.multiplicity * e.eigenvalue ** (-k / 2.0) for e in cs.entries if e.eigenvalue > mu0)
+                want = direct + 0.5 * power_tail_bound(cs, cs.max_trusted, k / 2.0)
+                assert math.isclose(zetas[k - 1], want, rel_tol=1e-12, abs_tol=0.0), (mu0, k)
+
+    def test_mirrors_hold_no_arrays(self):
+        # a caller may keep every mirror it checks (the benchmark does), so the
+        # arrays live in one bounded cache that the numeric backend views
+        mirrors = [explicit_mirror(Circle(8.5 + k / 64.0), 300.0) for k in range(40)]
+        keys = [sorted(vars(m)) for m in mirrors]
+        for m in mirrors:
+            glue_robin_check(GluingConfig(m, 2.0, 0.9, 0.37))
+        assert [sorted(vars(m)) for m in mirrors] == keys
+        assert len(spectra._array_cache) <= spectra._ARRAY_CACHE_SIZE == 32
+        last = mirrors[-1]
+        assert np.shares_memory(zreg._get_backend(last).mu, spectra._array_cache[last][0])
 
 
 def forget(cs):
