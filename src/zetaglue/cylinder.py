@@ -254,6 +254,12 @@ def series_sum(
     # entries beyond a stored list are covered by its model tail bound; a
     # list of zero modes alone has nothing to sum
     top = min(lam, cs.max_trusted)
+    if top < lam:
+        # the stored modes in (top, lam] are not summed: bound them from top
+        for plen, palpha, power, _, _ in rows:
+            amp = _amplitude(top, palpha, power) if top > 0.0 else math.inf
+            y0 = amp * math.exp(-2.0 * plen * math.sqrt(max(top, 0.0)))
+            bound += amp / (1.0 - y0) * exp_tail_bound(cs, top, 2.0 * plen) if y0 < 0.5 else math.inf
     terms = []
     phase = 0
     for entry in enumerate_spectrum(cs, top) if top > 0 else ():

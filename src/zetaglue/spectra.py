@@ -601,32 +601,46 @@ def _weyl_density_scale(cs: CrossSection):
     return 2.0 * a0 * (d / 2.0) / math.gamma(d / 2.0 + 1.0), d
 
 
-def _upper_gamma(two_a: int, x: float) -> float:
+def _upper_gamma(two_a, x):
     """Gamma(a, x), the upper incomplete gamma function, at a = two_a / 2
-    for an integer two_a >= 1 and x >= 0.
+    for an integer two_a >= 1 and x >= 0.  x may be an array, and two_a an
+    ascending sequence of orders of one parity, which gives one row each.
 
     From Gamma(1, x) = e^-x or Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)), the
     steps Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x add positive terms, so
     the result is within a few roundings per step.  Past x = 700, where
     e^-x nears underflow, x^a e^-x is formed as exp(a ln x - x).
     """
-    if two_a % 2 == 0:
-        a, g = 1.0, math.exp(-x)
+    tops = np.atleast_1d(two_a)
+    x = np.asarray(x, dtype=float)
+    far = x > 700.0
+    near_x = np.where(far, 0.0, x)
+    exp_x, log_x = np.exp(-near_x), np.log(np.where(far, x, 1.0))
+    if tops[0] % 2 == 0:
+        a, g = 1.0, np.where(far, np.exp(-x), exp_x)
     else:
-        y = math.sqrt(x)
-        a, g = 0.5, math.sqrt(math.pi) * math.erfc(y)
-        if x <= 700.0:
-            # erfc moves by 2y relative per unit of its argument, 1e-13 at
-            # x = 700 from the rounding of y; exp(y^2 - x) puts it back, with
-            # y^2 - x exact from the halves of y (Veltkamp's split)
-            c = 134217729.0 * y
-            hi = c - (c - y)
-            lo = y - hi
-            g *= math.exp((hi * hi - x) + 2.0 * hi * lo + lo * lo)
-    while 2.0 * a < two_a:
-        g = a * g + (x**a * math.exp(-x) if x <= 700.0 else math.exp(a * math.log(x) - x))
+        y = np.sqrt(x)
+        a = 0.5
+        g = math.sqrt(math.pi) * np.fromiter(map(math.erfc, y.ravel()), float, y.size).reshape(y.shape)
+        # erfc moves by 2y relative per unit of its argument, 1e-13 at
+        # x = 700 from the rounding of y; exp(y^2 - x) puts it back, with
+        # y^2 - x exact from the halves of y (Veltkamp's split)
+        y = np.where(far, 0.0, y)
+        c = 134217729.0 * y
+        hi = c - (c - y)
+        lo = y - hi
+        g = np.where(far, g, g * np.exp((hi * hi - near_x) + 2.0 * hi * lo + lo * lo))
+    rows = []
+    while True:
+        if 2.0 * a in tops:
+            rows.append(g)
+        if 2.0 * a >= tops[-1]:
+            break
+        g = a * g + np.where(far, np.exp(a * log_x - x), near_x**a * exp_x)
         a += 1.0
-    return g
+    if np.ndim(two_a):
+        return np.array(rows)
+    return float(rows[0]) if rows[0].ndim == 0 else rows[0]
 
 
 def _weyl_exp_tail(cs: CrossSection, lam: float, rate: float) -> float:

@@ -9,8 +9,8 @@ determinants the cylinder formulas consume:
   included (they contribute factors of ``a``).
 
 Two interchangeable backends are provided.  The closed-form backend
-reduces the point, circle and flat-torus cases to Riemann-zeta and
-lattice (Bessel-sum) evaluations.  The numeric backend performs a Mellin
+reduces the point and circle cases to Riemann-zeta evaluations and the
+flat torus to the Ewald split of its heat trace, in float64.  The numeric backend performs a Mellin
 split of the zeta integral at ``t = T``: the small-t integrand is the
 heat-expansion model (whose power terms continue in closed form) plus a
 numerically integrated exponentially small correction, and the large-t
@@ -24,16 +24,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import dps_to_prec, from_float, mpf_log, to_fixed
-from mpmath.libmp.libelefun import exp_fixed, ln2_fixed, pi_fixed
 
 from .errors import (
     ConvergenceError,
@@ -48,6 +44,7 @@ from .spectra import (
     CrossSection,
     FlatTorus,
     Point,
+    _upper_gamma,
     enumerate_spectrum,
     heat_coefficients,
     heat_tail_bound,
@@ -164,6 +161,9 @@ class _CircleBackend:
     def derivative0(self) -> float:
         return -2.0 * math.log(self.ell)
 
+    def truncated(self, mu0: float, low) -> list:
+        return [_less_low_modes(self, low, k) for k in range(1, _KORDER)]
+
     def shifted_closed(self, alpha: float) -> RegularizedDet:
         """Hurwitz-zeta closed form of ln Det(sqrt(Delta) + alpha).
 
@@ -188,613 +188,214 @@ class _CircleBackend:
 
 # Every s at which the library evaluates a torus zeta: -1/2 for the
 # cylinder heat constant and k/2, k = 1..15, for the binomial series of
-# log_det_shifted.  Their Bessel orders |s - 1/2| are 0, 1/2, 1, ..., 7.
+# log_det_shifted.
 _STANDARD_S = (-0.5,) + tuple(k / 2.0 for k in range(1, 16))
 
-# The torus backend's precision p, in bits, and the bits F of the
-# fixed-point factors it assembles its values from (``_TorusBackend``).
-_PREC = dps_to_prec(_DPS)
-_FIX = _PREC + 24
+# The torus backend's Ewald split (``_TorusBackend``).  Its table splits
+# at tau0 = A / (4 _EWALD_FLOOR), A the area: on the square torus every
+# Poisson argument is then at least _EWALD_FLOOR, and on a torus of aspect
+# r at least _EWALD_FLOOR / r, while both sums keep O(sqrt(r)) points.
+# Both stop where their argument passes _EWALD_CUT, where a term has
+# fallen by e^-38 = 3e-17.
+_EWALD_FLOOR = 5.0
+_EWALD_CUT = 38.0
 
 
-def _man_exp(x: float) -> tuple:
-    """(m, e) with x = m 2^e exactly, m a 53-bit integer, for a double x > 0."""
-    f, e = math.frexp(x)
-    return int(f * 2.0**53), e - 53
+def _lattice_points(a: float, b: float, cutoff: float) -> tuple:
+    """(r2, w): r2 = (a j)^2 + (b k)^2 <= cutoff over the integer points
+    (j, k) != 0, folded onto j, k >= 0 with their multiplicities w.  Each
+    r2 is formed as ``FlatTorus`` forms its eigenvalues, so the two agree on
+    which modes lie above a split."""
+    rows = np.array([(a * j) ** 2 for j in range(int(math.sqrt(cutoff) / a) + 1)])
+    cols = np.array([(b * k) ** 2 for k in range(int(math.sqrt(cutoff) / b) + 1)])
+    r2 = rows[:, None] + cols
+    w = np.where(np.arange(rows.size) > 0, 2.0, 1.0)[:, None] * np.where(np.arange(cols.size) > 0, 2.0, 1.0)
+    keep = (r2 <= cutoff) & (r2 > 0.0)
+    return r2[keep], w[keep]
 
 
-def _shift(n: int, k: int) -> int:
-    """n 2^-k, rounded down."""
-    return n >> k if k >= 0 else n << -k
+def _lower_series(a, x):
+    """sum_{n>=0} x^n / (a (a + 1) ... (a + n)) for a > 0, so that
+    gamma(a, x) = x^a e^-x times it: positive terms, summed until the next
+    is below 2^-54 of the total."""
+    term = np.ones(np.broadcast(a, x).shape) / a
+    total, n = term, 1.0
+    while True:
+        term = term * x / (a + n)
+        total = total + term
+        if np.all(term <= 2.0**-54 * total):
+            return total
+        n += 1.0
 
 
-def _to_float(n: int, e: int) -> float:
-    """n 2^-e correctly rounded to a double."""
-    return n / (1 << e) if e >= 0 else float(n << -e)
-
-
-def _mul(*factors) -> tuple:
-    """The product of values (n, e), each n 2^-e."""
-    n, e = 1, 0
-    for fn, fe in factors:
-        n *= fn
-        e += fe
-    return n, e
-
-
-def _fix(v) -> tuple:
-    """The mpf tuple v as (n, e), v = n 2^-e, n its leading _FIX bits
-    rounded down: within 2^(1 - _FIX) relative."""
-    e = _FIX - v[2] - v[3]
-    return to_fixed(v, e), e
-
-
-def _half_power(x: float, j: int, e: int) -> int:
-    """2^e x^(j/2) within 2 units, for a double x > 0 and an integer j: for
-    even j, formed exactly and rounded down once; for odd j, the integer
-    square root of 2^(2e) x^j, so formed."""
-    m, ex = _man_exp(x)
-    k, scale = (j, 2 * e) if j % 2 else (j // 2, e)  # 2^scale x^k, x = m 2^ex
-    shift = scale + ex * k
-    if k >= 0:
-        n = _shift(m**k, -shift)
-    else:
-        n = (1 << shift) // m**-k if shift >= 0 else 0
-    return math.isqrt(n) if j % 2 else n
-
-
-def _powers(x: float, ys) -> list:
-    """[x^y for y in ys] as (n, e), each within 2^(7 - _FIX) relative, n of
-    about _FIX bits, for doubles x > 0 and y.
-
-    Where 2y is an integer, ``_half_power`` gives n within 2 units of
-    n >= 2^(_FIX - 1).  Otherwise x^y = 2^k exp(t) with y ln x = k ln 2 + t,
-    formed at g = _FIX + 16 + (bits of 2|y| + 4|y ln x|) bits from ln x
-    within an ulp at g + 8 bits: y ln x is within 2|y| + |y ln x| + 1 units
-    of 2^-g, and t within |k| <= 1.45 |y ln x| + 1 more, below 2^-(_FIX + 15)
-    in all, before it is cut to _FIX bits; ``exp_fixed`` on [0, ln 2) is
-    within 2^6 units (about ten series roundings at _FIX + r bits, r =
-    isqrt(_FIX), and r squarings that double the relative error), and
-    n >= 2^_FIX.
-    """
-    out, log2_x = [], math.log2(x)
-    for y in ys:
-        if 2.0 * y == math.floor(2.0 * y):
-            e = _FIX - math.floor(y * log2_x)
-            out.append((_half_power(x, int(2.0 * y), e), e))
-            continue
-        g = _FIX + 16 + math.ceil(math.log2(2.0 * abs(y) + 4.0 * abs(y * math.log(x)) + 1.0))
-        num, den = y.as_integer_ratio()
-        ln2 = ln2_fixed(g)
-        k, t = divmod(num * to_fixed(mpf_log(from_float(x), g + 8), g) // den, ln2)
-        out.append((exp_fixed(t >> (g - _FIX), _FIX, ln2_fixed(_FIX)), _FIX - k))
+def _standard_gammas(x):
+    """Gamma(s, x) for each s of _STANDARD_S, one row each: the two ladders
+    of ``spectra._upper_gamma`` and one step down to Gamma(-1/2, x)."""
+    out = np.empty((len(_STANDARD_S), x.size))
+    out[1::2] = _upper_gamma(range(1, 16, 2), x)
+    out[2::2] = _upper_gamma(range(2, 15, 2), x)
+    out[0] = 2.0 * (np.exp(-x) / np.sqrt(x) - out[1])
     return out
 
 
-# 2 pi a, 1 - cos a and -ln cos a on the strip half-widths a = i pi / 64,
-# i = 1..31, that ``_BesselK._step`` tries
-_TWO_PI_A, _VERSINE, _LOG_SEC = np.array([
-    (2.0 * math.pi * a, 1.0 - math.cos(a), -math.log(math.cos(a)))
-    for a in (i * math.pi / 64.0 for i in range(1, 32))
-]).T
+def _scaled_gamma(a, x):
+    """x^-a Gamma(a, x) at every order of a (rows) and every x > 0 (columns).
 
-
-class _BesselK:
-    """K_nu(z) at a fixed set of real orders from two trapezoid sums per class.
-
-    For z > 0 and real nu, K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt.
-    The integrand f is even in t, so on the nodes t_j = j h the trapezoid
-    rule reads h (f(0)/2 + sum_{j>=1} f(t_j)).
-
-    Orders.  The orders are grouped by their residue mod 1.  In each class
-    only the lowest order nu0 and nu0 + 1 are integrated; the others follow
-    from K_{nu+1} = K_{nu-1} + (2 nu / z) K_nu (DLMF 10.29.1), whose terms
-    are all positive.  The relative error of a sum of positive terms is at
-    most the largest relative error of its terms, so K_{nu0+n} is within
-    the error of the two integrated orders plus the roundings of n steps.
-    Below, nu* is the largest integrated order.
-
-    Step.  On the strip |Im t| <= a < pi/2,
-    |f(x + ib)| <= exp(-z cos(a) cosh x) cosh(nu x), so the line integral
-    of |f| is at most 2 K_nu(z cos a), and the trapezoid error is at most
-    2 K_nu(z cos a) / (exp(2 pi a / h) - 1) (Trefethen & Weideman, SIAM
-    Rev. 56 (2014), Thm 5.1).  From the integral of DLMF 10.32.8,
-    K_nu(y) <= (z/y)^max(|nu|, 1/2) e^(z-y) K_nu(z) for 0 < y <= z, so the
-    relative error is at most
-
-        4 sec(a)^max(nu*, 1/2) exp(z (1 - cos a) - 2 pi a / h).
-
-    ``_step`` takes the largest step h = 2^(-k/2) for which some a on a
-    grid of 31 makes this at most a budget e <= 1/2 (so exp(2 pi a / h)
-    >= 8, as the factor 4 needs) at each z it is given.  The bound grows
-    with z and with 1/e, so a step serves every smaller z at the same budget.  A single z takes
-    e = eps = 2^-(p + 8), p the precision in bits; ``_bessel_pass`` gives
-    each shell its own budget.
-
-    Truncation.  d/dt ln f <= nu* - z sinh t, so beyond the first node
-    with z sinh t_j >= nu* + 1/h the summands fall by a factor e at least
-    per node and the rest of the sum is below 0.6 f(t_j).  With the common
-    factor e^-z taken out, every sum is at least f(0)/2 = 1/2, so stopping
-    at the first such node with exp(-z (cosh t_j - 1)) cosh(nu* t_j) <=
-    e/2 bounds the truncation of every integrated order by 0.6 e relative;
-    past that node the bound only falls, so a later stop keeps it.  The
-    node count n is found in floating point, with a margin that covers its
-    rounding, before any sum is formed.
-
-    Rounding.  ``shell`` works on integers scaled by 2^P: weights within
-    rho units relative plus A units, table entries within one unit, and a
-    recurrence step rounding once.  With C the largest table entry and L
-    steps, every value is within R = rho + 4 n A (C + 1) + 3 L + 2 units
-    relative at the fixed-point z (the sums are at least 2^(2P) / 2).
-    ``exp_fixed`` weights have rho = 3 (z + 1) cosh t_(n-1) + 8 and A = 1.
-    ``_guard`` makes P - p = 10 plus the bit length of 2 R and the pass's
-    other roundings, rounded up to a multiple of 16 so that grids share
-    tables: the rounding stays below eps/4.
-
-    A value at a single z therefore lies within (1 + 0.6 + 0.25) eps plus
-    a few roundings at p + 40 bits, below 2 eps, relative of K_nu(z); in a
-    pass, within 1.6 e + eps/4 at its shell's budget e.
+    Where x >= a + 1 for a > 1, or x >= 1/2 for a <= 1, the continued
+    fraction x^-a e^x Gamma(a, x) = 1/(x + 1 - a - 1 (1 - a)/(x + 3 - a -
+    2 (2 - a)/(x + 5 - a - ...))) (DLMF 8.9.2) is evaluated from its tail,
+    n = 100 / min x + 10 levels deep, over all those entries at once:
+    within a few eps from a = 3/2 down to -13/2, where the forward
+    (Lentz) evaluation gathers about ten times that.  Elsewhere, for
+    a > 0, Gamma(a) less the series of gamma(a, x); for a <= 0, the same
+    at b = a - floor(a) (E1(x) at b = 0), then the steps
+    G_(c-1) = (x G_c - e^-x) / (c - 1) down to a, which subtract the
+    smaller term for x < 1/2.
     """
-
-    def __init__(self, orders, p=None):
-        self.orders = orders = tuple(nu if isinstance(nu, Fraction) else _exact(abs(mp.mpf(nu))) for nu in orders)
-        self.p = mp.mp.prec if p is None else p
-        self.prec = self.p + 40
-        self.log_eps = -(self.p + 8) * math.log(2.0)
-        top = {}  # lowest order of each residue class -> its highest order
-        for nu in sorted(set(orders)):
-            lo = next((lo for lo in top if (nu - lo).denominator == 1), nu)
-            top[lo] = nu
-        # every order of every class, lowest first; the first one or two of
-        # each class are integrated, the others recur:
-        # K[dst] = K[dst - 2] + (2 nu / z) K[dst - 1], nu = ladder[dst - 1],
-        # kept as 2 nu = num / 2^t
-        ladder, integrated, recur = [], [], []
-        for lo, hi in top.items():
-            for i in range(int(hi - lo) + 1):
-                if i < 2:
-                    integrated.append(len(ladder))
-                else:
-                    two_nu = 2 * ladder[-1]
-                    recur.append((len(ladder), two_nu.numerator, two_nu.denominator.bit_length() - 1))
-                ladder.append(lo + i)
-        self.integrated = tuple(ladder[i] for i in integrated)
-        self._integrated_at = integrated
-        self._recur = recur
-        self.out = [ladder.index(nu) for nu in orders]
-        self._size = len(ladder)
-        self.numax = float(max(self.integrated))
-
-    def _step(self, zs, log_eps) -> float:
-        """The largest step that serves every z of zs at the budget e =
-        exp(log_eps) <= 1/2 of the same index."""
-        nu = max(self.numax, 0.5)
-        budget = math.log(4.0) - np.asarray(log_eps)
-        hmax = (_TWO_PI_A / (budget[:, None] + np.asarray(zs)[:, None] * _VERSINE + nu * _LOG_SEC)).max(axis=1)
-        return 2.0 ** (-math.ceil(-2.0 * math.log2(hmax.min())) / 2.0)
-
-    def _log_need(self, z: float, h: float) -> float:
-        """ln of the least budget at which ``_step`` lets the step h serve z,
-        raised by 1e-9 so that its roundings keep h."""
-        nu = max(self.numax, 0.5)
-        return float((math.log(4.0) + z * _VERSINE + nu * _LOG_SEC - _TWO_PI_A / h).min()) + 1e-9
-
-    def _nodes(self, z: float, h: float, log_eps: float, least: int = 2) -> int:
-        """Node count at z for the budget exp(log_eps), at least ``least``
-        (say the count at a larger z)."""
-        nu = self.numax
-        limit = log_eps - math.log(2.0) - 1e-9
-        j = least - 1
-        while True:
-            t = j * h
-            if (
-                z * math.sinh(t) >= nu + 1.0 / h
-                and math.log(math.cosh(nu * t)) - 2.0 * z * math.sinh(t / 2.0) ** 2 <= limit
-            ):
-                return j + 1
-            j += 1
-
-    def _guard(self, z1: float, h: float, counts) -> int:
-        """P - p for the shells z = m z1 with counts[m - 1] nodes: shell m's
-        weights are m-th powers (rho = m (3 (z1 + 1) C1 + 8), A = 2m - 1), and
-        a pass rounds its terms and z (the last two sums of ``bound``)."""
-        t = (counts[0] - 1) * h
-        c1, top, nu, shells = math.cosh(t), math.cosh(self.numax * t), float(max(self.orders)), len(counts)
-        bound = 2 * max(
-            m * (3 * (z1 + 1) * c1 + 8) + 4 * n * (2 * m - 1) * (top + 1) + 3 * len(self._recur) + 2
-            for m, n in enumerate(counts, 1)
-        ) + sum(2 * m ** (nu + 2) + 3 for m in range(1, shells + 1)) + 2 * shells + nu + 2
-        return -(-(10 + math.ceil(bound).bit_length()) // 16) * 16
-
-    def shell(self, table, weights, zfix: int) -> list:
-        """2^P e^z K_nu(z) / h per ladder order at z = zfix / 2^P, P = table.bits."""
-        bits = table.bits
-        k = [0] * self._size
-        for i, col in zip(self._integrated_at, table.columns[1:]):
-            k[i] = sum(map(operator.mul, weights, col)) >> bits
-        inv = (1 << 3 * bits) // zfix
-        for dst, two_nu, t in self._recur:
-            k[dst] = k[dst - 2] + ((two_nu * inv * k[dst - 1]) >> (2 * bits + t))
-        return k
-
-    def __call__(self, z):
-        """[K_nu(z) for nu in orders]."""
-        with mp.workprec(self.prec):
-            z = mp.mpf(z)
-            zf = float(z)
-            h = self._step([zf], [self.log_eps])
-            n = self._nodes(zf, h, self.log_eps)
-            table = _cosh_table(self.integrated, h, self.p + self._guard(zf, h, [n]))
-            zfix = to_fixed(z._mpf_, table.bits)
-            k = self.shell(table, table.weights(zfix, n), zfix)
-            # the common factor e^-z of the weights comes out of the sums
-            scale = mp.ldexp(h * mp.exp(-z), -table.bits)
-            return [scale * k[i] for i in self.out]
-
-
-def _exact(x) -> Fraction:
-    """The exact value of an mpf as a Fraction."""
-    man, exp = x.man_exp
-    return Fraction(man) * Fraction(2) ** exp
-
-
-class _CoshTable:
-    """Fixed-point rows [cosh t_j, cosh(nu t_j) for each order] on t_j = j h.
-
-    Entries are round(2^bits cosh(.)), each within one unit: they are
-    evaluated at bits + 64 + 3/2 nu t_j bits, where the argument nu t_j is
-    exact (nu has at most p + 8 significant bits, t_j at most 64, and
-    bits >= p + 16) and 2^(3/2 nu t_j) exceeds cosh(nu t_j).  Rows are
-    appended on demand under a lock, so every torus and thread asking for
-    the same (orders, step, bits) shares one table.
-    """
-
-    def __init__(self, orders, h: float, bits: int):
-        self.orders = orders
-        self.h = h
-        self.bits = bits
-        self.columns = [[] for _ in range(len(orders) + 1)]
-        self._lock = threading.Lock()
-
-    def _grow(self, n: int):
-        nus = [Fraction(1)] + list(self.orders)
-        with self._lock:
-            while len(self.columns[-1]) < n:
-                j = len(self.columns[-1])
-                with mp.workprec(self.bits + 64 + int(1.5 * float(max(nus)) * j * self.h)):
-                    t = j * mp.mpf(self.h)
-                    for col, nu in zip(self.columns, nus):
-                        c = mp.cosh(mp.mpf(nu.numerator) / nu.denominator * t)
-                        col.append(int(mp.nint(mp.ldexp(c, self.bits))))
-
-    def weights(self, zfix: int, n: int) -> list:
-        """[2^bits exp(-z (cosh t_j - 1)) for j < n] from ``exp_fixed``, the
-        first halved (the trapezoid weight 1/2), z = zfix / 2^bits."""
-        if len(self.columns[-1]) < n:
-            self._grow(n)
-        bits = self.bits
-        one = 1 << bits
-        ln2 = ln2_fixed(bits)
-        return [one >> 1] + [
-            exp_fixed(-((zfix * (c - one)) >> bits), bits, ln2)
-            for c in self.columns[0][1:n]
-        ]
-
-
-@functools.lru_cache(maxsize=64)
-def _cosh_table(orders, h: float, bits: int) -> _CoshTable:
-    return _CoshTable(orders, h, bits)
-
-
-@functools.lru_cache(maxsize=64)
-def _pass_plan(svals: tuple) -> tuple:
-    """(plan, picks) of a pass over svals: the ``_BesselK`` of the orders
-    |s - 1/2|, lowest first, at the torus precision _PREC, and per s the
-    index of its order."""
-    nus = [abs(Fraction(s) - Fraction(1, 2)) for s in svals]
-    orders = sorted(set(nus))
-    return _BesselK(tuple(orders), _PREC), tuple(orders.index(nu) for nu in nus)
-
-
-@functools.lru_cache(maxsize=1024)
-def _divisor_weights(plan: _BesselK, m: int, bits: int) -> tuple:
-    """[2^bits m^-nu sigma_2nu(m) for nu in plan.orders] within 2 units, for
-    integer 2 nu = k as isqrt(2^(2 bits) sigma_k(m)^2 // m^k), sigma exact."""
-    divisors = [d for d in range(1, m + 1) if m % d == 0]
-    out = []
-    for nu in plan.orders:
-        if (2 * nu).denominator == 1:
-            sigma = sum(d ** int(2 * nu) for d in divisors)
-            out.append(math.isqrt((sigma * sigma << 2 * bits) // m ** int(2 * nu)))
-        else:
-            with mp.workprec(bits + 16):
-                x = mp.mpf(nu.numerator) / nu.denominator
-                out.append(to_fixed((mp.fsum(d ** (2 * x) for d in divisors) / m**x)._mpf_, bits))
-    return tuple(out)
-
-
-def _settle_shifts(p: int, nu: float, z1: float) -> list:
-    """Shift k_m for the shells m = 1, ..., M of a pass at orders up to nu.
-
-    A term t_n = n^-nu sigma_2nu(n) K_nu(n z1) is at most n^(nu + 1)
-    e^(-(n - m) z1) / m^nu times t_m (cosh t >= 1), so the terms after shell
-    m add at most t_m C_m, C_m <= (m + 1) q / (1 - q)^2, q = exp(nu/m - z1).
-    A pass stops after shell m once every term has 2^k_m t_m <= its total,
-    k_m = p + 8 + log2 C_m rounded up (None where q >= 1): the rest is below
-    eps = 2^-(p + 8) relative.  A total is at least t_1, so this holds at M,
-    where m^(nu + 1) e^(-(m - 1) z1) C_m <= eps/2, and the pass ends there.
-    """
-    shifts, m, ln2 = [], 1, math.log(2.0)
-    while True:
-        # ln q, not q, enters ln C_m: on a thin torus q underflows to 0
-        log_q = nu / m - z1
-        q = math.exp(log_q)
-        log_c = math.log(m + 1) + log_q - 2.0 * math.log1p(-q) if q < 1.0 else math.inf
-        shifts.append(max(0, p + 8 + math.ceil(log_c / ln2)) if q < 1.0 else None)
-        if (nu + 1.0) * math.log(m) - (m - 1) * z1 + log_c <= -(p + 9) * ln2:
-            return shifts
-        m += 1
-
-
-def _shell_budgets(plan: _BesselK, z1: float, shells: int) -> list:
-    """ln e_m, the step-and-truncation budget of each shell m = 1..M of a
-    pass at z1 over M = shells shells (``_bessel_pass``).
-
-    A term t_m = m^-nu sigma_2nu(m) K_nu(z_m) of order nu is at most
-    r_m t_1, r_m = max(d(m), m^-nu* sigma_2nu*(m)) e^(-(m - 1) z1) with d(m)
-    the number of divisors and nu* the largest order: K_nu(m z1) <=
-    e^(-(m - 1) z1) K_nu(z1) as cosh t >= 1, and m^-nu sigma_2nu(m) =
-    sum_{d|m} (d^2/m)^nu is convex in nu >= 0, so at most its larger end.
-
-    Shell 1 takes eps = 2^-(p + 8).  The later shells share eps/2 of the
-    pass total: shell m takes e_m = min(1/8, max(n_m, theta / r_m)), where
-    n_m is the least budget at which shell 1's own step serves z_m and
-    theta fills the share, sum_m max(n_m r_m, theta) = eps/2; so
-    sum_m e_m r_m <= eps/2.  Where no shell needs more than the even share
-    eps / (2 (M - 1)), theta is that share.  Where the needs n_m r_m add up
-    to eps/2 or more, or some n_m exceeds 1/8, shell 1's step is out of
-    reach: the shells take even shares and the grid the finer step they
-    ask for.
-    """
-    nu = float(plan.orders[-1])
-    later = range(2, shells + 1)
-    log_ratio = []
-    for m in later:
-        logs = [2.0 * math.log(d) - math.log(m) for d in range(1, m + 1) if m % d == 0]
-        top = math.log(math.fsum(math.exp(nu * x) for x in logs))
-        log_ratio.append(max(math.log(len(logs)), top) - (m - 1) * z1)
-    h = plan._step([z1], [plan.log_eps])
-    log_need = [plan._log_need(m * z1, h) for m in later]
-    needs = sorted((math.exp(n + r) for n, r in zip(log_need, log_ratio)), reverse=True)
-    theta, spent, half = None, 0.0, math.exp(plan.log_eps) / 2.0
-    if needs and max(log_need) <= -math.log(8.0):
-        for i, a in enumerate(needs):
-            share = (half - spent) / (len(needs) - i)
-            if share >= a and share > 0.0:
-                theta = share
-                break
-            spent += a
-    if theta is None:
-        log_theta, log_need = plan.log_eps - math.log(2.0 * max(shells - 1, 1)), [-math.inf] * len(log_need)
-    else:
-        log_theta = math.log(theta)
-    return [plan.log_eps] + [min(max(n, log_theta - r), -math.log(8.0)) for n, r in zip(log_need, log_ratio)]
-
-
-@functools.lru_cache(maxsize=64)
-def _torus_constants(s: float) -> tuple:
-    """(C1, D1, C2, D2, C3, CR): the torus-independent factors of
-    ``_TorusBackend`` at s, each as (n, e) from ``_fix``, or None where the
-    term is absent.
-
-    s = 1/2: C1 = 2 gamma, D1 = -2, C2 = gamma - 2 ln 2 pi + psi(1/2), D2 = 2,
-    C3 = 8; s = 1: C1 = 2 zeta_R(2), C2 = 2 pi (gamma + (psi(1/2) - psi(1))/2),
-    D2 = -2 pi, C3 = 8 pi, CR = pi; otherwise C1 = 2 zeta_R(2s),
-    C2 = 2 sqrt(pi) G(s) / Gamma(s), C3 = 8 pi^s / Gamma(s), with
-    G(s) = Gamma(s - 1/2) zeta_R(2s - 1), or its limit
-    (-1)^n 2 zeta_R'(-2n) / n! at s = 1/2 - n, n >= 1, where the pole of
-    Gamma meets a trivial zero of zeta_R.
-    """
-    with mp.workprec(_FIX + 16):
-        if s == 0.5:
-            c = (2 * mp.euler, -2, mp.euler - 2 * mp.log(2 * mp.pi) + mp.digamma(mp.mpf(0.5)), 2, 8, None)
-        elif s == 1.0:
-            c = (2 * mp.zeta(2), None, 2 * mp.pi * (mp.euler + (mp.digamma(mp.mpf(0.5)) - mp.digamma(1)) / 2),
-                 -2 * mp.pi, 8 * mp.pi, mp.pi)
-        else:
-            ss = mp.mpf(s)
-            n = 0.5 - s
-            if n == round(n) and n >= 1:
-                n = int(round(n))
-                gz = mp.mpf(2) * (-1) ** n * mp.zeta(-2 * mp.mpf(n), derivative=1) / mp.factorial(n)
+    a, x = np.broadcast_arrays(np.asarray(a, dtype=float)[:, None], np.asarray(x, dtype=float)[None, :])
+    out = np.empty(a.shape)
+    cf = x >= np.where(a > 1.0, a + 1.0, 0.5)
+    if cf.any():
+        ca, cx = a[cf], x[cf]
+        n = math.ceil(100.0 / cx.min()) + 10
+        f = cx + (2 * n + 1) - ca
+        for i in range(n, 0, -1):
+            f = (cx + (2 * i - 1) - ca) - i * (i - ca) / f
+        out[cf] = np.exp(-cx) / f
+    for row in range(a.shape[0]):
+        near = ~cf[row]
+        if near.any():
+            order, y = a[row, 0], x[row, near]
+            base = order - math.floor(order) if order <= 0.0 else order
+            ey = np.exp(-y)
+            if base == 0.0:
+                # E1(y) = -gamma - ln y - sum_{k>=1} (-y)^k / (k k!)
+                term, g, k = -y, -EULER_GAMMA - np.log(y), 1.0
+                while np.any(np.abs(term) > 2.0**-54 * np.abs(g)):
+                    g = g - term / k
+                    k += 1.0
+                    term = -term * y / k
             else:
-                gz = mp.gamma(ss - mp.mpf(0.5)) * mp.zeta(2 * ss - 1)
-            rgamma_s = mp.rgamma(ss)
-            c = (2 * mp.zeta(2 * ss), None, 2 * mp.sqrt(mp.pi) * rgamma_s * gz, None,
-                 8 * mp.power(mp.pi, ss) * rgamma_s, None)
-        return tuple(None if x is None else _fix(mp.mpf(x)._mpf_) for x in c)
+                g = y**-base * math.gamma(base) - ey * _lower_series(base, y)
+            while base > order:
+                g = (y * g - ey) / (base - 1.0)
+                base -= 1.0
+            out[row, near] = g
+    return out
 
 
 class _TorusBackend:
-    """Rectangular-lattice zeta via one Poisson resummation.
+    """Flat-torus zeta from the Ewald split of its heat trace.
 
-    With c1 <= c2 (axes relabelled so the Bessel sums converge fastest)
-    and r = c2/c1 >= 1:
+    By Poisson summation the heat trace is theta(u) = sum_mu e^(-u mu) =
+    (A / 4 pi u) sum_{v in L} e^(-|v|^2 / 4u), A the area and L the lattice
+    of periods.  Splitting the Mellin integral of theta - 1 at u = tau and
+    taking the Poisson form below tau gives, at every split mu0 >= 0,
 
-        Z(s) = 2 c1^(-2s) zeta_R(2s)
-             + (2 sqrt(pi)/c1) (Gamma(s-1/2)/Gamma(s)) c2^(1-2s) zeta_R(2s-1)
-             + (8 pi^s / Gamma(s)) c1^(-2s) B(s),
+        Gamma(s) zeta_{>mu0}(s) = sum_{mu > mu0} Gamma(s, tau mu) mu^-s
+            + (A/4 pi) [tau^(s-1)/(s-1) + sum_{v != 0} (|v|^2/4)^(s-1) Gamma(1-s, |v|^2/4 tau)]
+            - sum_{0 < mu <= mu0} gamma(s, tau mu) mu^-s - tau^s / s,
 
-        B(s) = sum_{k,n>=1} (r k)^(1/2-s) n^(s-1/2) K_{s-1/2}(2 pi r n k)
-             = sum_{m>=1} (r m)^(1/2-s) sigma_{2s-1}(m) K_{|s-1/2|}(2 pi r m),
+    zeta_{>mu0} the sum over the modes above mu0 (P. P. Ewald, Ann. Phys.
+    1921; R. Crandall, "Fast evaluation of Epstein zeta functions", 1998).
+    Every sum converges exponentially, and none is a difference of larger
+    ones, so doubles suffice.  The Poisson terms are tau^(s-1) times
+    y^(s-1) Gamma(1-s, y) at y = |v|^2 / 4 tau (``_scaled_gamma``).
 
-    grouped by the lattice shell m = nk, sigma_p(m) = sum_{d|m} d^p (the
-    Chowla-Selberg form of the Epstein zeta).  Simple poles at s = 1
-    (spectral) and a removable pole pair at s = 1/2.
-
-    Each shell is visited once per fixed-point pass (``_bessel_pass``).
-    ``_BesselK`` gives every order there from two trapezoid sums of
-    K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt per residue class of
-    the orders mod 1 and the upward recurrence.  With nu = |s - 1/2|,
-    (r m)^(1/2-s) sigma_{2s-1}(m) = r^(1/2-s) m^-nu sigma_{2nu}(m), an
-    exact integer divisor sum for the standard s.  A pass sums every shell
-    on one node grid, shell 1's own in most passes, and gives
-    r^(s-1/2) B(s) within 2^-(p + 6) relative, p = _PREC.
-
-    Assembly.  With the constants of ``_torus_constants``,
-
-        Z(s) = c1^(-2s) (C1 + D1 ln c1) + c1^-1 c2^(1-2s) (C2 + D2 ln c2)
-             + C3 c1^(-2s) r^(1/2-s) (r^(s-1/2) B(s)),
-
-    and the residue is CR c1^-1 c2^(1-2s); r is the double c2/c1 that the
-    pass's z1 = 2 pi r takes too.  Every factor is an integer n
-    with a binary scale e, the value n 2^-e: constants and the logarithms
-    (mpmath's ``mpf_log`` of the doubles c1 and c2) within 2^(2 - F)
-    relative, F = _FIX = p + 24 (``_fix``), and the powers within
-    2^(7 - F) (``_powers``).  A term t_i, the product of one constant, at
-    most two powers and at most one logarithm or Bessel block, is then an
-    exact integer within 2^(10 - F) relative of its value, apart from the
-    2^-(p + 6) of the Bessel term t_B.  The terms are rounded down to the
-    scale S at which the largest has F bits, so that a unit 2^-S is at most
-    2^(1 - F) max |t_i|, and summed: the finite part N 2^-S is within
-
-        2^-(p + 6) |t_B| + 2^(10 - F) sum |t_i| + 5 units
-        <= 2^-(p + 6) |t_B| + 2^-(p + 13) sum |t_i|
-
-    of Z(s), and the residue R 2^-S within 2^(10 - F) of its value and a
-    unit; ``fixed`` states one bound for both in units of 2^-S, and
-    ``point`` rounds N / 2^S and R / 2^S correctly to doubles.  No value
-    depends on mpmath's global precision.
-
-    One table per torus: the first request for an s of ``_STANDARD_S``
-    runs one pass for the whole set and assembles all of it; every other
-    s is a pass of its own.  ln c1 and ln c2 enter at s = 1/2 and s = 1,
-    and every standard power is a half-integer one, so a standard table
-    evaluates nothing in mpmath but ln c1 and ln c2 and libmp's fixed-point
-    helpers, once the torus-independent plans, tables and constants exist.
+    mu0 = 0 gives zeta itself.  The first request for an s of _STANDARD_S
+    fills all of them at the split tau0 = A / (4 _EWALD_FLOOR) and keeps the
+    table with its per-point terms; every other s is one evaluation of its own.
+    The residue A / 4 pi at s = 1 and the finite part there come from the
+    tau^(s-1) / (s-1) term, and 1 / Gamma(s) gives zeta(0) = -1 and
+    zeta(-n) = 0.  ``truncated`` gives the row of ``_shifted_via_series``
+    at tau = min(tau0, 1 / mu0), from the table's terms when tau = tau0.
     """
 
     def __init__(self, cs: FlatTorus):
         la, lb = max(cs.ell1, cs.ell2), min(cs.ell1, cs.ell2)
-        self.c1 = 2.0 * math.pi / la  # smaller wavenumber
-        self.c2 = 2.0 * math.pi / lb
+        self.ells = cs.ell1, cs.ell2
+        self.c1 = 2.0 * math.pi / cs.ell1  # wavenumbers as FlatTorus forms them
+        self.c2 = 2.0 * math.pi / cs.ell2
         self.ell_big = la
-        self.ratio = self.c2 / self.c1  # = la/lb >= 1
-        self._table: dict = {}  # s -> fixed(s)
+        self.ratio = la / lb
+        self.residue = cs.ell1 * cs.ell2 / (4.0 * math.pi)
+        self.tau = la * lb / (4.0 * _EWALD_FLOOR)
+        self._points: dict = {}
+        self._table = None
 
-    def _bessel_pass(self, svals) -> list:
-        """r^(s - 1/2) B(s) = h e^(-z1) A_nu for every s of svals, as (n, e),
-        from one fixed-point pass over the shells.
+    def _spectral(self, tau: float, mu0: float = 0.0) -> tuple:
+        """(mu, w): the lattice modes mu0 < mu <= _EWALD_CUT / tau."""
+        mu, w = _lattice_points(self.c1, self.c2, _EWALD_CUT / tau)
+        above = mu > mu0
+        return mu[above], w[above]
 
-        A_nu = sum_m t_m e^(z1) / h, nu = |s - 1/2|, z_m = m z1 = 2 pi r m,
-        t_m = m^-nu sigma_2nu(m) K_nu(z_m), and A_nu >= 1/2 at any aspect
-        ratio.  Shell m's weights are m-th powers of shell 1's, so one node
-        grid serves every shell.
+    def _poisson(self, tau: float, svals) -> np.ndarray:
+        """The Poisson bracket times A / 4 pi at each s of svals, its regular
+        part at s = 1."""
+        r2, w = _lattice_points(*self.ells, 4.0 * tau * _EWALD_CUT)
+        sums = _scaled_gamma([1.0 - s for s in svals], r2 / (4.0 * tau)) @ w
+        return self.residue * np.array([
+            math.log(tau) + g if s == 1.0 else tau ** (s - 1.0) * (1.0 / (s - 1.0) + g)
+            for s, g in zip(svals, sums)
+        ])
 
-        Budgets.  Every order's t_m <= r_m t_1 (``_shell_budgets``), and t_1
-        is at most the total, so a relative error d of shell m's K values is
-        at most d r_m of the total.  Shell 1 takes the budget
-        e_1 = eps = 2^-(p + 8) of ``_BesselK``; the later shells of the M
-        that ``_settle_shifts`` allows take budgets e_m <= 1/8 with
-        sum_m e_m r_m <= eps/2 (``_shell_budgets``), so step and truncation,
-        1.6 e_m relative of each K_nu(z_m), cost at most 1.6 eps of the
-        total in shell 1 and 0.8 eps in all later shells together.  The
-        pass stops at a shell by comparing its computed terms, at least
-        1 - 1.6 e_m >= 4/5 of the true ones, with the totals, so the shells
-        after it add at most eps / (4/5) = 1.25 eps, not the eps of
-        ``_settle_shifts``.  The budgets let every later shell take shell
-        1's own step wherever their needs fit in eps/2; the grid takes the
-        smallest of the shells' steps at their budgets, and each shell the
-        nodes its budget needs, at least as many as the next.
+    def _standard(self) -> tuple:
+        """(mu, terms, poisson) at tau0: per point and standard s the spectral
+        term w Gamma(s, tau0 mu) mu^-s, and per s the Poisson part."""
+        if self._table is None:
+            mu, w = self._spectral(self.tau)
+            s = np.array(_STANDARD_S)[:, None]
+            self._table = mu, w * _standard_gammas(self.tau * mu) * mu**-s, self._poisson(self.tau, _STANDARD_S)
+        return self._table
 
-        h e^(-z1) A_nu is then within (2.4 + 1.25 + 1/4) eps < 4 eps =
-        2^-(p + 6) relative: step and truncation 2.4 eps; the shells after
-        the one the pass stops at 1.25 eps; the powers (m roundings in
-        shell m), recurrence, accumulation and z (z_m within m units) below
-        eps/4 (``_BesselK._guard``); and e^(-z1), which ``exp_fixed`` gives
-        within 2^6 units of its leading 2^P (P >= p + 32, as the guard's
-        bound exceeds 2^6), below 2^-(p + 25) more.  The step h is a double
-        and enters exactly.
-        """
-        besselk, picks = _pass_plan(tuple(svals))
-        z1f = 2.0 * math.pi * self.ratio
-        shifts = _settle_shifts(besselk.p, float(besselk.orders[-1]), z1f)
-        shells = len(shifts)
-        budgets = _shell_budgets(besselk, z1f, shells)
-        h = besselk._step([m * z1f for m in range(1, shells + 1)], budgets)
-        counts = [besselk._nodes(shells * z1f, h, budgets[-1])]
-        for m in range(shells - 1, 0, -1):
-            counts.insert(0, besselk._nodes(m * z1f, h, budgets[m - 1], counts[0]))
-        table = _cosh_table(besselk.integrated, h, besselk.p + besselk._guard(z1f, h, counts))
-        bits = table.bits
-        mr, er = _man_exp(self.ratio)
-        zfix = _shift(pi_fixed(bits + 16) * mr, 15 - er)  # 2 pi r 2^bits, rounded down
-        weights = table.weights(zfix, counts[0])
-        powers = [1 << bits] + weights[1:]  # b_0 = 1 keeps w_0 halved
-        ln2 = ln2_fixed(bits)
-        k, t = divmod(-zfix, ln2)
-        e1 = exp_fixed(t, bits, ln2)  # e^-z1 = e1 2^(k - bits)
-        decay = 1 << bits
-        totals = [0] * len(besselk.orders)
-        for m, (n, shift) in enumerate(zip(counts, shifts), 1):
-            if m > 1:
-                weights = [(w * b) >> bits for w, b in zip(weights, powers[:n])]
-                decay = (decay * (e1 >> -k)) >> bits
-            kv = besselk.shell(table, weights, m * zfix)
-            settled = shift is not None
-            for i, (j, w) in enumerate(zip(besselk.out, _divisor_weights(besselk, m, bits))):
-                term = (kv[j] * w * decay) >> (2 * bits)
-                totals[i] += term
-                settled = settled and term << shift <= totals[i]
-            if settled:
-                break
-        mh, eh = _man_exp(h)
-        return [(mh * e1 * totals[i], 2 * bits - k - eh) for i in picks]
-
-    def _assemble(self, s: float, block, pa, pb, pr, logs) -> tuple:
-        """``fixed(s)`` from the pass's r^(s - 1/2) B(s), the powers
-        pa = c1^(-2s), pb = c1^-1 c2^(1-2s) and pr = r^(1/2-s), and at s = 1/2
-        and s = 1 (ln c1, ln c2)."""
-        c1_term, d1, c2_term, d2, c3, cr = _torus_constants(s)
-        terms = [_mul(c3, pa, pr, block), _mul(c1_term, pa), _mul(c2_term, pb)]
-        if d1 is not None:
-            terms.append(_mul(d1, logs[0], pa))
-        if d2 is not None:
-            terms.append(_mul(d2, logs[1], pb))
-        scale = _FIX - max((n.bit_length() - e for n, e in terms if n), default=0)
-        ints = [_shift(n, e - scale) for n, e in terms]
-        res = 0
-        if cr is not None:
-            n, e = _mul(cr, pb)
-            res = _shift(n, e - scale)
-        err = ((sum(map(abs, ints)) + abs(res)) >> (_FIX - 10)) + (abs(ints[0]) >> (_PREC + 6)) + 8
-        return sum(ints), res, scale, err
-
-    def fixed(self, s: float) -> tuple:
-        """(N, R, S, E): the finite part N 2^-S and the residue R 2^-S of
-        Z(s), both within E units of 2^-S; integers, kept per s."""
-        hit = self._table.get(s)
-        if hit is None:
-            if s == 0.0:
-                return -1, 0, 0, 0
-            svals = _STANDARD_S if s in _STANDARD_S else (s,)
-            # ln c1 and ln c2 enter at s = 1/2 and s = 1, both standard
-            logs = [_fix(mpf_log(from_float(c), _FIX + 8)) for c in (self.c1, self.c2)] if len(svals) > 1 else None
-            (inv_c1,) = _powers(self.c1, [-1.0])
-            columns = zip(svals, self._bessel_pass(svals), _powers(self.c1, [-2.0 * t for t in svals]),
-                          _powers(self.c2, [1.0 - 2.0 * t for t in svals]), _powers(self.ratio, [0.5 - t for t in svals]))
-            for t, block, pa, pc2, pr in columns:
-                self._table[t] = self._assemble(t, block, pa, _mul(inv_c1, pc2), pr, logs)
-            hit = self._table[s]
-        return hit
+    def _zeta(self, svals, tau: float, split) -> list:
+        """ZetaPoints from Gamma(s) zeta_{>mu0}(s) less its pole term, per s."""
+        out = []
+        for s, f in zip(svals, split - np.array([tau**s / s for s in svals])):
+            if s == 1.0:
+                out.append(ZetaPoint(s, float(f + EULER_GAMMA * self.residue), self.residue))
+            else:
+                out.append(ZetaPoint(s, float(f / math.gamma(s)), 0.0))
+        return out
 
     def point(self, s: float) -> ZetaPoint:
-        n, r, scale, _ = self.fixed(s)
-        return ZetaPoint(s, _to_float(n, scale), _to_float(r, scale))
+        hit = self._points.get(s)
+        if hit is None:
+            if s <= 0.0 and s == int(s):
+                # 1/Gamma vanishes: only the -tau^s/s pole survives at s = 0
+                hit = ZetaPoint(s, -1.0 if s == 0.0 else 0.0, 0.0)
+            elif s in _STANDARD_S:
+                _, terms, poisson = self._standard()
+                self._points.update(zip(_STANDARD_S, self._zeta(_STANDARD_S, self.tau, terms.sum(axis=1) + poisson)))
+                hit = self._points[s]
+            else:
+                mu, w = self._spectral(self.tau)
+                spectral = self.tau**s * (_scaled_gamma([s], self.tau * mu)[0] @ w)
+                hit = self._points[s] = self._zeta([s], self.tau, spectral + self._poisson(self.tau, [s]))[0]
+        return hit
+
+    def truncated(self, mu0: float, low) -> list:
+        """zeta_{>mu0}(k/2) + 2 H_(k-1) res for k = 1, ..., _KORDER - 1, low
+        the positive modes up to mu0: their gamma(s, x) mu^-s =
+        tau^s e^-x sum_n x^n / (s (s + 1) ... (s + n)) at x = tau mu <= 1."""
+        svals = _STANDARD_S[1:]
+        s = np.array(svals)[:, None]
+        tau = min(self.tau, 1.0 / mu0)
+        if tau == self.tau:
+            mu, terms, poisson = self._standard()
+            spectral, poisson = terms[1:, mu > mu0].sum(axis=1), poisson[1:]
+        else:
+            mu, w = self._spectral(tau, mu0)
+            spectral = (w * _standard_gammas(tau * mu)[1:] * mu**-s).sum(axis=1)
+            poisson = self._poisson(tau, svals)
+        x = tau * np.array([e.eigenvalue for e in low])
+        lower = tau ** s[:, 0] * ((np.exp(-x) * _lower_series(s, x)) @ [float(e.multiplicity) for e in low])
+        row = self._zeta(svals, tau, spectral + poisson - lower)
+        return [p.value + 2.0 * harmonic(k - 1) * p.residue for k, p in enumerate(row, 1)]
 
     def derivative0(self) -> float:
-        # d/ds at 0: the Bessel block collapses to a dilogarithm-free
-        # product-log sum because K_{-1/2} is elementary
+        # d/ds at 0 by Kronecker's limit formula, a product-log sum: at s = 0
+        # the Chowla-Selberg Bessel sum has K_{-1/2}, which is elementary
         q = math.exp(-2.0 * math.pi * self.ratio)
         series = 0.0
         k = 1
@@ -1032,6 +633,27 @@ class _NumericBackend:
         freg, res = self._F_regular(0.0)
         return freg + EULER_GAMMA * res
 
+    def truncated(self, mu0: float, low) -> list:
+        """zeta_{>mu0}(k/2) + 2 H_(k-1) res for k = 1, ..., _KORDER - 1, low
+        the positive modes up to mu0: ``_less_low_modes``, or on stored data, once the defining series converges comfortably, the
+        directly summed tail (the modes above mu0 plus half the model tail
+        beyond them)."""
+        cs, zetas = self.cs, []
+        above = None  # on stored data, the modes above mu0
+        if cs.max_trusted < math.inf:
+            mu, mult = cs._arrays(cs.max_trusted)
+            i = mu.searchsorted(mu0, side="right")
+            above = mu[i:], mult[i:]
+        for k in range(1, _KORDER):
+            if k / 2.0 > self.d / 2.0 + 1.5 and above is not None:
+                mu, mult = above
+                zk = float(mult @ mu ** (-k / 2.0))
+                zk += 0.5 * power_tail_bound(cs, cs.max_trusted, k / 2.0)
+            else:
+                zk = _less_low_modes(self, low, k)
+            zetas.append(zk)
+        return zetas
+
 
 # ----------------------------------------------------------------------------
 # backend dispatch
@@ -1172,94 +794,63 @@ def _shift_refusal(alpha: float, mu: float) -> str:
     return f"singular shift: -alpha = {-alpha} lies in the sqrt-spectrum (eigenvalue {mu})"
 
 
-def _log1p_tail(x: float, kmax: int) -> float:
-    """sum_{k>=kmax} (-1)^(k+1) x^k / k, summed directly (no cancellation),
-    for |x| < 1.
+def _log1p_tail(x, kmax: int):
+    """sum_{k>=kmax} (-1)^(k+1) x^k / k at each |x| < 1 of the array x,
+    summed directly (no cancellation).
 
-    The sum stops once |x|^k falls below 2^-54 of the total: every later
+    Each sum stops once |x|^k falls below 2^-54 of its total: every later
     term is then under half an ulp of it and cannot move it.  The floor
     1e-55 stops a zero or tiny total where the rule that summed on to
     1e-25 max(|total|, 1e-30) stopped it, so the two agree bit for bit.
+    The terms and the running totals are formed in the same order as a
+    loop over k would, n terms at a time per block of 4096 entries, n
+    doubling until every sum has stopped (at most 401 terms).
     """
-    term = (-1.0) ** (kmax + 1) * x**kmax
-    total = 0.0
-    k = kmax
-    while True:
-        total += term / k
-        term *= -x
-        k += 1
-        if abs(term) < max(2.0**-54 * abs(total), 1e-55) or k > kmax + 400:
-            return total
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    for i in range(0, x.size, 4096):
+        xs = x[i:i + 4096, None]
+        # x^kmax by libm's pow, as a Python float power forms it
+        first = (-1.0) ** (kmax + 1) * np.array([[v**kmax] for v in xs[:, 0].tolist()])
+        n = 16
+        while True:
+            n = min(2 * n, 401)
+            terms = np.cumprod(np.hstack([first, np.repeat(-xs, n - 1, axis=1)]), axis=1)
+            totals = np.cumsum(np.hstack([np.zeros_like(first), terms / np.arange(kmax, kmax + n)]), axis=1)[:, 1:]
+            stop = np.abs(terms[:, 1:]) < np.maximum(2.0**-54 * np.abs(totals[:, :-1]), 1e-55)
+            if n == 401 or stop.any(axis=1).all():
+                break
+        last = np.where(stop.any(axis=1), stop.argmax(axis=1), n - 1)
+        out[i:i + 4096] = totals[np.arange(len(xs)), last]
+    return out
 
 
 _KORDER = 16  # binomial terms expanded by _shifted_via_series
-# largest stated error of the binomial series on a torus that
-# _shifted_via_series answers with; above it it raises ConvergenceError
-_SERIES_GATE = 1e-8
+
+
+def _less_low_modes(backend, low, k: int) -> float:
+    """zeta_{>mu0}(k/2) + 2 H_(k-1) res: the backend's value at k/2 less the
+    partial sum over low, the positive modes up to mu0."""
+    zp = backend.point(k / 2.0)
+    partial = math.fsum(e.multiplicity * e.eigenvalue ** (-k / 2.0) for e in low)
+    if zp.residue == 0.0:
+        return zp.value - partial
+    return (zp.value - partial) + 2.0 * harmonic(k - 1) * zp.residue
 
 
 def _truncated_row(cs: CrossSection, mu0: float, backend) -> tuple:
     """The alpha-free part of ``_shifted_via_series`` at the split mu0.
 
-    (low, c0, zetas, errors): the positive modes up to mu0; the k = 0
-    binomial term -1/2 d/ds zeta_{Delta,>mu0}(0), where removing the
-    split-off low modes adds +ln(mu) per mode to the derivative; the
-    truncated zeta values zeta_{>mu0}(k/2) for k = 1, ..., _KORDER - 1,
-    with the harmonic-number weight of a residue at a pole; and per k a
-    stated bound on the error of zetas[k - 1], or None where the backend
-    states none.
-
-    The difference zeta(k/2) - partial cancels catastrophically in doubles
-    for large k.  A torus forms it at the scale of its fixed-point table
-    (``_TorusBackend.fixed``), each low mode's power within 2 units, and
-    rounds it once.  Its error bound adds the table's, those units, and
-    the rounding of the low eigenvalues themselves: ``FlatTorus`` forms
-    (c1 j)^2 + (c2 k)^2 from the doubles c1, c2 of the table in four
-    roundings, within 4 2^-53 relative of the exact value, so that a
-    power -k/2 of it is within 2.02 k 2^-53 relative.  On stored data
-    the numeric backend switches to the directly summed tail (its modes
-    above mu0 plus half the model tail beyond them) once the defining
-    series converges comfortably.
+    (low, c0, zetas): the positive modes up to mu0; the k = 0 binomial
+    term -1/2 d/ds zeta_{Delta,>mu0}(0), where removing the split-off low
+    modes adds +ln(mu) per mode to the derivative; and the backend's
+    truncated zeta values zeta_{>mu0}(k/2) for k = 1, ..., _KORDER - 1, with
+    the harmonic-number weight of a residue at a pole.
     """
     low = [e for e in enumerate_spectrum(cs, mu0) if e.eigenvalue > 0]
     low_logsum = math.fsum(e.multiplicity * math.log(e.eigenvalue) for e in low)
     c0 = -0.5 * (backend.derivative0() + low_logsum)
-    zetas = []
-    if isinstance(backend, _TorusBackend):
-        errors = []
-        modes = sum(e.multiplicity for e in low)
-        for k in range(1, _KORDER):
-            val, res, scale, err = backend.fixed(k / 2.0)
-            partial = sum(e.multiplicity * _half_power(e.eigenvalue, -k, scale) for e in low)
-            weight, res = 2.0 * harmonic(k - 1), _to_float(res, scale)
-            zk = _to_float(val - partial, scale) + weight * res
-            zetas.append(zk)
-            errors.append((1.0 + weight) * _to_float(err + 2 * modes, scale)
-                          + 2.02 * k * 2.0**-53 * _to_float(partial, scale)
-                          + 2.0**-52 * (abs(zk) + weight * abs(res)))
-        return low, c0, zetas, errors
-    d = cs.dim
-    above = None  # on stored data, the modes above mu0
-    if cs.max_trusted < math.inf:
-        mu, mult = cs._arrays(cs.max_trusted)
-        i = mu.searchsorted(mu0, side="right")
-        above = mu[i:], mult[i:]
-    for k in range(1, _KORDER):
-        if k / 2.0 > d / 2.0 + 1.5 and above is not None:
-            mu, mult = above
-            zk = float(mult @ mu ** (-k / 2.0))
-            zk += 0.5 * power_tail_bound(cs, cs.max_trusted, k / 2.0)
-        else:
-            zp = backend.point(k / 2.0)
-            partial = math.fsum(
-                e.multiplicity * e.eigenvalue ** (-k / 2.0) for e in low
-            )
-            if zp.residue == 0.0:
-                zk = zp.value - partial
-            else:
-                zk = (zp.value - partial) + 2.0 * harmonic(k - 1) * zp.residue
-        zetas.append(zk)
-    return low, c0, zetas, None
+    return low, c0, backend.truncated(mu0, low)
 
 
 def _keep(cache: OrderedDict, key, value) -> None:
@@ -1281,10 +872,7 @@ def _shifted_via_series(cs: CrossSection, alpha: float, backend) -> RegularizedD
     absolutely convergent log-tail sum with a certified bound.  The
     alpha-free zeta data (``_truncated_row``) depend on alpha only through
     the split mu0 = max(4 alpha^2, 1), so alpha and -alpha share one row,
-    kept on the backend.  Where the row states errors (a torus), their sum
-    over the series, sum_k |alpha|^k / k err_k, above _SERIES_GATE raises
-    ``ConvergenceError``: the cancellation in the truncated zeta values
-    then costs more digits than the result can spare.
+    kept on the backend.
     """
     q0 = kernel_dim(cs)
     logmod = 0.0
@@ -1294,21 +882,22 @@ def _shifted_via_series(cs: CrossSection, alpha: float, backend) -> RegularizedD
         logmod += q0 * lm
         phase += q0 * ph
 
+    # the log-remainder over the high modes runs up to where its tail bound
+    # falls below 1e-13; stored data stop at max(4 mu0, 100) or at their
+    # largest mode, whichever is lower
     mu0 = max(4.0 * alpha * alpha, 1.0)
+    lam_hi = max(mu0 * 4.0, 100.0)
+    while cs.max_trusted == math.inf and alpha != 0.0 and (
+        2.0 * abs(alpha) ** _KORDER / _KORDER * power_tail_bound(cs, lam_hi, _KORDER / 2.0) >= 1e-13
+    ):
+        lam_hi *= 2.0
+    lam_hi = min(lam_hi, cs.max_trusted)
+    _check_modes(cs, lam_hi, alpha)
     row = backend.rows.get(mu0)
     if row is None:
-        _check_modes(cs, mu0, alpha)
         row = _truncated_row(cs, mu0, backend)
         _keep(backend.rows, mu0, row)
-    low, c0, zetas, errors = row
-    if errors is not None:
-        err = math.fsum(abs(alpha) ** k / k * e for k, e in enumerate(errors, 1))
-        if err > _SERIES_GATE:
-            raise ConvergenceError(
-                f"the binomial series of ln Det(sqrt(Delta) + alpha) at alpha = {alpha} "
-                "loses its digits to cancellation against the low torus modes",
-                achieved=err,
-            )
+    low, c0, zetas = row
     for e in low:
         lm, ph = signed_log(math.sqrt(e.eigenvalue) + alpha)
         logmod += e.multiplicity * lm
@@ -1316,24 +905,10 @@ def _shifted_via_series(cs: CrossSection, alpha: float, backend) -> RegularizedD
     logmod += c0
     for k, zk in enumerate(zetas, 1):
         logmod -= (-alpha) ** k / k * zk
-
-    # convergent log-remainder over the high modes, up to where its tail
-    # bound falls below 1e-13; stored data stop at max(4 mu0, 100) or at
-    # their largest mode, whichever is lower
-    lam_hi = max(mu0 * 4.0, 100.0)
-    while cs.max_trusted == math.inf and alpha != 0.0 and (
-        2.0 * abs(alpha) ** _KORDER / _KORDER * power_tail_bound(cs, lam_hi, _KORDER / 2.0) >= 1e-13
-    ):
-        lam_hi *= 2.0
-    lam_hi = min(lam_hi, cs.max_trusted)
-    rem = 0.0
     if alpha != 0.0:
-        for e in enumerate_spectrum(cs, lam_hi):
-            if e.eigenvalue <= mu0:
-                continue
-            x = alpha / math.sqrt(e.eigenvalue)
-            rem += e.multiplicity * _log1p_tail(x, _KORDER)
-    logmod += rem
+        mu, mult = cs._arrays(lam_hi)
+        high = mu > mu0
+        logmod += float(mult[high] @ _log1p_tail(alpha / np.sqrt(mu[high]), _KORDER))
     return RegularizedDet(logmod, phase, 0)
 
 

@@ -220,6 +220,11 @@ class TestRun:
         code, rep = run({"command": "zeta", "cross_section": CIRCLE, "shift": 1.0})
         assert rep["value"] == pytest.approx(math.log(2.0 * math.pi), abs=1e-12)
 
+    def test_torus_shift_past_the_old_refusal_exits_0(self, capsys):
+        # the fixed-point torus row refused from |alpha| = 3.05 on this torus (exit 3)
+        assert main(["zeta", "--cross", "torus:6.283185307179586:3", "--shift", "5"]) == EXIT_OK
+        assert math.isfinite(json.loads(capsys.readouterr().out)["value"])
+
     def test_dn_spec_command(self):
         code, rep = run(
             {

@@ -4,7 +4,13 @@ The goldens were recorded when ``log_det_cylinder`` still gave each
 boundary pair its own branch; the per-end rule must reproduce every
 report, its term order included, bit for bit.  The mirror rows run on
 the numeric backend, which has since moved from adaptive quadrature to a
-Gauss-Legendre grid: their values are held to 16 ulp or 1e-14.  A spy holds each backend
+Gauss-Legendre grid: their values are held to 16 ulp or 1e-14.  Their
+truncations at L = 0.8 (about 4.5e-14 before) now also bound the stored
+modes the series leave unsummed above the mirror's largest trusted mode.
+The torus
+rows read the torus zeta, which moved from a fixed-point Bessel pass to a
+float64 Ewald split: their values are held to 1e-13 relative, with phases,
+kernels, truncations and term order exact.  A spy holds each backend
 to the terms that need it, and the segment oracle checks the Robin pairs
 in both orientations against the closed forms on the point.
 """
@@ -190,41 +196,41 @@ GOLDEN = [
         "s_alpha_term": 0.375, "zero_modes": 0.6931471805599453, "residue_term": 0.0,
         "finite_part_term": -1.0844806197684007, "det_shifted": -1.499510371933908,
         "series": -0.004611798343440807}),
-    ("mirror", 0.8, "D/D", None, -2.7816184953646124, 0, 0, 4.2830746629539575e-14, {
+    ("mirror", 0.8, "D/D", None, -2.7816184953646124, 0, 0, 5.234236695149179e-12, {
         "zero_modes": 0.47000362924573563, "residue_term": 0.0,
         "finite_part_term": -0.09855976952438568, "cross_det_half": -2.1400661634962708,
         "series": -1.0129961915896915}),
-    ("mirror", 0.8, "N/N", None, 1.4985138316279292, 0, 1, 4.2830746629539575e-14, {
+    ("mirror", 0.8, "N/N", None, 1.4985138316279292, 0, 1, 5.234236695149179e-12, {
         "zero_modes": 0.47000362924573563, "residue_term": 0.0,
         "finite_part_term": -0.09855976952438568, "cross_det_half": 2.1400661634962708,
         "series": -1.0129961915896915}),
-    ("mirror", 0.8, "N/D", None, 1.3908091347590885, 0, 0, 4.2830746629539575e-14, {
+    ("mirror", 0.8, "N/D", None, 1.3908091347590885, 0, 0, 5.234236695149179e-12, {
         "zero_modes": 0.6931471805599453, "residue_term": 0.0,
         "finite_part_term": -0.09855976952438568, "series": 0.7962217237235288}),
-    ("mirror", 0.8, "D/N", None, 1.3908091347590885, 0, 0, 4.2830746629539575e-14, {
+    ("mirror", 0.8, "D/N", None, 1.3908091347590885, 0, 0, 5.234236695149179e-12, {
         "zero_modes": 0.6931471805599453, "residue_term": 0.0,
         "finite_part_term": -0.09855976952438568, "series": 0.7962217237235288}),
-    ("mirror", 0.8, "R/R", -0.3, -0.1879924955005779, 5, 0, 4.547945677179772e-14, {
+    ("mirror", 0.8, "R/R", -0.3, -0.1879924955005779, 5, 0, 5.616585693097238e-12, {
         "s_alpha_term": 1.1252415607785229, "zero_modes": 2.4624337939359418, "residue_term": 0.0,
         "finite_part_term": -0.09855976952438568, "det_shifted": -0.24758670109080502,
         "cross_det_half": -2.1400661634962708, "series": -1.289455216103581}),
-    ("mirror", 0.8, "R/R", 0.5, 2.1550191602050868, 0, 0, 4.733628210667727e-14, {
+    ("mirror", 0.8, "R/R", 0.5, 2.1550191602050868, 0, 0, 5.887008979611556e-12, {
         "s_alpha_term": -1.875402601297538, "zero_modes": 2.2617630984737906, "residue_term": 0.0,
         "finite_part_term": -0.09855976952438568, "det_shifted": 4.113473395962085,
         "cross_det_half": -2.1400661634962708, "series": -0.10618879991259457}),
-    ("mirror", 0.8, "N/R", -0.3, -1.962697772488235, 1, 0, 4.413523637460172e-14, {
+    ("mirror", 0.8, "N/R", -0.3, -1.962697772488235, 1, 0, 5.422041339598672e-12, {
         "s_alpha_term": 0.5626207803892614, "zero_modes": 0.6931471805599453, "residue_term": 0.0,
         "finite_part_term": -0.09855976952438568, "det_shifted": -0.12379335054540251,
         "series": -2.9961126133676537}),
-    ("mirror", 0.8, "N/R", 0.5, 1.4412288219413154, 0, 0, 4.50271951746442e-14, {
+    ("mirror", 0.8, "N/R", 0.5, 1.4412288219413154, 0, 0, 5.551034058522563e-12, {
         "s_alpha_term": -0.937701300648769, "zero_modes": 0.6931471805599453, "residue_term": 0.0,
         "finite_part_term": -0.09855976952438568, "det_shifted": 2.0567366979810426,
         "series": -0.27239398642651785}),
-    ("mirror", 0.8, "R/N", -0.3, -1.962697772488235, 1, 0, 4.413523637460172e-14, {
+    ("mirror", 0.8, "R/N", -0.3, -1.962697772488235, 1, 0, 5.422041339598672e-12, {
         "s_alpha_term": 0.5626207803892614, "zero_modes": 0.6931471805599453, "residue_term": 0.0,
         "finite_part_term": -0.09855976952438568, "det_shifted": -0.12379335054540251,
         "series": -2.9961126133676537}),
-    ("mirror", 0.8, "R/N", 0.5, 1.4412288219413154, 0, 0, 4.50271951746442e-14, {
+    ("mirror", 0.8, "R/N", 0.5, 1.4412288219413154, 0, 0, 5.551034058522563e-12, {
         "s_alpha_term": -0.937701300648769, "zero_modes": 0.6931471805599453, "residue_term": 0.0,
         "finite_part_term": -0.09855976952438568, "det_shifted": 2.0567366979810426,
         "series": -0.27239398642651785}),
@@ -286,6 +292,12 @@ def test_pair_reports(section, L, pair, alpha, log_det, phase, kernel, truncatio
         for got, pinned in zip([rep.log_det, *rep.terms.values()], [log_det, *terms.values()]):
             assert abs(got - pinned) <= max(16 * math.ulp(pinned), 1e-14), (got, pinned)
         return
+    if section == "torus":
+        assert (rep.phase_multiple, rep.kernel_dim, rep.truncation) == (phase, kernel, truncation)
+        assert list(rep.terms) == list(terms)
+        for got, pinned in zip([rep.log_det, *rep.terms.values()], [log_det, *terms.values()]):
+            assert abs(got - pinned) <= 1e-13 * abs(pinned), (got, pinned)
+        return
     assert (rep.log_det, rep.phase_multiple, rep.kernel_dim, rep.truncation) == (
         log_det, phase, kernel, truncation
     )
@@ -327,3 +339,42 @@ def test_robin_pairs_match_the_oracle(pair, ref, alpha, L):
         - log_det_cylinder(CylinderSpec(Point(), L, *ends(ref, alpha))).log_det
     )
     assert abs(rel.value - closed) <= 1e-9
+
+
+# The scaling law.  Y -> cY, L -> cL and alpha -> alpha/c multiply every
+# eigenvalue of the cylinder Laplacian by c^-2, so ln Det moves by exactly
+# -2 zeta_cyl(0) ln c.  zeta_cyl(0) is the t^0 heat invariant less the zero
+# modes (Branson-Gilkey, flat interior and flat boundary): on the segment
+# +1/4 per Neumann or Robin end and -1/4 per Dirichlet end; on the circle
+# S l / 2 pi per Robin end of length l, and on the torus S^2 A / 8 pi per
+# Robin end of area A, with S = -alpha, the Robin parameter of
+# d_n u + S u = 0 in the library's orientation.  alpha l and alpha^2 A are
+# scale-free, so the law shares no code with the assembly.
+SCALED = {
+    "point": lambda c: Point(),
+    "circle": lambda c: Circle(TWO_PI * c),
+    "torus": lambda c: FlatTorus(TWO_PI * c, 3.0 * c),
+}
+
+
+def zeta_cyl_zero(section, pair, alpha):
+    zero_modes = 1 if pair == "N/N" else 0
+    if section == "point":
+        return sum(-0.25 if end == "D" else 0.25 for end in pair.split("/")) - zero_modes
+    robin = pair.count("R")
+    S = -alpha
+    if section == "circle":
+        return robin * S * TWO_PI / (2.0 * math.pi) - zero_modes
+    return robin * S * S * (TWO_PI * 3.0) / (8.0 * math.pi) - zero_modes
+
+
+@pytest.mark.parametrize("c", [1.7, 0.6])
+@pytest.mark.parametrize("pair", ["D/D", "N/N", "N/D", "R/R", "N/R"])
+@pytest.mark.parametrize("section", list(SCALED))
+def test_scaling_law(section, pair, c):
+    L, alpha = 1.3, 0.4
+    base = log_det_cylinder(CylinderSpec(SCALED[section](1.0), L, *ends(pair, alpha)))
+    scaled = log_det_cylinder(CylinderSpec(SCALED[section](c), c * L, *ends(pair, alpha / c)))
+    predicted = -2.0 * zeta_cyl_zero(section, pair, alpha) * math.log(c)
+    assert abs(scaled.log_det - base.log_det - predicted) <= 1e-12
+    assert scaled.phase_multiple == base.phase_multiple

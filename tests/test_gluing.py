@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from zetaglue import cylinder, gluing
 from zetaglue.cylinder import series_sum
 from zetaglue.errors import SingularParameterError, ValidationError
 from zetaglue.gluing import (
@@ -170,3 +171,62 @@ def test_cut_near_an_end_is_refused_by_its_length(a, cutoff, monkeypatch):
     with pytest.raises(ValidationError, match=re.escape(f"length = {a} needs the spectrum up to {cutoff},")):
         glue_robin_check(GluingConfig(FlatTorus(TWO_PI, 3.0), 1.0, a, 0.3))
     assert time.process_time() - t0 < 1.0
+
+
+TORUS = FlatTorus(TWO_PI, 3.0)
+
+
+def _shift_torus_zeta_at_minus_half(monkeypatch):
+    real_point = zreg._TorusBackend.point
+
+    def point(self, s):
+        p = real_point(self, s)
+        return zreg.ZetaPoint(p.location, p.value * (1.0 + 1e-9), p.residue) if s == -0.5 else p
+
+    monkeypatch.setattr(zreg._TorusBackend, "point", point)
+    monkeypatch.setattr(zreg, "_backend_cache", type(zreg._backend_cache)())
+
+
+def _shift_a0(monkeypatch):
+    real = gluing.a0_constant
+    monkeypatch.setattr(gluing, "a0_constant", lambda *args, **kwargs: real(*args, **kwargs) + 1e-6)
+
+
+def _scale_s_alpha(monkeypatch):
+    real = cylinder.s_alpha
+    monkeypatch.setattr(cylinder, "s_alpha", lambda *args, **kwargs: real(*args, **kwargs) * (1.0 + 1e-3))
+
+
+# (perturbation, whether the gluing residual sees it).  The torus
+# zeta(-1/2) enters each cylinder as its length times a constant of the
+# cross-section, and the pieces' lengths add up to the whole one, so a
+# shift of it cancels between the two sides: a known blind spot.
+PERTURBATIONS = [(_shift_a0, True), (_scale_s_alpha, True), (_shift_torus_zeta_at_minus_half, False)]
+
+
+@pytest.mark.parametrize("perturb, detected", PERTURBATIONS, ids=["a0", "s_alpha", "torus-zeta(-1/2)"])
+def test_torus_gluing_check_sees_perturbed_terms(monkeypatch, perturb, detected):
+    cfg = GluingConfig(TORUS, 2.5, 1.25, 0.7)
+    assert glue_robin_check(cfg).residual < 1e-12
+    perturb(monkeypatch)
+    residual = glue_robin_check(cfg).residual
+    assert residual > 1e-8 if detected else residual < 1e-12
+
+
+# Two checks of the benchmark's mirror-shapes stream (seed 601) whose series
+# ran past their mirror's largest trusted mode and missed the closed form
+# by more than 1e-8: (base, cutoff, L, a, alpha, distance from the closed form).
+UNSUMMED_GAP = [
+    (Circle(1.1 * TWO_PI), 115.87392905533599, 1.5959053506909961, 0.9675505341313473,
+     0.5115684579698567, 3.57e-06),
+    (FlatTorus(TWO_PI, 2.4 * TWO_PI), 202.27773338971585, 1.8022059817278988, 1.1495924012344172,
+     0.3622289130880813, 1.55e-06),
+]
+
+
+@pytest.mark.parametrize("base, cutoff, L, a, alpha, distance", UNSUMMED_GAP, ids=["circle", "torus"])
+def test_mirror_truncation_covers_the_unsummed_gap(base, cutoff, L, a, alpha, distance):
+    rep = glue_robin_check(GluingConfig(explicit_mirror(base, cutoff), L, a, alpha))
+    closed = glue_robin_check(GluingConfig(base, L, a, alpha))
+    assert abs(rep.lhs - closed.lhs) == pytest.approx(distance, rel=0.01)
+    assert rep.truncation >= abs(rep.lhs - closed.lhs)
