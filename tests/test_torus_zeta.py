@@ -36,6 +36,7 @@ def assert_report_within(rep, expected):
     assert abs(rep.rhs - rhs) <= 1e-13 * abs(rhs), (rep.rhs, rhs)
     assert abs(rep.residual - residual) <= 1e-13, (rep.residual, residual)
 
+
 # (check, torus, L, a, alpha) -> (lhs, rhs, residual)
 GOLDEN = [
     (glue_robin_check, FlatTorus(2.0, 2.0), 2.2, 1.1, -0.4,
