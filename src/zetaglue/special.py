@@ -105,4 +105,4 @@ def odd_harmonic(n: int) -> float:
     return float(_odd_harmonic_fraction(n))
 
 
-EULER_GAMMA = float(mp.euler)
+EULER_GAMMA = 0.5772156649015329  # float(mpmath.euler) at 53 bits, fixed whatever the caller's precision

@@ -1,13 +1,17 @@
 """Special-function primitives against independent identities."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
 
 from zetaglue.errors import SingularParameterError, ValidationError
 from zetaglue.special import (
+    EULER_GAMMA,
     harmonic,
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
@@ -94,3 +98,18 @@ class TestHarmonic:
         assert harmonic(3) == pytest.approx(11.0 / 6.0, abs=0)
         assert odd_harmonic(0) == 0.0
         assert odd_harmonic(2) == pytest.approx(1.0 + 1.0 / 3.0, abs=0)
+
+
+class TestEulerGamma:
+    def test_is_the_double_of_mpmath_euler(self):
+        with mp.workprec(53):
+            assert EULER_GAMMA == float(mp.euler)
+
+    def test_ignores_the_callers_precision_at_import(self):
+        # it was float(mp.euler) at import, so a caller that had lowered
+        # mpmath's global precision read 0.5772151947 (prec = 20)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import mpmath; mpmath.mp.prec = 20; import zetaglue.special as s; print(repr(s.EULER_GAMMA))"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+        assert done.stdout.strip() == "0.5772156649015329", done.stderr

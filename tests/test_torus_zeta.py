@@ -263,10 +263,12 @@ class TrapezoidDoubleSum(DoubleSumTorus):
     besselk = staticmethod(trapezoid_besselk)
 
 
-@pytest.mark.parametrize("aspect", [1.0, 1.5, 3.0, 8.0])
+@pytest.mark.parametrize("aspect", [1.0, 1.5, 2.5, 3.0, 8.0, 12.0, 40.0])
 def test_point_within_stated_bound_of_double_sum(aspect):
     # every standard s and three generic ones within 1e-14 relative of the
-    # Chowla-Selberg double sum, and the residue at s = 1 within 1e-15
+    # Chowla-Selberg double sum, and the residue at s = 1 within 1e-15; at
+    # aspects 12 and 40 the smallest Poisson argument, 5 / aspect, is below
+    # the 1/2 where E1 leaves its continued fraction for its series
     cs = FlatTorus(1.1, 1.1 * aspect)
     reference = TrapezoidDoubleSum(cs)
     reference.digits = 20
@@ -302,16 +304,17 @@ def count_calls(monkeypatch, name):
 
 
 def test_standard_set_is_one_pass_without_besselk(monkeypatch):
-    # the first standard s fills all 16: one spectral ladder pass and one
-    # Poisson fraction, and no Bessel function at all
+    # the first standard s fills all 16: one ladder pass over both sides,
+    # E1 once per Poisson point, no general fraction and no Bessel function
     ladders = count_calls(monkeypatch, "_standard_gammas")
     fractions = count_calls(monkeypatch, "_scaled_gamma")
+    e1 = count_calls(monkeypatch, "_e1")
     monkeypatch.setattr(mp, "besselk", None)
     backend = zreg._TorusBackend(FlatTorus(2.0, 2.0 * 1.7))
     for s in zreg._STANDARD_S:
         backend.point(s)
-    assert len(ladders) == 1 and len(fractions) == 1
-    assert len(fractions[0][0]) == len(zreg._STANDARD_S)
+    assert len(ladders) == 1 and fractions == []
+    assert len(e1) == ladders[0][1].size
 
 
 class _NoMpmath:

@@ -32,6 +32,15 @@ TORUS = FlatTorus(TWO_PI, TWO_PI)
 TORUS_ASYM = FlatTorus(TWO_PI, 3.0)
 
 
+def small_alpha_cases():
+    """(torus, alpha) of the ``small_alpha`` pins in ``torus_pins.json``, in
+    order: the 2 pi x 3 torus and aspects 1 to 3 at areas 3, 5 and 12, each
+    at |alpha| <= 1."""
+    tori = [TORUS_ASYM] + [FlatTorus(math.sqrt(area / aspect), math.sqrt(area / aspect) * aspect)
+                           for aspect in (1.0, 1.5, 2.0, 2.5, 3.0) for area in (3.0, 5.0, 12.0)]
+    return [(cs, alpha) for cs in tori for alpha in (-0.95, -0.55, 0.35, 1.0)]
+
+
 class TestZetaPointClosedForms:
     def test_circle_value_at_zero(self):
         zp = zeta_point(CIRCLE, 0.0)
@@ -176,9 +185,7 @@ class TestLogDetShifted:
         # aspects 1 to 3 at areas 3, 5 and 12, and the 2 pi x 3 torus, at
         # |alpha| <= 1: within 1e-13 relative of the values of the route
         # before it stated an error (``torus_pins.json``), phases exact
-        tori = [TORUS_ASYM] + [FlatTorus(math.sqrt(area / aspect), math.sqrt(area / aspect) * aspect)
-                               for aspect in (1.0, 1.5, 2.0, 2.5, 3.0) for area in (3.0, 5.0, 12.0)]
-        values = [log_det_shifted(cs, alpha) for cs in tori for alpha in (-0.95, -0.55, 0.35, 1.0)]
+        values = [log_det_shifted(cs, alpha) for cs, alpha in small_alpha_cases()]
         with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "torus_pins.json")) as f:
             pinned = json.load(f)["small_alpha"]
         for d, (log_modulus, phase) in zip(values, pinned, strict=True):
