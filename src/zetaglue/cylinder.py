@@ -28,7 +28,6 @@ from .asymptotics import s_alpha
 from .errors import InsufficientSpectrumError, SingularParameterError, ValidationError
 from .spectra import (
     CrossSection,
-    enumerate_spectrum,
     exp_tail_bound,
     heat_coefficients,
     kernel_dim,
@@ -262,17 +261,17 @@ def series_sum(
             bound += amp / (1.0 - y0) * exp_tail_bound(cs, top, 2.0 * plen) if y0 < 0.5 else math.inf
     terms = []
     phase = 0
-    for entry in enumerate_spectrum(cs, top) if top > 0 else ():
-        if entry.eigenvalue <= 0.0:
+    for u, m in zip(*cs._modes(top)):
+        if u <= 0.0:
             continue
-        x = math.sqrt(entry.eigenvalue)
+        x = math.sqrt(u)
         piece = 0.0
         for plen, palpha, power, sigma, sign in rows:
             f = _factor(x, plen, palpha, power, sigma)
             lm, ph = signed_log(f)
             piece += sign * lm
-            phase += entry.multiplicity * sign * ph
-        terms.append(entry.multiplicity * piece)
+            phase += m * sign * ph
+        terms.append(m * piece)
     return SeriesResult(math.fsum(terms), phase, bound, lam)
 
 

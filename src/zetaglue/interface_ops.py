@@ -22,7 +22,7 @@ from .asymptotics import s_alpha_pair, w0_w1
 from .errors import SingularParameterError, ValidationError
 from .spectra import (
     CrossSection,
-    enumerate_spectrum,
+    _check_cutoff,
     heat_coefficients,
     kernel_dim,
 )
@@ -187,23 +187,25 @@ def spec_interface(
     if not (length > 0):
         raise ValidationError("interface geometry needs a positive length")
     far, signed, _, _ = _interface(geometry, alpha)
+    return _spectrum(cs, cutoff, lambda mu: _interface_values(math.sqrt(mu), length, signed, far),
+                     geometry, length, alpha, f"{geometry}(L={length:g}, alpha={alpha:g})")
+
+
+def _spectrum(cs: CrossSection, cutoff: float, values, geometry: str, length: float, alpha: float,
+              tag: str) -> InterfaceSpectrum:
+    """The operator whose eigenvalues over the cross-section mode mu are
+    ``values(mu)``, up to the modes mu <= cutoff; vanishing ones are its
+    zero modes, and the rest ascend with the modes' multiplicities."""
+    _check_cutoff(cutoff)
     out, zero_modes = [], 0
-    for e in enumerate_spectrum(cs, cutoff):
-        for v in _interface_values(math.sqrt(e.eigenvalue), length, signed, far):
+    for u, m in zip(*cs._modes(cutoff)):
+        for v in values(u):
             if v == 0.0:
-                zero_modes += e.multiplicity
+                zero_modes += m
             else:
-                out.append((v, e.multiplicity))
+                out.append((v, m))
     out.sort(key=lambda t: t[0])
-    tag = f"{geometry}(L={length:g}, alpha={alpha:g})"
-    return InterfaceSpectrum(
-        entries=tuple(out),
-        zero_modes=zero_modes,
-        geometry=geometry,
-        length=length,
-        alpha=alpha,
-        provenance=tag,
-    )
+    return InterfaceSpectrum(tuple(out), zero_modes, geometry, length, alpha, tag)
 
 
 def log_det_interface(
@@ -307,23 +309,9 @@ def spec_RS0(
     """
     _check_cut(length, a)
     _check_rs0_admissible(cs, alpha)
-    out = []
-    zero_modes = 0
-    for e in enumerate_spectrum(cs, cutoff):
-        if e.eigenvalue == 0.0:
-            zero_modes += e.multiplicity
-            continue
-        out.append((rs0_eigenvalue(e.eigenvalue, length, a, alpha), e.multiplicity))
-    out.sort(key=lambda t: t[0])
-    tag = f"interface_jump(L={length:g}, a={a:g}, alpha={alpha:g})"
-    return InterfaceSpectrum(
-        entries=tuple(out),
-        zero_modes=zero_modes,
-        geometry="interface_jump",
-        length=length,
-        alpha=alpha,
-        provenance=tag,
-    )
+    # the eigenvalue over mu = 0 is 0
+    return _spectrum(cs, cutoff, lambda mu: (rs0_eigenvalue(mu, length, a, alpha),), "interface_jump",
+                     length, alpha, f"interface_jump(L={length:g}, a={a:g}, alpha={alpha:g})")
 
 
 def log_det_star_RS0(

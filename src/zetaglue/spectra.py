@@ -6,6 +6,11 @@ with heat metadata.  All types are immutable and all operations are pure
 functions; multiplicity bookkeeping is exact (integer lattice enumeration
 for the torus, exact integer keys for degeneracy merging), never
 floating-point deduplication.
+
+Inside the library a spectrum is one cached listing of its eigenvalues and
+multiplicities as float64 arrays and as lists (``_listing``), which one
+numpy fold of the lattice (``_fold``) fills for the flat built-ins; only
+the public ``enumerate_spectrum`` builds ``SpectrumEntry`` lists.
 """
 
 from __future__ import annotations
@@ -112,7 +117,7 @@ class CrossSection:
     * ``max_trusted``, the largest eigenvalue the spectrum is known up
       to: ``math.inf`` when it is known in full;
     * ``enumerate_spectrum(cutoff)``, the entries <= cutoff in a new list
-      (``_arrays(cutoff)`` gives them as float64 arrays);
+      (the library's scans read them, cached, by ``_arrays`` or ``_modes``);
     * ``kernel_dim()`` and ``heat_trace(t)``;
     * ``exp_tail_bound(lam, rate)``, ``heat_tail_bound(lam, t)`` and
       ``power_tail_bound(lam, p)``, upper bounds on the sums of
@@ -120,10 +125,10 @@ class CrossSection:
       the eigenvalues mu_j > lam.
 
     The module functions of the same names check their arguments and call
-    these methods, and the rest of the library calls the functions, so a
-    wrapper of a function sees every call.  The
-    point, the circle and the flat torus have closed-form zeta backends;
-    every other cross-section runs on the numeric one.
+    these methods, and the rest of the library calls the functions (but
+    reads spectra by ``_arrays``), so a wrapper of a function sees every
+    call.  The point, the circle and the flat torus have closed-form zeta
+    backends; every other cross-section runs on the numeric one.
     """
 
     dim: int
@@ -142,11 +147,20 @@ class CrossSection:
         return HeatExpansion(self.dim, coeffs, exact=heat.exact)
 
     def _arrays(self, cutoff: float) -> tuple:
-        """(mu, mult): the entries <= cutoff as float64 arrays of their
-        eigenvalues and multiplicities, in ``enumerate_spectrum``'s order."""
-        entries = self.enumerate_spectrum(cutoff)
-        return (np.array([e.eigenvalue for e in entries], dtype=float),
-                np.array([float(e.multiplicity) for e in entries]))
+        """(mu, mult): read-only float64 views of the eigenvalues and the
+        multiplicities of the entries <= cutoff, in ``enumerate_spectrum``'s
+        order, from the cross-section's cached listing (``_listing``)."""
+        listing, n = _listing(self, cutoff)
+        return listing[1][:n], listing[2][:n]
+
+    def _modes(self, cutoff: float) -> tuple:
+        """(mu, mult): the same entries as lists of floats and ints, which
+        the scans that run in Python read."""
+        listing, n = _listing(self, cutoff)
+        return listing[5][:n], listing[6][:n]
+
+    def _fill(self, cutoff: float) -> tuple:
+        return _entry_listing(cutoff, self.enumerate_spectrum(cutoff))
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -155,8 +169,9 @@ class CrossSection:
 class _FlatSection(CrossSection):
     """The flat built-ins: heat trace a0 t^(-dim/2) + O(t^inf), one zero mode.
 
-    Subclasses give ``a0``; circles and tori give ``_lattice`` and share
-    the spectrum cache.
+    Subclasses give ``a0`` and ``_axes``: per axis of the lattice its
+    wavenumber and its integer weight p or q in the exact key j^2 p + k^2 q
+    of the mode (c1 j)^2 + (c2 k)^2, wavenumber inf for an absent axis.
     """
 
     @property
@@ -167,7 +182,53 @@ class _FlatSection(CrossSection):
         return 1
 
     def enumerate_spectrum(self, cutoff: float) -> list:
-        return _cached_entries(self, cutoff)
+        # each entry object is built once per cached listing, so that every
+        # list, and every explicit mirror kept, shares it
+        listing, n = _listing(self, cutoff)
+        entries = listing[7]
+        with _listing_lock:
+            if len(entries) < n:
+                entries += map(SpectrumEntry, listing[5][len(entries):n], listing[6][len(entries):n])
+            return entries[:n]
+
+    def _fill(self, cutoff: float) -> tuple:
+        mu, mult, highs, lows = self._lattice(cutoff)
+        return cutoff, mu, mult, highs.tolist(), lows.tolist(), mu.tolist(), mult.astype(int).tolist()
+
+    def _lattice(self, cutoff: float) -> tuple:
+        """(mu, mult, highs, lows): the spectrum <= cutoff ascending in exact
+        value (each entry the float of its first point in ``_fold``'s order),
+        the running maxima of each entry's largest float and the running
+        minima from the end of its least.
+
+        Each float is within a few ulps of its exact value, a multiple of its
+        key j^2 p + k^2 q (``_axes``), so points sort against their floats only
+        in runs of floats each within 2^-46 relative of the next.  Only those
+        re-sort, by key: in int64 where every key fits, else as Python ints.
+        """
+        (a, p), (b, q) = self._axes
+        r2, w, j, k = _fold(a, b, cutoff)
+        if (int(j[-1]) ** 2 + 1) * p + (int(k.max()) ** 2 + 1) * q < 2**63:
+            keys = j * j * p + k * k * q
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            first = np.concatenate(([True], keys[1:] != keys[:-1]))
+        else:
+            order = np.argsort(r2, kind="stable")
+            s = r2[order]
+            linked = np.concatenate(([False], s[1:] - s[:-1] <= s[1:] * 2.0**-46))
+            runs = np.flatnonzero(linked | np.concatenate((linked[1:], [False])))
+            first = np.ones(r2.size, dtype=bool)
+            if runs.size:
+                at, run = order[runs].tolist(), np.cumsum(~linked[runs]).tolist()
+                keys = [jj * jj * p + kk * kk * q for jj, kk in zip(j[at].tolist(), k[at].tolist())]
+                ranked = sorted(range(len(at)), key=lambda i: (run[i], keys[i], at[i]))
+                order[runs] = [at[i] for i in ranked]
+                first[runs[1:]] = [(run[x], keys[x]) != (run[y], keys[y]) for x, y in zip(ranked, ranked[1:])]
+        r2, starts = r2[order], np.flatnonzero(first)
+        highs = np.maximum.accumulate(np.maximum.reduceat(r2, starts))
+        lows = np.minimum.accumulate(np.minimum.reduceat(r2, starts)[::-1])[::-1]
+        return r2[starts], np.add.reduceat(w[order], starts), highs, lows
 
 
 @dataclass(frozen=True, repr=False)
@@ -176,9 +237,7 @@ class Point(_FlatSection):
 
     dim: int = field(default=0, init=False)
     a0 = 1.0
-
-    def enumerate_spectrum(self, cutoff: float) -> list:
-        return [SpectrumEntry(0.0, 1)]
+    _axes = ((math.inf, 1), (math.inf, 1))
 
     def heat_trace(self, t: float) -> float:
         return 1.0
@@ -211,11 +270,7 @@ class Circle(_FlatSection):
     def __repr__(self):
         return f"Circle(ell={self.circumference!r})"
 
-    def _lattice(self, cutoff: float):
-        c = self.wavenumber
-        kmax = int(math.floor(math.sqrt(cutoff) / c + 1e-12))
-        mus = [mu for mu in [0.0] + [(c * k) ** 2 for k in range(1, kmax + 1)] if mu <= cutoff]
-        return [SpectrumEntry(mu, 2 if k else 1) for k, mu in enumerate(mus)], mus, mus
+    _axes = property(lambda self: ((self.wavenumber, 1), (math.inf, 1)))
 
     def _first_mode_above(self, lam: float) -> int:
         return int(math.floor(math.sqrt(max(lam, 0.0)) / self.wavenumber)) + 1
@@ -260,47 +315,17 @@ class FlatTorus(_FlatSection):
     def __repr__(self):
         return f"FlatTorus(ell1={self.ell1!r}, ell2={self.ell2!r})"
 
-    def _lattice(self, cutoff: float):
+    @property
+    def _axes(self) -> tuple:
         # Exact degeneracy merging: with ell_i = n_i/d_i the exact binary
-        # fractions of the side lengths, the integer
-        # j^2 (n2 d1)^2 + k^2 (n1 d2)^2 = (ell1 ell2 d1 d2 / 2 pi)^2 mu
-        # is proportional to mu, so lattice points with equal exact
-        # eigenvalues share a key and the keys sort as the eigenvalues do.
+        # fractions of the sides, j^2 (n2 d1)^2 + k^2 (n1 d2)^2 = (ell1 ell2
+        # d1 d2 / 2 pi)^2 mu, and its quotient by g^2, is proportional to mu:
+        # points with equal exact eigenvalues share a key; keys sort as they do
         n1, d1 = self.ell1.as_integer_ratio()
         n2, d2 = self.ell2.as_integer_ratio()
-        w1 = (n1 * d2) ** 2
-        w2 = (n2 * d1) ** 2
-        c1 = 2.0 * math.pi / self.ell1
-        c2 = 2.0 * math.pi / self.ell2
-        jmax = int(math.floor(math.sqrt(cutoff) / c1 + 1e-12))
-        # per column k: (c2 k)^2, its part of the key and its multiplicity;
-        # ** 2, not x * x, which rounds differently on some doubles
-        kmax = int(math.floor(math.sqrt(cutoff) / c2 + 1e-12))
-        columns = [((c2 * k) ** 2, k * k * w1, 1 if k == 0 else 2) for k in range(kmax + 1)]
-        groups: dict = {}
-        for j in range(0, jmax + 1):
-            row_mu = (c1 * j) ** 2
-            rem = cutoff - row_mu
-            if rem < 0:
-                break
-            row_key, row_mult = j * j * w2, 1 if j == 0 else 2
-            kmax = int(math.floor(math.sqrt(max(rem, 0.0)) / c2 + 1e-12))
-            for col_mu, col_key, col_mult in columns[:kmax + 1]:
-                mu = row_mu + col_mu
-                if mu > cutoff:
-                    continue
-                key = row_key + col_key
-                mult = row_mult * col_mult
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = [mu, mult, mu, mu]
-                else:
-                    group[1] += mult
-                    group[2] = min(group[2], mu)
-                    group[3] = max(group[3], mu)
-        groups = [group for _, group in sorted(groups.items())]
-        entries = [SpectrumEntry(mu, mult) for mu, mult, _, _ in groups]
-        return entries, [g[2] for g in groups], [g[3] for g in groups]
+        g = math.gcd(n1 * d2, n2 * d1)
+        return ((2.0 * math.pi / self.ell1, (n2 * d1 // g) ** 2),
+                (2.0 * math.pi / self.ell2, (n1 * d2 // g) ** 2))
 
     def heat_trace(self, t: float) -> float:
         # product spectrum: the trace factorizes into two circle traces
@@ -348,8 +373,8 @@ class ExplicitSpectrum(CrossSection):
     formed once, as a lookup of a long list would otherwise rehash it.
 
     Every scan of the stored modes is one numpy pass over the slice above
-    its cutoff of the list's float64 arrays (``_stored_arrays``), which are
-    kept in a bounded module cache and never on the instance.
+    its cutoff of the list's float64 arrays, which are kept in the listing
+    cache (``_listing``) and never on the instance.
     """
 
     entries: tuple
@@ -385,35 +410,24 @@ class ExplicitSpectrum(CrossSection):
     def __repr__(self):
         return f"ExplicitSpectrum(n={len(self.entries)}, dim={self.dim})"
 
-    def _arrays(self, cutoff: float) -> tuple:
-        if self.max_eigenvalue < cutoff:
-            raise InsufficientSpectrumError(
-                "explicit spectrum is truncated below the requested cutoff",
-                max_trusted=self.max_eigenvalue,
-            )
-        mu, mult = _stored_arrays(self)
-        n = mu.searchsorted(cutoff, side="right")
-        return mu[:n], mult[:n]
+    def _fill(self, cutoff: float) -> tuple:
+        return _entry_listing(math.inf, self.entries)
 
     def _above(self, lam: float) -> tuple:
         """Views of the stored eigenvalues > lam and of their multiplicities."""
-        mu, mult = _stored_arrays(self)
+        mu, mult = self._arrays(self.max_eigenvalue)
         i = mu.searchsorted(lam, side="right")
         return mu[i:], mult[i:]
 
     def enumerate_spectrum(self, cutoff: float) -> list:
-        return list(self.entries[:len(self._arrays(cutoff)[0])])
+        return list(self.entries[:_listing(self, cutoff)[1]])
 
     def kernel_dim(self) -> int:
-        for e in self.entries:
-            if e.eigenvalue == 0.0:
-                return e.multiplicity
-            if e.eigenvalue > 0.0:
-                break
-        return 0
+        # the entries ascend from >= 0, so a zero mode comes first
+        return self.entries[0].multiplicity if self.entries and self.entries[0].eigenvalue == 0.0 else 0
 
     def heat_trace(self, t: float) -> float:
-        mu, mult = _stored_arrays(self)
+        mu, mult = self._arrays(self.max_eigenvalue)
         total = float(mult @ np.exp(-t * mu))
         tail = self.heat_tail_bound(self.max_eigenvalue, t)
         if tail > 1e-12 * max(total, 1e-300):
@@ -447,73 +461,88 @@ class ExplicitSpectrum(CrossSection):
 # ----------------------------------------------------------------------------
 
 
-# recent circles and tori, oldest first: (top cutoff, entries, bounds of their floats)
-_SPECTRUM_CACHE_SIZE = 32
-_spectrum_cache: OrderedDict = OrderedDict()
-_spectrum_lock = threading.Lock()
+# the listings of the 32 most recently used cross-sections, oldest first;
+# kept here, not on the instance, so that a caller holding many spectra
+# holds no arrays
+_LISTING_CACHE_SIZE = 32
+_listing_cache: OrderedDict = OrderedDict()
+_listing_lock = threading.Lock()
 
 
-# recent stored spectra, oldest first: (eigenvalues, multiplicities) as
-# read-only float64 arrays, which the numeric backend views too; kept here,
-# not on the instance, so that a caller holding many spectra holds no arrays
-_ARRAY_CACHE_SIZE = 32
-_array_cache: OrderedDict = OrderedDict()
-_array_lock = threading.Lock()
+def _listing(cs: CrossSection, cutoff: float) -> tuple:
+    """(listing, n): the listing of cs and how many of its entries are <= cutoff.
 
-
-def _stored_arrays(cs: ExplicitSpectrum) -> tuple:
-    """(mu, mult): every stored eigenvalue and multiplicity of cs, ascending."""
-    with _array_lock:
-        hit = _array_cache.get(cs)
+    ``cs._fill`` fills the cached listing when it stops below the cutoff:
+    (top, mu, mult, highs, lows, mus, mults, entries), the spectrum <= top
+    (a stored one whole, top = inf) as read-only float64 arrays and as
+    lists, lists of the running maxima of each entry's largest float and the
+    running minima from the end of its least, and the ``SpectrumEntry``
+    objects built of it.  Bisecting the highs counts the entries wholly <=
+    cutoff, and bisecting the lows reaches the last entry with a float <=
+    cutoff: they differ inside a split degenerate group or an out-of-order
+    pair, which is listed afresh.
+    """
+    if cutoff > cs.max_trusted:
+        raise InsufficientSpectrumError(
+            "explicit spectrum is truncated below the requested cutoff", max_trusted=cs.max_trusted
+        )
+    with _listing_lock:
+        hit = _listing_cache.get(cs)
         if hit is not None:
-            _array_cache.move_to_end(cs)
-            return hit
-    mu = np.array([e.eigenvalue for e in cs.entries], dtype=float)
-    mult = np.array([float(e.multiplicity) for e in cs.entries])
-    mu.flags.writeable = mult.flags.writeable = False
-    with _array_lock:
-        hit = _array_cache.setdefault(cs, (mu, mult))
-        _array_cache.move_to_end(cs)
-        while len(_array_cache) > _ARRAY_CACHE_SIZE:
-            _array_cache.popitem(last=False)
-    return hit
+            _listing_cache.move_to_end(cs)
+    n = -1 if hit is None or hit[0] < cutoff else bisect_right(hit[3], cutoff)
+    if n < 0 or n != bisect_right(hit[4], cutoff):
+        hit = cs._fill(cutoff) + ([],)
+        hit[1].flags.writeable = hit[2].flags.writeable = False
+        with _listing_lock:
+            if _listing_cache.get(cs, (-math.inf,))[0] < hit[0]:
+                _listing_cache[cs] = hit
+            _listing_cache.move_to_end(cs)
+            while len(_listing_cache) > _LISTING_CACHE_SIZE:
+                _listing_cache.popitem(last=False)
+        n = bisect_right(hit[3], cutoff)
+    return hit, n
+
+
+def _entry_listing(top: float, entries) -> tuple:
+    """The listing up to top of the given entries (``_listing``)."""
+    mus, mults = [e.eigenvalue for e in entries], [e.multiplicity for e in entries]
+    highs, lows = list(accumulate(mus, max)), list(accumulate(reversed(mus), min))[::-1]
+    return top, np.array(mus, dtype=float), np.array(mults, dtype=float), highs, lows, mus, mults
+
+
+def _squares(c: float, cutoff: float) -> list:
+    """(c k)^2 for k = 0, 1, ... up to sqrt(cutoff) / c (1e-12 to spare), by
+    ** 2, not x * x, which rounds differently on some doubles; 0 at c = inf."""
+    n = int(math.floor(math.sqrt(cutoff) / c + 1e-12))
+    return [0.0] + [(c * k) ** 2 for k in range(1, n + 1)]
+
+
+def _fold(a: float, b: float, cutoff: float) -> tuple:
+    """(r2, w, j, k): the points r2 = (a j)^2 + (b k)^2 <= cutoff of the
+    lattice folded onto j, k >= 0, j-major, with their multiplicities w;
+    row j holds the k up to sqrt(cutoff - (a j)^2) / b (1e-12 to spare).
+    The flat built-ins' listings and the torus zeta's Ewald sums read it."""
+    rows = [r for r in _squares(a, cutoff) if r <= cutoff]
+    cols = _squares(b, cutoff)
+    last = [[math.floor(math.sqrt(cutoff - r) / b + 1e-12)] for r in rows]
+    r2 = np.add.outer(rows, cols)
+    j, k = np.nonzero((r2 <= cutoff) & (np.arange(len(cols)) <= np.array(last)))
+    weights = [1.0] + [2.0] * max(len(rows), len(cols))
+    return r2[j, k], np.multiply.outer(weights[:len(rows)], weights[:len(cols)])[j, k], j, k
+
+
+def _check_cutoff(cutoff: float) -> None:
+    if not 0 < cutoff < math.inf:
+        raise ValidationError(f"cutoff must be finite and > 0, got {cutoff}")
 
 
 def enumerate_spectrum(cs: CrossSection, cutoff: float) -> list:
     """All eigenvalues <= cutoff with exact multiplicities, ascending in exact
-    value (a torus's floats may tie or fall out of order), in a new list
-    (circles and tori bisect a cached spectrum)."""
-    if not 0 < cutoff < math.inf:
-        raise ValidationError(f"cutoff must be finite and > 0, got {cutoff}")
+    value (a torus's floats may tie or fall out of order), in a new list; the
+    library's own scans read ``cs._arrays`` and build no ``SpectrumEntry``."""
+    _check_cutoff(cutoff)
     return cs.enumerate_spectrum(cutoff)
-
-
-def _cached_entries(cs: CrossSection, cutoff: float) -> list:
-    """``cs._lattice(cutoff)`` gives (entries, lows, highs): the spectrum <=
-    cutoff and, per entry, the least and the largest float of the lattice
-    points merged into it."""
-    with _spectrum_lock:
-        hit = _spectrum_cache.get(cs)
-        if hit is not None:
-            _spectrum_cache.move_to_end(cs)
-    if hit is not None and cutoff <= hit[0]:
-        _, entries, highs, lows = hit
-        # bisecting running maxima of the highs counts the leading entries wholly
-        # <= cutoff, and running minima of the lows from the end reach the last
-        # entry with a float <= cutoff: they differ inside a split degenerate
-        # group or a pair of distinct eigenvalues whose floats are out of order
-        n = bisect_right(highs, cutoff)
-        return entries[:n] if n == bisect_right(lows, cutoff) else cs._lattice(cutoff)[0]
-    entries, lows, highs = cs._lattice(cutoff)
-    highs = list(accumulate(highs, max))
-    lows = list(accumulate(reversed(lows), min))[::-1]
-    with _spectrum_lock:
-        if _spectrum_cache.get(cs, (0.0,))[0] < cutoff:
-            _spectrum_cache[cs] = (cutoff, entries, highs, lows)
-        _spectrum_cache.move_to_end(cs)
-        while len(_spectrum_cache) > _SPECTRUM_CACHE_SIZE:
-            _spectrum_cache.popitem(last=False)
-    return list(entries)
 
 
 def heat_coefficients(cs: CrossSection, order: int = 0) -> HeatExpansion:
@@ -601,46 +630,34 @@ def _weyl_density_scale(cs: CrossSection):
     return 2.0 * a0 * (d / 2.0) / math.gamma(d / 2.0 + 1.0), d
 
 
-def _upper_gamma(two_a, x):
+def _upper_gamma(two_a: int, x: float) -> float:
     """Gamma(a, x), the upper incomplete gamma function, at a = two_a / 2
-    for an integer two_a >= 1 and x >= 0.  x may be an array, and two_a an
-    ascending sequence of orders of one parity, which gives one row each.
+    for an integer two_a >= 1 and x >= 0.
 
     From Gamma(1, x) = e^-x or Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)), the
     steps Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x add positive terms, so
     the result is within a few roundings per step.  Past x = 700, where
     e^-x nears underflow, x^a e^-x is formed as exp(a ln x - x).
     """
-    tops = np.atleast_1d(two_a)
     x = np.asarray(x, dtype=float)
     far = x > 700.0
-    near_x = np.where(far, 0.0, x)
-    exp_x, log_x = np.exp(-near_x), np.log(np.where(far, x, 1.0))
-    if tops[0] % 2 == 0:
-        a, g = 1.0, np.where(far, np.exp(-x), exp_x)
+    if two_a % 2 == 0:
+        a, g = 1.0, np.exp(-x)
     else:
-        y = np.sqrt(x)
-        a = 0.5
-        g = math.sqrt(math.pi) * np.fromiter(map(math.erfc, y.ravel()), float, y.size).reshape(y.shape)
-        # erfc moves by 2y relative per unit of its argument, 1e-13 at
-        # x = 700 from the rounding of y; exp(y^2 - x) puts it back, with
-        # y^2 - x exact from the halves of y (Veltkamp's split)
-        y = np.where(far, 0.0, y)
-        c = 134217729.0 * y
-        hi = c - (c - y)
-        lo = y - hi
-        g = np.where(far, g, g * np.exp((hi * hi - near_x) + 2.0 * hi * lo + lo * lo))
-    rows = []
-    while True:
-        if 2.0 * a in tops:
-            rows.append(g)
-        if 2.0 * a >= tops[-1]:
-            break
-        g = a * g + np.where(far, np.exp(a * log_x - x), near_x**a * exp_x)
+        a, y = 0.5, np.sqrt(x)
+        g = math.sqrt(math.pi) * math.erfc(y)
+        if not far:
+            # erfc moves by 2y relative per unit of its argument, 1e-13 at
+            # x = 700 from the rounding of y; exp(y^2 - x) puts it back, with
+            # y^2 - x exact from the halves of y (Veltkamp's split)
+            c = 134217729.0 * y
+            hi = c - (c - y)
+            lo = y - hi
+            g = g * np.exp((hi * hi - x) + 2.0 * hi * lo + lo * lo)
+    while 2.0 * a < two_a:
+        g = a * g + (np.exp(a * np.log(x) - x) if far else x**a * np.exp(-x))
         a += 1.0
-    if np.ndim(two_a):
-        return np.array(rows)
-    return float(rows[0]) if rows[0].ndim == 0 else rows[0]
+    return float(g)
 
 
 def _weyl_exp_tail(cs: CrossSection, lam: float, rate: float) -> float:

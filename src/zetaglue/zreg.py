@@ -44,7 +44,7 @@ from .spectra import (
     CrossSection,
     FlatTorus,
     Point,
-    enumerate_spectrum,
+    _fold,
     heat_coefficients,
     heat_tail_bound,
     heat_trace,
@@ -201,19 +201,6 @@ _EWALD_FLOOR = 5.0
 _EWALD_CUT = 38.0
 
 
-def _lattice_points(a: float, b: float, cutoff: float) -> tuple:
-    """(r2, w): r2 = (a j)^2 + (b k)^2 <= cutoff over the integer points
-    (j, k) != 0, folded onto j, k >= 0 with their multiplicities w.  Each
-    r2 is formed as ``FlatTorus`` forms its eigenvalues, so the two agree on
-    which modes lie above a split."""
-    rows = np.array([(a * j) ** 2 for j in range(int(math.sqrt(cutoff) / a) + 1)])
-    cols = np.array([(b * k) ** 2 for k in range(int(math.sqrt(cutoff) / b) + 1)])
-    r2 = rows[:, None] + cols
-    w = np.where(np.arange(rows.size) > 0, 2.0, 1.0)[:, None] * np.where(np.arange(cols.size) > 0, 2.0, 1.0)
-    keep = (r2 <= cutoff) & (r2 > 0.0)
-    return r2[keep], w[keep]
-
-
 def _lower_series(a, x):
     """sum_{n>=0} x^n / (a (a + 1) ... (a + n)) for a > 0, so that
     gamma(a, x) = x^a e^-x times it: positive terms, summed until the next
@@ -336,7 +323,8 @@ class _TorusBackend:
     zeta_{>mu0} the sum over the modes above mu0 (P. P. Ewald, Ann. Phys.
     1921; R. Crandall, "Fast evaluation of Epstein zeta functions", 1998).
     Every sum converges exponentially, and none is a difference of larger
-    ones, so doubles suffice.  The Poisson terms are tau^(s-1) times
+    ones, so doubles suffice.  Both run over ``spectra._fold``, which lists
+    the torus spectrum too; the Poisson terms are tau^(s-1) times
     y^(s-1) Gamma(1-s, y) at y = |v|^2 / 4 tau.
 
     mu0 = 0 gives zeta itself.  The first request for an s of _STANDARD_S
@@ -347,14 +335,13 @@ class _TorusBackend:
     part there come from the tau^(s-1) / (s-1) term, and 1 / Gamma(s) gives
     zeta(0) = -1 and zeta(-n) = 0.  ``truncated`` gives the row of
     ``_shifted_via_series`` at tau = min(tau0, 1 / mu0), from the table's
-    terms when tau = tau0.
+    terms when tau = tau0, less the low modes the torus's listing gives.
     """
 
     def __init__(self, cs: FlatTorus):
         la, lb = max(cs.ell1, cs.ell2), min(cs.ell1, cs.ell2)
         self.ells = cs.ell1, cs.ell2
-        self.c1 = 2.0 * math.pi / cs.ell1  # wavenumbers as FlatTorus forms them
-        self.c2 = 2.0 * math.pi / cs.ell2
+        (self.c1, _), (self.c2, _) = cs._axes  # the wavenumbers the listing folds
         self.ell_big = la
         self.ratio = la / lb
         self.residue = cs.ell1 * cs.ell2 / (4.0 * math.pi)
@@ -363,18 +350,23 @@ class _TorusBackend:
         self._table = None
 
     def _spectral(self, tau: float, mu0: float = 0.0) -> tuple:
-        """(mu, w): the lattice modes mu0 < mu <= _EWALD_CUT / tau."""
-        mu, w = _lattice_points(self.c1, self.c2, _EWALD_CUT / tau)
-        above = mu > mu0
-        return mu[above], w[above]
+        """(mu, w): the lattice modes mu0 < mu <= _EWALD_CUT / tau, folded
+        as the torus lists them, so the two agree on which lie above a split."""
+        mu, w = _fold(self.c1, self.c2, _EWALD_CUT / tau)[:2]
+        return mu[mu > mu0], w[mu > mu0]
+
+    def _periods(self, tau: float) -> tuple:
+        """(y, v): y = |v|^2 / 4 tau <= _EWALD_CUT over the folded periods v but the first, 0."""
+        r2, v = _fold(*self.ells, 4.0 * tau * _EWALD_CUT)[:2]
+        return r2[1:] / (4.0 * tau), v[1:]
 
     def _split(self, tau: float, mu0: float = 0.0) -> tuple:
         """(mu, terms, poisson) of the split at tau over the modes above mu0:
         per point and standard s the spectral term w Gamma(s, tau mu) mu^-s,
         and per s the Poisson bracket times A / 4 pi, its regular part at s = 1."""
         mu, w = self._spectral(tau, mu0)
-        r2, v = _lattice_points(*self.ells, 4.0 * tau * _EWALD_CUT)
-        spectral, poisson = _standard_gammas(tau * mu, r2 / (4.0 * tau))
+        y, v = self._periods(tau)
+        spectral, poisson = _standard_gammas(tau * mu, y)
         bracket = [math.log(tau) + g if s == 1.0 else tau ** (s - 1.0) * (1.0 / (s - 1.0) + g)
                    for s, g in zip(_STANDARD_S, (poisson @ v).tolist())]
         return mu, mu**-_S * spectral * w, self.residue * np.array(bracket)
@@ -407,9 +399,9 @@ class _TorusBackend:
                 hit = self._points[s] = self._zeta([s], self.tau, terms[i].sum() + poisson[i])[0]
             else:
                 mu, w = self._spectral(self.tau)
-                r2, v = _lattice_points(*self.ells, 4.0 * self.tau * _EWALD_CUT)
+                y, v = self._periods(self.tau)
                 spectral = self.tau**s * (_scaled_gamma(s, self.tau * mu) @ w)
-                poisson = self.tau ** (s - 1.0) * (1.0 / (s - 1.0) + _scaled_gamma(1.0 - s, r2 / (4.0 * self.tau)) @ v)
+                poisson = self.tau ** (s - 1.0) * (1.0 / (s - 1.0) + _scaled_gamma(1.0 - s, y) @ v)
                 hit = self._points[s] = self._zeta([s], self.tau, spectral + self.residue * poisson)[0]
         return hit
 
@@ -427,8 +419,8 @@ class _TorusBackend:
             # whole rows sum pairwise; a masked copy would sum term by term
             _, terms, poisson = self._split(tau, mu0)
             spectral = terms[1:].sum(axis=1)
-        x = tau * np.array([e.eigenvalue for e in low])
-        lower = tau ** s[:, 0] * ((np.exp(-x) * _lower_series(s, x)) @ [float(e.multiplicity) for e in low])
+        x = tau * np.array(low[0])
+        lower = tau ** s[:, 0] * ((np.exp(-x) * _lower_series(s, x)) @ low[1])
         row = self._zeta(svals, tau, spectral + poisson[1:] - lower)
         return [p.value + 2.0 * harmonic(k - 1) * p.residue for k, p in enumerate(row, 1)]
 
@@ -822,9 +814,9 @@ def _check_admissible(cs: CrossSection, alpha: float, cutoff: float, values, mes
     """
     _check_modes(cs, cutoff, *(culprit or (alpha,)))
     tol = 1e-14 * max(1.0, abs(alpha))
-    for e in enumerate_spectrum(cs, cutoff):
-        if any(abs(v) < tol for v in values(math.sqrt(e.eigenvalue))):
-            raise SingularParameterError(message(e.eigenvalue))
+    for mu in cs._modes(cutoff)[0]:
+        if any(abs(v) < tol for v in values(math.sqrt(mu))):
+            raise SingularParameterError(message(mu))
 
 
 def _shift_refusal(alpha: float, mu: float) -> str:
@@ -871,7 +863,7 @@ def _less_low_modes(backend, low, k: int) -> float:
     """zeta_{>mu0}(k/2) + 2 H_(k-1) res: the backend's value at k/2 less the
     partial sum over low, the positive modes up to mu0."""
     zp = backend.point(k / 2.0)
-    partial = math.fsum(e.multiplicity * e.eigenvalue ** (-k / 2.0) for e in low)
+    partial = math.fsum(m * u ** (-k / 2.0) for u, m in zip(*low))
     if zp.residue == 0.0:
         return zp.value - partial
     return (zp.value - partial) + 2.0 * harmonic(k - 1) * zp.residue
@@ -880,14 +872,16 @@ def _less_low_modes(backend, low, k: int) -> float:
 def _truncated_row(cs: CrossSection, mu0: float, backend) -> tuple:
     """The alpha-free part of ``_shifted_via_series`` at the split mu0.
 
-    (low, c0, zetas): the positive modes up to mu0; the k = 0 binomial
-    term -1/2 d/ds zeta_{Delta,>mu0}(0), where removing the split-off low
-    modes adds +ln(mu) per mode to the derivative; and the backend's
-    truncated zeta values zeta_{>mu0}(k/2) for k = 1, ..., _KORDER - 1, with
-    the harmonic-number weight of a residue at a pole.
+    (low, c0, zetas): the positive modes up to mu0, as lists of eigenvalues
+    and multiplicities; the k = 0 binomial term -1/2 d/ds zeta_{Delta,>mu0}(0),
+    where removing the split-off low modes adds +ln(mu) per mode to the
+    derivative; and the backend's truncated zeta values zeta_{>mu0}(k/2) for
+    k = 1, ..., _KORDER - 1, with the harmonic-number weight of a residue at
+    a pole.
     """
-    low = [e for e in enumerate_spectrum(cs, mu0) if e.eigenvalue > 0]
-    low_logsum = math.fsum(e.multiplicity * math.log(e.eigenvalue) for e in low)
+    mu, mult = cs._arrays(mu0)
+    low = mu[mu > 0.0].tolist(), mult[mu > 0.0].tolist()
+    low_logsum = math.fsum(m * math.log(u) for u, m in zip(*low))
     c0 = -0.5 * (backend.derivative0() + low_logsum)
     return low, c0, backend.truncated(mu0, low)
 
@@ -937,10 +931,10 @@ def _shifted_via_series(cs: CrossSection, alpha: float, backend) -> RegularizedD
         row = _truncated_row(cs, mu0, backend)
         _keep(backend.rows, mu0, row)
     low, c0, zetas = row
-    for e in low:
-        lm, ph = signed_log(math.sqrt(e.eigenvalue) + alpha)
-        logmod += e.multiplicity * lm
-        phase += e.multiplicity * ph
+    for u, m in zip(*low):
+        lm, ph = signed_log(math.sqrt(u) + alpha)
+        logmod += m * lm
+        phase += int(m) * ph
     logmod += c0
     for k, zk in enumerate(zetas, 1):
         logmod -= (-alpha) ** k / k * zk

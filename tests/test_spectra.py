@@ -1,11 +1,15 @@
 """Cross-section spectra, heat data and tail bounds."""
 
+import hashlib
 import json
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,17 +71,44 @@ def fraction_keyed_torus_entries(cs, cutoff):
     return [SpectrumEntry(mu, mult) for _, (mu, mult) in sorted(groups.items())]
 
 
+def lattice_entries(cs, cutoff):
+    """The entries of ``cs._lattice(cutoff)``, uncached."""
+    mu, mult = cs._lattice(cutoff)[:2]
+    return [SpectrumEntry(m, int(n)) for m, n in zip(mu.tolist(), mult.tolist())]
+
+
+def seeded_tori(seed, count):
+    """Tori of aspect 1 to 3 and area 3 to 5, as the torus benchmark draws them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        aspect, area = rng.uniform(1.0, 3.0), rng.uniform(3.0, 5.0)
+        side = math.sqrt(area / aspect)
+        out.append(FlatTorus(side, side * aspect))
+    return out
+
+
 class TestEnumerate:
     def test_lattice_matches_the_per_point_loop(self):
-        # the lattice forms each row's and each column's square, key part
-        # and multiplicity once; the reference forms them at every point
+        # the fold forms each row's and each column's square once and sorts
+        # by float or int64 key; the reference forms them at every point
         rng = random.Random(20261019)
         for _ in range(50):
             aspect = math.exp(rng.uniform(0.0, math.log(8.0)))
             side = math.sqrt(rng.uniform(2.0, 30.0) / aspect)
             cs = FlatTorus(side, side * aspect)
             for cutoff in (10.0, 100.0, 400.0, rng.uniform(1.0, 1e3)):
-                assert cs._lattice(cutoff)[0] == fraction_keyed_torus_entries(cs, cutoff), (cs, cutoff)
+                assert lattice_entries(cs, cutoff) == fraction_keyed_torus_entries(cs, cutoff), (cs, cutoff)
+
+    # int64 keys (square and commensurate sides) and Python-int keys over
+    # runs of nearly tied floats (the rest)
+    @pytest.mark.parametrize("cs", [
+        FlatTorus(3.0, 3.0), FlatTorus(TWO_PI, TWO_PI), FlatTorus(1.0, 2.0), FlatTorus(1.0, 5.0),
+        FlatTorus(math.sqrt(2.0), math.sqrt(28.0)), FlatTorus(TWO_PI, 2.4 * TWO_PI),
+    ] + seeded_tori(20261020, 20), ids=repr)
+    @pytest.mark.parametrize("cutoff", [50.0, 777.0, 3000.0, 2e4])
+    def test_lattice_matches_the_per_point_loop_wide(self, cs, cutoff):
+        assert lattice_entries(cs, cutoff) == fraction_keyed_torus_entries(cs, cutoff)
 
     def test_point(self):
         assert entries_as_pairs(enumerate_spectrum(Point(), 10.0)) == [(0.0, 1)]
@@ -184,13 +215,13 @@ class TestSpectrumCache:
         (6, FlatTorus(TWO_PI, 3.0), 300.0), (7, FlatTorus(math.sqrt(2.0), math.sqrt(28.0)), 1e3),
     ], ids=["circle", "circle-3.7", "square", "square-2pi", "1:2.37", "2pi-x-3", "unordered"])
     def test_cached_equals_direct_enumeration(self, seed, cs, top):
-        spectra._spectrum_cache.pop(cs, None)
+        spectra._listing_cache.pop(cs, None)
         for cutoff in seeded_cutoffs(cs, seed, top):
             assert enumerate_spectrum(cs, cutoff) == direct_entries(cs, cutoff), cutoff
 
     def test_out_of_order_torus_is_cached_above_100(self, monkeypatch):
         cs = FlatTorus(math.sqrt(2.0), math.sqrt(28.0))
-        spectra._spectrum_cache.pop(cs, None)
+        spectra._listing_cache.pop(cs, None)
         enumerate_spectrum(cs, 1e3)
         builds = []
         inner = spectra.FlatTorus._lattice
@@ -203,7 +234,7 @@ class TestSpectrumCache:
         cutoffs = [c for c in seeded_cutoffs(cs, 8, 1e3) if c > 100.0]
         for cutoff in cutoffs:
             assert enumerate_spectrum(cs, cutoff) == direct_entries(cs, cutoff), cutoff
-        assert spectra._spectrum_cache[cs][0] == 1e3
+        assert spectra._listing_cache[cs][0] == 1e3
         # only cutoffs between the floats of an out-of-order pair enumerate
         assert 0 < len(builds) < len(cutoffs) / 10
 
@@ -218,9 +249,91 @@ class TestSpectrumCache:
         assert enumerate_spectrum(cs, 50.0) == [e for e in want if e.eigenvalue <= 50.0]
 
     def test_fresh_tori_stay_within_the_cap(self):
+        # circles, tori and stored lists share the one cache
         for k in range(200):
             enumerate_spectrum(FlatTorus(1.0 + k / 256.0, 2.0), 50.0)
-        assert len(spectra._spectrum_cache) <= 32
+            Circle(1.0 + k / 256.0)._arrays(50.0)
+            explicit_mirror(Circle(2.0 + k / 256.0), 50.0)._arrays(20.0)
+        assert len(spectra._listing_cache) <= spectra._LISTING_CACHE_SIZE == 32
+
+    def test_threads_share_the_listings(self):
+        # more threads than cores, switching often, fill, grow, bisect and
+        # extend the entries of three fresh tori at once
+        tori = [FlatTorus(1.0 + k / 8.0, 2.0) for k in range(3)]
+        cutoffs = [50.0, 400.0, 120.0, 800.0, 10.0]
+        want = {(cs, c): fraction_keyed_torus_entries(cs, c) for cs in tori for c in cutoffs}
+        for cs in tori:
+            spectra._listing_cache.pop(cs, None)
+        wrong = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            for _ in range(60):
+                cs, c = rng.choice(tori), rng.choice(cutoffs)
+                if rng.random() < 0.2:
+                    with spectra._listing_lock:
+                        spectra._listing_cache.pop(cs, None)
+                modes = [SpectrumEntry(m, n) for m, n in zip(*cs._modes(c))]
+                if enumerate_spectrum(cs, c) != want[cs, c] or modes != want[cs, c]:
+                    wrong.append((cs, c))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("cs", [
+        Circle(TWO_PI), FlatTorus(3.0, 3.0), explicit_mirror(FlatTorus(TWO_PI, 3.0), 400.0),
+    ], ids=["circle", "torus", "stored"])
+    def test_arrays_refuse_writes(self, cs):
+        spectra._listing_cache.pop(cs, None)
+        cutoffs = [200.0, 300.0, 50.0]  # a fill, a refill and a bisection
+        if isinstance(cs, FlatTorus):
+            # a cutoff inside a degenerate group whose floats differ: the
+            # bisections disagree, and the lattice is listed afresh
+            _, _, highs, lows = cs._lattice(300.0)
+            cutoffs.append(float(lows[np.flatnonzero(lows < highs)[0]]))
+        for cutoff in cutoffs:
+            for array in cs._arrays(cutoff):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+
+
+class TestExplicitMirror:
+    def test_mirrors_share_the_listings_entries(self):
+        # a caller may keep every mirror it builds (the benchmark does): a
+        # mirror holds its base listing's entry objects, not copies
+        cs = FlatTorus(TWO_PI, 2.4 * TWO_PI)
+        spectra._listing_cache.pop(cs, None)
+        large, small = explicit_mirror(cs, 2e3), explicit_mirror(cs, 500.0)
+        listed = {id(e) for e in large.entries}
+        assert sum(id(e) in listed for e in small.entries) >= 0.99 * len(small.entries)
+
+    # SHA-256 of the (eigenvalue, multiplicity) pairs of the mirrors of the
+    # benchmark's circle and torus, as the per-point listing built them
+    @pytest.mark.parametrize("cs, cutoff, count, digest", [
+        (Circle(1.1 * TWO_PI), 100.0, 12, "683217fcd35ef50333710822f311a10dd0ab38eb004bbef4cc42b41022b375f4"),
+        (Circle(1.1 * TWO_PI), 4e4, 221, "3fa4f5c0ec6f9f9a57313a1164f5224d56554d049fafd8cce8729c35452f0528"),
+        (FlatTorus(TWO_PI, 2.4 * TWO_PI), 200.0, 386,
+         "4c910af0b12dde08084cab210d46da279f0bcb7a04fc02b443bee814359f4b27"),
+        (FlatTorus(TWO_PI, 2.4 * TWO_PI), 777.0, 1405,
+         "ec1f42cb265f65951fa9481a04b00451d1e7c73c417a901df2ea91bbfab94d0a"),
+        (FlatTorus(TWO_PI, 2.4 * TWO_PI), 2e3, 3502,
+         "3af40ad79cf9d20d93df6e3b0cc406c9261a6f91a9cc22a4f28fd254d4725c1b"),
+    ])
+    def test_entries_are_unchanged(self, cs, cutoff, count, digest):
+        entries = explicit_mirror(cs, cutoff).entries
+        pairs = repr([(e.eigenvalue, e.multiplicity) for e in entries]).encode()
+        assert len(entries) == count
+        assert hashlib.sha256(pairs).hexdigest() == digest
 
 
 class TestHeatData:

@@ -415,13 +415,13 @@ def ewald_row(cs, mu0, tau, cut=45):
 # where the fixed-point row refused (|alpha| >= 3.05 on the 2 pi x 3 torus);
 # -5 and -10 lie in the sqrt-spectrum (eigenvalues 25 and 100), so the
 # negative shifts are -5.5 and -10.5
-LARGE_ALPHAS = [3.05, -3.05, 5.0, -5.5, 10.0, -10.5, 20.0]
+LARGE_ALPHAS = [3.05, -3.05, 5.0, -5.5, 10.0, -10.5, 20.0, 30.0]
 
 
 @pytest.mark.parametrize("alpha", LARGE_ALPHAS)
 def test_large_alpha_on_a_torus_is_answered_cold(monkeypatch, alpha):
     monkeypatch.setattr(zreg, "_backend_cache", OrderedDict())
-    monkeypatch.setattr(spectra, "_spectrum_cache", OrderedDict())
+    monkeypatch.setattr(spectra, "_listing_cache", OrderedDict())
     cs = FlatTorus(TWO_PI, 3.0)
     start = time.perf_counter()
     det = zreg.log_det_shifted(cs, alpha)

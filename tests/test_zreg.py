@@ -264,14 +264,14 @@ class TestStoredArrays:
         for m in mirrors:
             glue_robin_check(GluingConfig(m, 2.0, 0.9, 0.37))
         assert [sorted(vars(m)) for m in mirrors] == keys
-        assert len(spectra._array_cache) <= spectra._ARRAY_CACHE_SIZE == 32
+        assert len(spectra._listing_cache) <= spectra._LISTING_CACHE_SIZE == 32
         last = mirrors[-1]
-        assert np.shares_memory(zreg._get_backend(last).mu, spectra._array_cache[last][0])
+        assert np.shares_memory(zreg._get_backend(last).mu, spectra._listing_cache[last][1])
 
 
 def forget(cs):
     """Drop every cached spectrum and backend of ``cs``."""
-    spectra._spectrum_cache.pop(cs, None)
+    spectra._listing_cache.pop(cs, None)
     for key in [k for k in zreg._backend_cache if k[0] == cs]:
         zreg._backend_cache.pop(key)
 
@@ -311,6 +311,15 @@ class TestComputedOnce:
         builds.clear()
         glue_robin_check(GluingConfig(torus, 1.5, 1.05, 0.7))
         assert len(builds) <= 1
+
+    @pytest.mark.parametrize("cs", [FlatTorus(1.7, 2.9), Circle(5.9)], ids=["torus", "circle"])
+    def test_cold_check_builds_no_spectrum_entry(self, cs, monkeypatch):
+        # every scan reads the cached float64 listing; entries are built
+        # only by the public enumerate_spectrum
+        forget(cs)
+        built = counting(monkeypatch, spectra.SpectrumEntry, "__post_init__")
+        glue_robin_check(GluingConfig(cs, 2.5, 0.75, -0.3))
+        assert built == []
 
     def test_hurwitz_calls_per_circle_check(self, monkeypatch):
         circle = Circle(5.3)
