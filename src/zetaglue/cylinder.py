@@ -195,37 +195,11 @@ _FORMS = {
 }
 
 
-def series_sum(
-    cs: CrossSection,
-    length: float,
-    form: str,
-    alpha: float = 0.0,
-    a: Optional[float] = None,
-    tol: float = 1e-12,
-    min_cutoff: Optional[float] = None,
-) -> SeriesResult:
-    """Sum over the positive cross-section spectrum of one log-factor form.
-
-    A form is rows (length, alpha, power, sigma, sign); at x = sqrt(mu) a
-    row adds sign * ln|1 - c exp(-2 length x)|, c = sigma if power == 0
-    else ((x - alpha)/(x + alpha))**power.  ``robin_pair`` at alpha = 0 is
-    the Neumann pair.
-
-    Deterministic ascending-eigenvalue order with compensated summation;
-    the returned tail bound certifies the truncation.  Factors that cross
-    zero contribute ln|.| and one pi unit of phase.  ``alpha`` must be
-    finite with |alpha| <= 1e150, or the cutoff 4(|alpha| + 1)^2 overflows.
-    The starting cutoff, at least 4(|alpha| + 1)^2 and (8/l)^2 for the least
-    row length l, must hold at most ``zreg._MODE_BUDGET`` modes.
-    """
-    if not (length > 0):
-        raise ValidationError("series length must be > 0")
-    _check_alpha(alpha)
-    if form not in _FORMS:
-        raise ValidationError(f"unknown series form {form!r}")
-    if form == "robin_pair" and (a is None or not (0 < a < length)):
-        raise ValidationError("pair forms need a cut 0 < a < L")
-    rows = _FORMS[form](length, alpha, a if a is not None else length)
+def _series_cutoff(cs: CrossSection, rows, alpha: float, tol: float, min_cutoff=None) -> tuple:
+    """(lam, bound): the cutoff of a series of the rows, from its tail bounds
+    alone, and the bound there.  It starts at the largest of 4(|alpha| + 1)^2,
+    (8/l)^2 for the least row length l, 16 and ``min_cutoff``, which must hold
+    at most ``zreg._MODE_BUDGET`` modes, and doubles until the bound is <= tol."""
     min_len = min(row[0] for row in rows)
     by_alpha, by_length = (abs(alpha) + 1.0) ** 2 * 4.0, (8.0 / min_len) ** 2
     lam = max(by_alpha, by_length, 16.0, min_cutoff or 0.0)
@@ -249,6 +223,40 @@ def series_sum(
                     max_trusted=cs.max_trusted,
                 )
             raise ValidationError("series tail bound did not converge")
+    return lam, bound
+
+
+def series_sum(
+    cs: CrossSection,
+    length: float,
+    form: str,
+    alpha: float = 0.0,
+    a: Optional[float] = None,
+    tol: float = 1e-12,
+    min_cutoff: Optional[float] = None,
+) -> SeriesResult:
+    """Sum over the positive cross-section spectrum of one log-factor form.
+
+    A form is rows (length, alpha, power, sigma, sign); at x = sqrt(mu) a
+    row adds sign * ln|1 - c exp(-2 length x)|, c = sigma if power == 0
+    else ((x - alpha)/(x + alpha))**power.  ``robin_pair`` at alpha = 0 is
+    the Neumann pair.
+
+    Deterministic ascending-eigenvalue order with compensated summation;
+    the returned tail bound certifies the truncation.  Factors that cross
+    zero contribute ln|.| and one pi unit of phase.  ``alpha`` must be
+    finite with |alpha| <= 1e150, or the cutoff 4(|alpha| + 1)^2 overflows.
+    The cutoff is ``_series_cutoff``'s; the modes are read from the listing.
+    """
+    if not (length > 0):
+        raise ValidationError("series length must be > 0")
+    _check_alpha(alpha)
+    if form not in _FORMS:
+        raise ValidationError(f"unknown series form {form!r}")
+    if form == "robin_pair" and (a is None or not (0 < a < length)):
+        raise ValidationError("pair forms need a cut 0 < a < L")
+    rows = _FORMS[form](length, alpha, a if a is not None else length)
+    lam, bound = _series_cutoff(cs, rows, alpha, tol, min_cutoff)
 
     # entries beyond a stored list are covered by its model tail bound; a
     # list of zero modes alone has nothing to sum

@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import spectra
 from .asymptotics import a0_constant
-from .cylinder import BoundaryCondition, CylinderSpec, log_det_cylinder
+from .cylinder import _FORMS, BoundaryCondition, CylinderSpec, _series_cutoff, log_det_cylinder
 from .errors import SingularParameterError, ValidationError
 from .interface_ops import _check_rs0_admissible, log_det_star_RS0
 from .spectra import CrossSection, heat_coefficients, kernel_dim
-from .zreg import zeta_point
+from .zreg import _check_alpha, _check_modes, zeta_point
 
 __all__ = [
     "GluingConfig",
@@ -40,7 +41,9 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class GluingConfig:
-    """Cut geometry for the gluing checks: Neumann outer ends, cut at a."""
+    """Cut geometry for the gluing checks: Neumann outer ends, cut at a.  A new
+    cross-section known in full is listed once, to the interface series' cutoff
+    at tol 1e-12 (its rows are the pieces' and the whole cylinder's)."""
 
     cross_section: CrossSection
     length: float
@@ -52,10 +55,21 @@ class GluingConfig:
             raise ValidationError(f"length must be finite and > 0, got {self.length}")
         if not (0 < self.cut < self.length):
             raise ValidationError(f"the cut must satisfy 0 < a < L, got a = {self.cut}")
-        _check_rs0_admissible(self.cross_section, self.alpha)
+        cs, alpha = self.cross_section, self.alpha
+        _check_alpha(alpha)
+        if cs.max_trusted == math.inf and cs not in spectra._listing_cache:
+            rows = _FORMS["robin_pair"](self.length, alpha, self.cut)
+            try:
+                lam, _ = _series_cutoff(cs, rows, alpha, 1e-12)
+                _check_modes(cs, lam, alpha)
+            except ValidationError:  # past the budget: the check refuses as it goes
+                pass
+            else:
+                cs._arrays(lam)
+        _check_rs0_admissible(cs, alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GluingReport:
     """Both sides of one gluing identity with named breakdowns."""
 

@@ -131,6 +131,7 @@ class CrossSection:
     backends; every other cross-section runs on the numeric one.
     """
 
+    __slots__ = ()
     dim: int
     heat: Optional[HeatExpansion] = None
     max_trusted = math.inf
@@ -173,6 +174,8 @@ class _FlatSection(CrossSection):
     wavenumber and its integer weight p or q in the exact key j^2 p + k^2 q
     of the mode (c1 j)^2 + (c2 k)^2, wavenumber inf for an absent axis.
     """
+
+    __slots__ = ()
 
     @property
     def heat(self) -> HeatExpansion:
@@ -231,7 +234,7 @@ class _FlatSection(CrossSection):
         return r2[starts], np.add.reduceat(w[order], starts), highs, lows
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Point(_FlatSection):
     """Zero-dimensional cross-section: the Laplacian is 0 on a line."""
 
@@ -248,7 +251,7 @@ class Point(_FlatSection):
     heat_tail_bound = power_tail_bound = exp_tail_bound
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Circle(_FlatSection):
     """Circle of circumference ell; eigenvalues (2*pi*k/ell)^2, k in Z."""
 
@@ -296,7 +299,7 @@ class Circle(_FlatSection):
         )
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class FlatTorus(_FlatSection):
     """Flat rectangular torus with side lengths ell1, ell2."""
 
@@ -472,15 +475,15 @@ _listing_lock = threading.Lock()
 def _listing(cs: CrossSection, cutoff: float) -> tuple:
     """(listing, n): the listing of cs and how many of its entries are <= cutoff.
 
-    ``cs._fill`` fills the cached listing when it stops below the cutoff:
-    (top, mu, mult, highs, lows, mus, mults, entries), the spectrum <= top
-    (a stored one whole, top = inf) as read-only float64 arrays and as
-    lists, lists of the running maxima of each entry's largest float and the
-    running minima from the end of its least, and the ``SpectrumEntry``
-    objects built of it.  Bisecting the highs counts the entries wholly <=
-    cutoff, and bisecting the lows reaches the last entry with a float <=
-    cutoff: they differ inside a split degenerate group or an out-of-order
-    pair, which is listed afresh.
+    ``cs._fill`` fills the cached listing when it stops below the cutoff (a
+    gluing check's once, by ``GluingConfig``, to the check's widest cutoff),
+    as (top, mu, mult, highs, lows, mus, mults, entries): the spectrum <= top
+    (a stored one whole, top = inf) as read-only float64 arrays and as lists,
+    the running maxima of each entry's largest float and the running minima
+    from the end of its least, and the ``SpectrumEntry`` objects built of it.
+    Bisecting the highs counts the entries wholly <= cutoff, and bisecting the
+    lows reaches the last entry with a float <= cutoff: they differ inside a
+    split degenerate group or an out-of-order pair, which is listed afresh.
     """
     if cutoff > cs.max_trusted:
         raise InsufficientSpectrumError(

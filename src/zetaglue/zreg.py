@@ -958,13 +958,13 @@ def log_det_shifted(
     modulus and one pi unit each to the phase.
     """
     _check_alpha(alpha)
-    if alpha <= 0.0:
-        _check_admissible(cs, alpha, alpha * alpha * (1.0 + 1e-9) + 1.0,
-                          lambda x: (x + alpha,), lambda mu: _shift_refusal(alpha, mu))
-    # kept on the backend, so evicted with it; refusals raise above each time
+    # kept on the backend, so evicted with it; a refusal, never kept, is scanned each time
     b = _get_backend(cs, backend)
     det = b.shifted.get(alpha)
     if det is None:
+        if alpha <= 0.0:
+            _check_admissible(cs, alpha, alpha * alpha * (1.0 + 1e-9) + 1.0,
+                              lambda x: (x + alpha,), lambda mu: _shift_refusal(alpha, mu))
         det = b.shifted_closed(alpha) if hasattr(b, "shifted_closed") else _shifted_via_series(cs, alpha, b)
         _keep(b.shifted, alpha, det)
     return det

@@ -1,16 +1,22 @@
 """Two-path gluing identity checks: the central property of the library."""
 
+import dataclasses
+import hashlib
 import math
+import pickle
+import random
 import re
 import time
+from collections import OrderedDict
 
 import pytest
 
-from zetaglue import cylinder, gluing
+from zetaglue import cylinder, gluing, spectra
 from zetaglue.cylinder import series_sum
 from zetaglue.errors import SingularParameterError, ValidationError
 from zetaglue.gluing import (
     GluingConfig,
+    GluingReport,
     correction_matrices,
     glue_neumann_check,
     glue_robin_check,
@@ -230,3 +236,111 @@ def test_mirror_truncation_covers_the_unsummed_gap(base, cutoff, L, a, alpha, di
     closed = glue_robin_check(GluingConfig(base, L, a, alpha))
     assert abs(rep.lhs - closed.lhs) == pytest.approx(distance, rel=0.01)
     assert rep.truncation >= abs(rep.lhs - closed.lhs)
+
+
+def seeded_torus_configs(count=20, seed=20261020):
+    """Configs drawn like the benchmark's torus-shapes checks, each on a new
+    torus of aspect 1 to 3 and area 3 to 5; every fifth has alpha = 0."""
+    rng = random.Random(seed)
+    configs = []
+    for i in range(count):
+        rho = rng.choice((1.0, 1.5, 2.0, 2.5, 3.0))
+        side = math.sqrt(rng.uniform(3.0, 5.0) / rho)
+        L = rng.uniform(1.5, 3.0)
+        a = L * rng.uniform(0.35, 0.65)
+        alpha = 0.0 if i % 5 == 4 else rng.uniform(0.2, 0.6) * (1.0 if i % 2 == 0 else -1.0)
+        configs.append(GluingConfig(FlatTorus(side, side * rho), L, a, alpha))
+    return configs
+
+
+def _check(cfg, **kwargs):
+    return (glue_neumann_check if cfg.alpha == 0.0 else glue_robin_check)(cfg, **kwargs)
+
+
+# (lhs, rhs, residual, lhs_phase, rhs_phase, truncation) of seeded_torus_configs(),
+# and the SHA-256 of the reports' reprs, recorded while each check still
+# listed its torus once per larger cutoff; held bit for bit
+SEEDED_TORUS_REPORTS = [
+    (3.410991773973052, 3.4109917739730524, 4.440892098500626e-16, -1, 1, 1e-12),
+    (3.1119848310606777, 3.1119848310606777, 0.0, -1, 1, 1e-12),
+    (2.7575322766746573, 2.7575322766746573, 0.0, -1, 1, 1e-12),
+    (1.636906138449864, 1.6369061384498638, 2.220446049250313e-16, -1, 1, 1e-12),
+    (-0.1105322461299626, -0.11053224612996261, 1.3877787807814457e-17, 0, 0, 1e-12),
+    (2.7936482893043904, 2.7936482893043904, 0.0, -1, 1, 1e-12),
+    (1.8708042197558963, 1.870804219755896, 2.220446049250313e-16, -1, 1, 1e-12),
+    (1.5992156729626605, 1.5992156729626605, 0.0, -1, 1, 1e-12),
+    (3.1593299187233854, 3.1593299187233854, 0.0, -1, 1, 1e-12),
+    (-0.522133698845725, -0.5221336988457248, 2.220446049250313e-16, 0, 0, 1e-12),
+    (2.1656831605032374, 2.1656831605032374, 0.0, -1, 1, 1e-12),
+    (3.1928137564239734, 3.1928137564239734, 0.0, -1, 1, 1e-12),
+    (2.3056993219588167, 2.3056993219588167, 0.0, -1, 1, 1e-12),
+    (3.6651043337385696, 3.665104333738569, 4.440892098500626e-16, -1, 1, 1e-12),
+    (0.17152991200734585, 0.17152991200734571, 1.3877787807814457e-16, 0, 0, 1e-12),
+    (3.497575153243064, 3.497575153243064, 0.0, -1, 1, 1e-12),
+    (2.8180757644565015, 2.8180757644565015, 0.0, -1, 1, 1e-12),
+    (2.326140157374248, 2.326140157374248, 0.0, -1, 1, 1e-12),
+    (2.154773946494845, 2.1547739464948448, 4.440892098500626e-16, -1, 1, 1e-12),
+    (0.29946310091531936, 0.2994631009153194, 5.551115123125783e-17, 0, 0, 1e-12),
+]
+SEEDED_TORUS_DIGEST = "f799372f7896d1533648ed25c96fb89246d28d0b69ff9fa950e69a09541410a6"
+
+
+def test_seeded_torus_reports_are_unchanged():
+    reports = [_check(cfg) for cfg in seeded_torus_configs()]
+    assert [(r.lhs, r.rhs, r.residual, r.lhs_phase, r.rhs_phase, r.truncation)
+            for r in reports] == SEEDED_TORUS_REPORTS
+    assert hashlib.sha256("".join(map(repr, reports)).encode()).hexdigest() == SEEDED_TORUS_DIGEST
+
+
+def _lattice_calls(monkeypatch) -> list:
+    calls = []
+    lattice = FlatTorus._lattice
+    monkeypatch.setattr(FlatTorus, "_lattice", lambda cs, cutoff: calls.append(cutoff) or lattice(cs, cutoff))
+    return calls
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-14])
+@pytest.mark.parametrize("alpha", [0.45, -0.45, 0.0])
+def test_one_listing_moves_no_value(tol, alpha, monkeypatch):
+    # the config does not list a torus already listed to a small cutoff, so
+    # its scans and series list it again as they need it: both give one
+    # report; at tol = 1e-14 the series may outgrow the config's listing
+    torus, calls = FlatTorus(1.3, 3.1), _lattice_calls(monkeypatch)
+    reports = []
+    for listed in (None, 1.0):
+        monkeypatch.setattr(spectra, "_listing_cache", OrderedDict())
+        monkeypatch.setattr(zreg, "_backend_cache", OrderedDict())
+        if listed:
+            torus._arrays(listed)
+        calls.clear()
+        reports.append(_check(GluingConfig(torus, 2.2, 0.9, alpha), tol=tol))
+        if listed:
+            assert len(calls) > 1
+        elif tol == 1e-12:
+            assert len(calls) == 1
+    assert reports[0] == reports[1]
+    assert reports[0].residual < 1e-12 and reports[0].phase_match
+
+
+def test_config_past_the_mode_budget_lists_only_its_scan(monkeypatch):
+    # the interface series of a = 0.005 starts at (8/a)^2 = 2.56e6, past the
+    # budget, so the config lists only what its admissibility scan reads,
+    # and the check still refuses by the length
+    calls = _lattice_calls(monkeypatch)
+    cfg = GluingConfig(FlatTorus(2.9, 3.3), 1.0, 0.005, 0.3)
+    assert calls == [0.3 * 0.3 * (1.0 + 1e-9) + 1.0]
+    with pytest.raises(ValidationError, match="length = 0.005 needs the spectrum up to 2.56e"):
+        glue_robin_check(cfg)
+
+
+def test_slotted_report_keeps_its_dataclass_behaviour():
+    # a caller may keep every report (the benchmark does): it holds no __dict__
+    rep = glue_robin_check(GluingConfig(CIRCLE, 2.0, 0.7, 0.3))
+    assert not hasattr(rep, "__dict__")
+    assert pickle.loads(pickle.dumps(rep)) == rep
+    assert dataclasses.replace(rep) == rep and dataclasses.replace(rep, lhs=1.0).lhs == 1.0
+    assert dataclasses.asdict(rep) == {f.name: getattr(rep, f.name) for f in dataclasses.fields(GluingReport)}
+    with pytest.raises(TypeError, match="unhashable"):  # its term dicts, as before
+        hash(rep)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.lhs = 1.0

@@ -1,8 +1,10 @@
 """Cross-section spectra, heat data and tail bounds."""
 
+import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import random
 import sys
 import threading
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaglue import spectra
+from zetaglue import spectra, zreg
 from zetaglue.errors import (
     HeatDataRequiredError,
     InsufficientSpectrumError,
@@ -305,6 +307,26 @@ class TestSpectrumCache:
             for array in cs._arrays(cutoff):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1.0
+
+
+@pytest.mark.parametrize("cs, fields, changed", [
+    (Point(), {"dim": 0}, None),
+    (Circle(2.5), {"circumference": 2.5, "dim": 1}, {"circumference": 3.0}),
+    (FlatTorus(1.5, 2.5), {"ell1": 1.5, "ell2": 2.5, "dim": 2}, {"ell2": 3.0}),
+], ids=["point", "circle", "torus"])
+def test_slotted_built_ins_keep_their_dataclass_behaviour(cs, fields, changed):
+    # a caller may keep many cross-sections: the built-ins hold no __dict__
+    assert not hasattr(cs, "__dict__")
+    twin = pickle.loads(pickle.dumps(cs))
+    assert twin == cs and hash(twin) == hash(cs) and twin is not cs
+    assert dataclasses.asdict(cs) == fields and dataclasses.replace(cs) == cs
+    if changed:
+        assert dataclasses.asdict(dataclasses.replace(cs, **changed)) == {**fields, **changed}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cs.dim = 3
+    # an equal cross-section is the same key of the listing and backend caches
+    assert spectra._listing(twin, 10.0)[0] is spectra._listing(cs, 10.0)[0]
+    assert zreg._get_backend(twin) is zreg._get_backend(cs)
 
 
 class TestExplicitMirror:

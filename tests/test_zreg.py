@@ -10,7 +10,7 @@ import pytest
 
 from zetaglue import spectra, zreg
 from zetaglue.errors import ConvergenceError, SingularParameterError, ValidationError
-from zetaglue.gluing import GluingConfig, glue_robin_check
+from zetaglue.gluing import GluingConfig, glue_neumann_check, glue_robin_check
 from zetaglue.spectra import (
     Circle,
     FlatTorus,
@@ -312,6 +312,20 @@ class TestComputedOnce:
         glue_robin_check(GluingConfig(torus, 1.5, 1.05, 0.7))
         assert len(builds) <= 1
 
+    @pytest.mark.parametrize("check, alpha", [(glue_robin_check, -0.3), (glue_neumann_check, 0.0)],
+                             ids=["robin", "neumann"])
+    def test_cold_check_lists_its_torus_once(self, check, alpha, monkeypatch):
+        # the config lists the torus up to the interface series' cutoff,
+        # which covers every scan and series of the check
+        torus = FlatTorus(1.9, 2.3)
+        forget(torus)
+        builds = counting(monkeypatch, spectra.FlatTorus, "_lattice")
+        check(GluingConfig(torus, 2.5, 0.75, alpha))
+        assert len(builds) == 1
+        builds.clear()
+        check(GluingConfig(torus, 2.5, 1.25, alpha))  # a lower cutoff, answered warm
+        assert builds == []
+
     @pytest.mark.parametrize("cs", [FlatTorus(1.7, 2.9), Circle(5.9)], ids=["torus", "circle"])
     def test_cold_check_builds_no_spectrum_entry(self, cs, monkeypatch):
         # every scan reads the cached float64 listing; entries are built
@@ -340,6 +354,14 @@ class TestComputedOnce:
             with pytest.raises(SingularParameterError):
                 log_det_shifted(cs, alpha)
         assert len(checks) == 2
+
+    @pytest.mark.parametrize("cs", [CIRCLE, TORUS_ASYM], ids=["circle", "torus"])
+    def test_kept_shift_is_not_scanned_again(self, monkeypatch, cs):
+        forget(cs)
+        checks = counting(monkeypatch, zreg, "_check_admissible")
+        first = log_det_shifted(cs, -0.35)
+        assert log_det_shifted(cs, -0.35) == first
+        assert len(checks) == 1
 
     def test_shifted_map_is_bounded(self):
         circle = Circle(4.1)
