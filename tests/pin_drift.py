@@ -1,18 +1,20 @@
-"""How far the current code sits from every torus pin.
+"""How far the current code sits from every pin of the golden store.
 
-For every value in ``tests/torus_pins.json`` this prints its relative
-distance from the pin next to the pin's bound, 1e-13 relative, worst
-first, and then one summary line per set of pins.  It exits 1 when a
-value is past its bound (or a pinned phase differs).  Run it from the
-repository root:
+For every row of ``tests/goldens.json`` this computes the row's values
+through the evaluator of its quantity (``tests/goldens.py``, the same
+functions the tests call) and prints the row's distance in units of its
+bound, worst first; then one summary line per quantity.  It exits 1 when
+a row is past its bound.  Run it from the repository root:
 
     python tests/pin_drift.py
 
-It is a tool for the tests' pins, not a test: pytest does not collect
-it, as its name does not start with ``test_``.
+A change that restates pins attaches this script's summary lines, before
+and after, to ``CHANGES.md``.  It is a tool for the tests' pins, not a
+test: pytest does not collect it, as its name does not start with
+``test_``.
 """
 
-import math
+import json
 import os
 import statistics
 import sys
@@ -20,42 +22,26 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 
-from test_torus_zeta import ALL_S, PINS, seeded_tori
-from test_zreg import small_alpha_cases
-from zetaglue import zreg
-
-BOUND = 1e-13
+import goldens
 
 
-def relative(got: float, pin: float) -> float:
-    return abs(got - pin) / abs(pin) if pin else (0.0 if got == pin else math.inf)
-
-
-def drifts() -> list:
-    """(set, label, relative distance) for every pin."""
-    out = []
-    cases = [(i, cs, s) for i, cs in enumerate(seeded_tori()) for s in ALL_S]
-    for (i, cs, s), pin in zip(cases, PINS["zeta_points"], strict=True):
-        out.append(("zeta_points", f"torus {i} ({cs.ell1:.4g} x {cs.ell2:.4g}) s = {s:g}",
-                    relative(zreg.zeta_point(cs, s).value, pin)))
-    for (cs, alpha), (log_modulus, phase) in zip(small_alpha_cases(), PINS["small_alpha"], strict=True):
-        det = zreg.log_det_shifted(cs, alpha)
-        distance = relative(det.log_modulus, log_modulus) if det.phase_multiple == phase else math.inf
-        out.append(("small_alpha", f"{cs.ell1:.4g} x {cs.ell2:.4g} alpha = {alpha:+g}", distance))
-    return sorted(out, key=lambda row: -row[2])
+def summary(quantity, distances):
+    """One line: row count, bound, worst and median distance, rows past the bound."""
+    bound = goldens.STORE[quantity]["bound"]
+    worst, median = max(distances), statistics.median(distances)
+    scale = f" ({worst * bound['tol']:.2e} and {median * bound['tol']:.2e} {bound['form']})" if "tol" in bound else ""
+    return (f"{quantity}: {len(distances)} rows, bound {goldens.describe(bound)}, worst {worst:.2e}, "
+            f"median {median:.2e} of the bound{scale}, {sum(d > 1.0 for d in distances)} past it")
 
 
 def main() -> int:
-    rows = drifts()
-    print(f"{'distance':>10}  {'bound':>7}  pin")
-    for name, label, distance in rows:
-        print(f"{distance:10.2e}  {BOUND:7.0e}  {name}: {label}")
-    for name in PINS:
-        values = [d for n, _, d in rows if n == name]
-        past = sum(d > BOUND for d in values)
-        print(f"{name}: {len(values)} pins, worst {max(values):.2e}, median {statistics.median(values):.2e}, "
-              f"{past} past the {BOUND:g} bound")
-    return 1 if any(d > BOUND for _, _, d in rows) else 0
+    found = [(goldens.worst(q, row), q, row) for q in goldens.STORE for row in goldens.rows(q)]
+    print(f"{'distance':>10}  quantity  inputs: farthest field")
+    for (distance, field, *_), q, row in sorted(found, key=lambda t: -t[0][0]):
+        print(f"{distance:10.3g}  {q}  {json.dumps(row['inputs'], sort_keys=True)}: {field}")
+    for q in goldens.STORE:
+        print(summary(q, [w[0] for w, name, _ in found if name == q]))
+    return 1 if any(w[0] > 1.0 for w, _, _ in found) else 0
 
 
 if __name__ == "__main__":

@@ -1,17 +1,23 @@
-"""Two-path gluing identity checks: the central property of the library."""
+"""Two-path gluing identity checks: the central property of the library.
+
+The seeded torus reports (``goldens.json``) are exact in every field:
+how often a check lists its torus moves no value, so they stay the same
+to the last bit.
+The two pinned distances of a mirror from its closed form are held to
+1e-2 relative: they measure a gap, not a rounding.
+"""
 
 import dataclasses
-import hashlib
 import math
 import pickle
-import random
 import re
 import time
 from collections import OrderedDict
 
 import pytest
 
-from zetaglue import cylinder, gluing, spectra
+from goldens import cases, check, rows, section
+from zetaglue import asymptotics, cylinder, gluing, interface_ops, spectra
 from zetaglue.cylinder import series_sum
 from zetaglue.errors import SingularParameterError, ValidationError
 from zetaglue.gluing import (
@@ -21,7 +27,7 @@ from zetaglue.gluing import (
     glue_neumann_check,
     glue_robin_check,
 )
-from zetaglue.spectra import Circle, FlatTorus, explicit_mirror
+from zetaglue.spectra import Circle, FlatTorus, Point, explicit_mirror
 from zetaglue import zreg
 from zetaglue.zreg import zeta_point
 
@@ -179,7 +185,29 @@ def test_cut_near_an_end_is_refused_by_its_length(a, cutoff, monkeypatch):
     assert time.process_time() - t0 < 1.0
 
 
+def _check(cfg, **kwargs):
+    return (glue_neumann_check if cfg.alpha == 0.0 else glue_robin_check)(cfg, **kwargs)
+
+
 TORUS = FlatTorus(TWO_PI, 3.0)
+SHIFT = 1e-6
+
+
+def _shifted(modules, name, shift):
+    """A perturbation: ``name`` in each module, with ``shift`` applied to what it returns."""
+    def perturb(monkeypatch):
+        real = getattr(modules[0], name)
+        for module in modules:
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: shift(real(*args, **kwargs), *args))
+    return perturb
+
+
+def _plus(field):
+    return lambda result, *args: dataclasses.replace(result, **{field: getattr(result, field) + SHIFT})
+
+
+def _zeta_at(s):
+    return lambda p, cs, at, *args: dataclasses.replace(p, value=p.value + SHIFT) if at == s else p
 
 
 def _shift_torus_zeta_at_minus_half(monkeypatch):
@@ -193,103 +221,88 @@ def _shift_torus_zeta_at_minus_half(monkeypatch):
     monkeypatch.setattr(zreg, "_backend_cache", type(zreg._backend_cache)())
 
 
-def _shift_a0(monkeypatch):
-    real = gluing.a0_constant
-    monkeypatch.setattr(gluing, "a0_constant", lambda *args, **kwargs: real(*args, **kwargs) + 1e-6)
+def _scale_matrices(m, *args):
+    return dataclasses.replace(m, **{f: getattr(m, f) * (1.0 + SHIFT) for f in
+                                     ("log_det_C", "log_det_AAt", "log_det_S1", "log_det_S2")})
 
 
-def _scale_s_alpha(monkeypatch):
-    real = cylinder.s_alpha
-    monkeypatch.setattr(cylinder, "s_alpha", lambda *args, **kwargs: real(*args, **kwargs) * (1.0 + 1e-3))
+TERMS = (cylinder, interface_ops)
+CASES = {f"{name}-{check}": (cs, 0.7 if check == "robin" else 0.0)
+         for name, cs in (("point", Point()), ("circle", CIRCLE), ("torus", TORUS))
+         for check in ("robin", "neumann")}
+ALL, ROBIN, NONE = set(CASES), {c for c in CASES if c.endswith("robin")}, set()
+# block -> (perturbation, the cases whose residual sees it, the cases run).
+# Each block the two sides read is shifted by +1e-6 (the correction
+# determinants are scaled by 1 + 1e-6, as an equal shift of ln det C and
+# ln det AAt cancels by construction), and the Robin check at alpha = 0.7
+# and the Neumann check run at L = 2.5, a = 1.25 on the point, the 2 pi
+# circle and the 2 pi x 3 torus.  A case is detected where the residual passes 1e-8, and
+# a blind spot where it stays below 1e-12.  Only the golden pins guard a
+# block in its blind spots.
+PERTURBATIONS = {
+    # each side sums its own series: three cylinders on the left, the interface on the right
+    "series_sum": (_shifted(TERMS, "series_sum", _plus("value")), ALL, ALL),
+    # the Robin pieces and the interface determinant carry ln Det(sqrt(Delta) +- alpha)
+    # with the same sign, and the Neumann check reads none: a blind spot
+    "log_det_shifted": (_shifted(TERMS, "log_det_shifted", _plus("log_modulus")), NONE, ALL),
+    # both sides carry ln Det* Delta_Y with the same weight: a blind spot
+    "log_det_star": (_shifted(TERMS, "log_det_star", _plus("log_modulus")), NONE, ALL),
+    # enters each cylinder as its length times a constant, and the pieces'
+    # lengths add up to the whole: a blind spot
+    "zeta(-1/2)": (_shifted((*TERMS, gluing), "zeta_point", _zeta_at(-0.5)), NONE, ALL),
+    # the torus backend's own zeta(-1/2), 1e-9 relative: the same blind spot
+    "torus-zeta(-1/2)": (_shift_torus_zeta_at_minus_half, NONE, {"torus-robin", "torus-neumann"}),
+    # the Robin check reads no zeta(0); the Neumann check's a0 and interface
+    # determinant carry ln 2 zeta(0) with opposite signs: a blind spot
+    "zeta(0)": (_shifted((*TERMS, gluing), "zeta_point", _zeta_at(0.0)), NONE, ALL),
+    # only the Robin pieces on the left carry s_alpha
+    "s_alpha": (_shifted((cylinder,), "s_alpha", lambda r, *args: r + SHIFT), ROBIN, ALL),
+    # only the Robin check's right side carries a0_constant; the Neumann
+    # check forms its a0 from zeta(0)
+    "a0": (_shifted((gluing,), "a0_constant", lambda r, *args: r + SHIFT), ROBIN, ALL),
+    # a0 and the interface determinant carry -ln 2 w0 + w1 with opposite
+    # signs, except on odd-dimensional cross-sections, where a0 is 0
+    "w0_w1": (_shifted((interface_ops, asymptotics), "w0_w1", lambda r, *args: (r[0] + SHIFT, r[1] + SHIFT)),
+              {"circle-robin"}, ALL),
+    # only the Robin interface determinant carries s_alpha_pair
+    "s_alpha_pair": (_shifted((interface_ops,), "s_alpha_pair", lambda r, *args: r + SHIFT), ROBIN, ALL),
+    # only the right sides carry the correction determinants
+    "correction_matrices": (_shifted((gluing,), "correction_matrices", _scale_matrices), ALL, ALL),
+}
 
 
-# (perturbation, whether the gluing residual sees it).  The torus
-# zeta(-1/2) enters each cylinder as its length times a constant of the
-# cross-section, and the pieces' lengths add up to the whole one, so a
-# shift of it cancels between the two sides: a known blind spot.
-PERTURBATIONS = [(_shift_a0, True), (_scale_s_alpha, True), (_shift_torus_zeta_at_minus_half, False)]
-
-
-@pytest.mark.parametrize("perturb, detected", PERTURBATIONS, ids=["a0", "s_alpha", "torus-zeta(-1/2)"])
-def test_torus_gluing_check_sees_perturbed_terms(monkeypatch, perturb, detected):
-    cfg = GluingConfig(TORUS, 2.5, 1.25, 0.7)
-    assert glue_robin_check(cfg).residual < 1e-12
-    perturb(monkeypatch)
-    residual = glue_robin_check(cfg).residual
-    assert residual > 1e-8 if detected else residual < 1e-12
+@pytest.mark.parametrize("block", list(PERTURBATIONS))
+def test_torus_gluing_check_sees_perturbed_terms(monkeypatch, block):
+    perturb, detected, run = PERTURBATIONS[block]
+    for case in sorted(run):
+        cs, alpha = CASES[case]
+        cfg = GluingConfig(cs, 2.5, 1.25, alpha)
+        assert _check(cfg).residual < 1e-12
+        with monkeypatch.context() as m:
+            perturb(m)
+            residual = _check(cfg).residual
+        assert residual > 1e-8 if case in detected else residual < 1e-12, (case, residual)
 
 
 # Two checks of the benchmark's mirror-shapes stream (seed 601) whose series
 # ran past their mirror's largest trusted mode and missed the closed form
-# by more than 1e-8: (base, cutoff, L, a, alpha, distance from the closed form).
-UNSUMMED_GAP = [
-    (Circle(1.1 * TWO_PI), 115.87392905533599, 1.5959053506909961, 0.9675505341313473,
-     0.5115684579698567, 3.57e-06),
-    (FlatTorus(TWO_PI, 2.4 * TWO_PI), 202.27773338971585, 1.8022059817278988, 1.1495924012344172,
-     0.3622289130880813, 1.55e-06),
-]
-
-
-@pytest.mark.parametrize("base, cutoff, L, a, alpha, distance", UNSUMMED_GAP, ids=["circle", "torus"])
-def test_mirror_truncation_covers_the_unsummed_gap(base, cutoff, L, a, alpha, distance):
-    rep = glue_robin_check(GluingConfig(explicit_mirror(base, cutoff), L, a, alpha))
-    closed = glue_robin_check(GluingConfig(base, L, a, alpha))
-    assert abs(rep.lhs - closed.lhs) == pytest.approx(distance, rel=0.01)
+# by more than 1e-8; their distances are pinned (``unsummed_gaps``).
+@pytest.mark.parametrize("case", cases("unsummed_gaps"))
+def test_mirror_truncation_covers_the_unsummed_gap(case):
+    (row,) = rows("unsummed_gaps", case)
+    check("unsummed_gaps", case=case)
+    x = row["inputs"]
+    base = section(x["section"])
+    rep = glue_robin_check(GluingConfig(explicit_mirror(base, x["cutoff"]), x["L"], x["a"], x["alpha"]))
+    closed = glue_robin_check(GluingConfig(base, x["L"], x["a"], x["alpha"]))
     assert rep.truncation >= abs(rep.lhs - closed.lhs)
 
 
-def seeded_torus_configs(count=20, seed=20261020):
-    """Configs drawn like the benchmark's torus-shapes checks, each on a new
-    torus of aspect 1 to 3 and area 3 to 5; every fifth has alpha = 0."""
-    rng = random.Random(seed)
-    configs = []
-    for i in range(count):
-        rho = rng.choice((1.0, 1.5, 2.0, 2.5, 3.0))
-        side = math.sqrt(rng.uniform(3.0, 5.0) / rho)
-        L = rng.uniform(1.5, 3.0)
-        a = L * rng.uniform(0.35, 0.65)
-        alpha = 0.0 if i % 5 == 4 else rng.uniform(0.2, 0.6) * (1.0 if i % 2 == 0 else -1.0)
-        configs.append(GluingConfig(FlatTorus(side, side * rho), L, a, alpha))
-    return configs
-
-
-def _check(cfg, **kwargs):
-    return (glue_neumann_check if cfg.alpha == 0.0 else glue_robin_check)(cfg, **kwargs)
-
-
-# (lhs, rhs, residual, lhs_phase, rhs_phase, truncation) of seeded_torus_configs(),
-# and the SHA-256 of the reports' reprs, recorded while each check still
-# listed its torus once per larger cutoff; held bit for bit
-SEEDED_TORUS_REPORTS = [
-    (3.410991773973052, 3.4109917739730524, 4.440892098500626e-16, -1, 1, 1e-12),
-    (3.1119848310606777, 3.1119848310606777, 0.0, -1, 1, 1e-12),
-    (2.7575322766746573, 2.7575322766746573, 0.0, -1, 1, 1e-12),
-    (1.636906138449864, 1.6369061384498638, 2.220446049250313e-16, -1, 1, 1e-12),
-    (-0.1105322461299626, -0.11053224612996261, 1.3877787807814457e-17, 0, 0, 1e-12),
-    (2.7936482893043904, 2.7936482893043904, 0.0, -1, 1, 1e-12),
-    (1.8708042197558963, 1.870804219755896, 2.220446049250313e-16, -1, 1, 1e-12),
-    (1.5992156729626605, 1.5992156729626605, 0.0, -1, 1, 1e-12),
-    (3.1593299187233854, 3.1593299187233854, 0.0, -1, 1, 1e-12),
-    (-0.522133698845725, -0.5221336988457248, 2.220446049250313e-16, 0, 0, 1e-12),
-    (2.1656831605032374, 2.1656831605032374, 0.0, -1, 1, 1e-12),
-    (3.1928137564239734, 3.1928137564239734, 0.0, -1, 1, 1e-12),
-    (2.3056993219588167, 2.3056993219588167, 0.0, -1, 1, 1e-12),
-    (3.6651043337385696, 3.665104333738569, 4.440892098500626e-16, -1, 1, 1e-12),
-    (0.17152991200734585, 0.17152991200734571, 1.3877787807814457e-16, 0, 0, 1e-12),
-    (3.497575153243064, 3.497575153243064, 0.0, -1, 1, 1e-12),
-    (2.8180757644565015, 2.8180757644565015, 0.0, -1, 1, 1e-12),
-    (2.326140157374248, 2.326140157374248, 0.0, -1, 1, 1e-12),
-    (2.154773946494845, 2.1547739464948448, 4.440892098500626e-16, -1, 1, 1e-12),
-    (0.29946310091531936, 0.2994631009153194, 5.551115123125783e-17, 0, 0, 1e-12),
-]
-SEEDED_TORUS_DIGEST = "f799372f7896d1533648ed25c96fb89246d28d0b69ff9fa950e69a09541410a6"
-
-
+# 20 configs drawn like the benchmark's torus-shapes checks, each on a new
+# torus of aspect 1 to 3 and area 3 to 5, every fifth at alpha = 0: every
+# field of each report, bit for bit
 def test_seeded_torus_reports_are_unchanged():
-    reports = [_check(cfg) for cfg in seeded_torus_configs()]
-    assert [(r.lhs, r.rhs, r.residual, r.lhs_phase, r.rhs_phase, r.truncation)
-            for r in reports] == SEEDED_TORUS_REPORTS
-    assert hashlib.sha256("".join(map(repr, reports)).encode()).hexdigest() == SEEDED_TORUS_DIGEST
+    check("seeded_torus_reports")
 
 
 def _lattice_calls(monkeypatch) -> list:

@@ -1,5 +1,6 @@
 """Root-finding oracle vs the closed-form segment determinants."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -57,6 +58,11 @@ def scalar_scan_eigenvalues(p, count):
         j += 1
         assert j <= 10 * count + 100
     return [k * k for k in roots[:count]]
+
+
+def scan_digest(ref):
+    """SHA-256 of a reference scan's eigenvalues, each by float.hex."""
+    return hashlib.sha256(",".join(float.hex(v) for v in ref).encode()).hexdigest()
 
 
 def assert_within_brent_tolerance(got, ref):

@@ -1,16 +1,15 @@
 """Torus lattice zeta from the float64 Ewald split.
 
-The golden reports and values were recorded when the torus zeta was a
-103-bit fixed-point Chowla-Selberg (Bessel) pass, which reproduced the
-ungrouped (k, n) double sum with mpmath's ``besselk``.  The Ewald split
-reaches them in doubles, so each is held to a bound stated before the
-change: 1e-13 relative on values and 1e-13 absolute on residuals.
+The torus goldens (``goldens.json``) are gluing reports and zeta values
+of a 103-bit fixed-point Chowla-Selberg (Bessel) pass, which reproduced
+the ungrouped (k, n) double sum with mpmath's ``besselk``.  The Ewald
+split reaches them in doubles, whose sums regroup by rounding, so each is
+held to a bound stated in advance: 1e-13 relative on values, and 1e-13
+absolute on residuals, which are differences of the two sides and have
+no scale of their own.
 """
 
-import json
 import math
-import os
-import random
 import time
 from collections import OrderedDict
 from functools import lru_cache
@@ -19,127 +18,39 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from goldens import cases, check
 from zetaglue import spectra, zreg
-from zetaglue.gluing import GluingConfig, glue_neumann_check, glue_robin_check
+from zetaglue.gluing import GluingConfig, glue_robin_check
 from zetaglue.spectra import FlatTorus, enumerate_spectrum
 
 TWO_PI = 2.0 * math.pi
-with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "torus_pins.json")) as _pins:
-    PINS = json.load(_pins)
 
 
-def assert_report_within(rep, expected):
-    """lhs and rhs within 1e-13 relative of their recorded values, and the
-    residual within 1e-13 absolute of its own."""
-    lhs, rhs, residual = expected
-    assert abs(rep.lhs - lhs) <= 1e-13 * abs(lhs), (rep.lhs, lhs)
-    assert abs(rep.rhs - rhs) <= 1e-13 * abs(rhs), (rep.rhs, rhs)
-    assert abs(rep.residual - residual) <= 1e-13, (rep.residual, residual)
+# (check, torus, L, a, alpha): the square, aspects 1.5 and 3 and the
+# 2 pi x 3 torus, with its Neumann check
+@pytest.mark.parametrize("case", cases("torus_reports"))
+def test_gluing_reports_bit_identical(case):
+    check("torus_reports", "torus_residuals", case=case)
 
 
-# (check, torus, L, a, alpha) -> (lhs, rhs, residual)
-GOLDEN = [
-    (glue_robin_check, FlatTorus(2.0, 2.0), 2.2, 1.1, -0.4,
-     (1.6968991884110962, 1.696899188411096, 2.220446049250313e-16)),
-    (glue_robin_check, FlatTorus(1.632993161855452, 2.449489742783178), 2.2, 1.1, -0.4,
-     (1.7656165116708042, 1.7656165116708042, 0.0)),
-    (glue_robin_check, FlatTorus(1.0488088481701514, 3.1464265445104544), 1.7, 0.68, 0.55,
-     (1.5558197072524593, 1.555819707252459, 2.220446049250313e-16)),
-    (glue_robin_check, FlatTorus(TWO_PI, 3.0), 2.5, 1.25, 0.7,
-     (2.358089232225026, 2.358089232225026, 0.0)),
-    (glue_neumann_check, FlatTorus(TWO_PI, 3.0), 2.5, 1.25, 0.0,
-     (-0.5534113625992434, -0.5534113625992431, 3.3306690738754696e-16)),
-]
-
-
-@pytest.mark.parametrize("check, cs, L, a, alpha, expected", GOLDEN,
-                         ids=["square", "aspect1.5", "aspect3", "2pi-x-3", "2pi-x-3-neumann"])
-def test_gluing_reports_bit_identical(check, cs, L, a, alpha, expected):
-    assert_report_within(check(GluingConfig(cs, L, a, alpha)), expected)
-
-
-# Tori drawn like the benchmark's torus-shapes stream: aspects 1 to 3, areas
-# 3 and 5 with a Robin check at each sign of alpha, and a Neumann check at
-# area 4.  (aspect, area, L, a, alpha) -> (lhs, rhs, residual), recorded
-# before the Bessel kernel was rewritten in fixed point.
-WIDE_GOLDEN = [
-    (1.0, 3.0, 2.21, 1.26, 0.32, (2.3195377409225872, 2.319537740922587, 4.440892098500626e-16)),
-    (1.0, 3.0, 2.83, 1.34, -0.49, (1.6527054050261263, 1.6527054050261267, 4.440892098500626e-16)),
-    (1.0, 5.0, 1.9, 0.8, 0.53, (0.8554953911153147, 0.8554953911153147, 0.0)),
-    (1.0, 5.0, 2.25, 1.07, -0.49, (1.1701364491050188, 1.1701364491050188, 0.0)),
-    (1.0, 4.0, 2.94, 1.3, 0.0, (-0.5362921196437389, -0.5362921196437387, 2.220446049250313e-16)),
-    (1.5, 3.0, 2.56, 1.29, 0.49, (1.6163869159983508, 1.6163869159983513, 4.440892098500626e-16)),
-    (1.5, 3.0, 3.0, 1.24, -0.5, (1.7304616774374049, 1.7304616774374053, 4.440892098500626e-16)),
-    (1.5, 5.0, 2.2, 1.24, 0.55, (0.989145720642597, 0.989145720642597, 0.0)),
-    (1.5, 5.0, 1.72, 0.71, -0.36, (1.775083789911367, 1.775083789911367, 0.0)),
-    (1.5, 4.0, 1.59, 0.72, 0.0, (0.21985494487959353, 0.21985494487959342, 1.1102230246251565e-16)),
-    (2.0, 3.0, 2.12, 0.82, 0.5, (1.5387639641331126, 1.5387639641331123, 2.220446049250313e-16)),
-    (2.0, 3.0, 2.64, 1.23, -0.34, (2.554013018527449, 2.5540130185274497, 4.440892098500626e-16)),
-    (2.0, 5.0, 1.8, 0.86, 0.33, (2.093357643885199, 2.093357643885199, 0.0)),
-    (2.0, 5.0, 1.82, 1.11, -0.29, (2.3915628632904844, 2.3915628632904844, 0.0)),
-    (2.0, 4.0, 1.56, 0.65, 0.0, (0.4543261199147789, 0.4543261199147788, 1.1102230246251565e-16)),
-    (2.5, 3.0, 1.53, 0.93, 0.54, (1.4432271681366706, 1.4432271681366706, 0.0)),
-    (2.5, 3.0, 1.98, 1.26, -0.52, (1.5908551684622523, 1.5908551684622518, 4.440892098500626e-16)),
-    (2.5, 5.0, 2.13, 0.82, 0.54, (1.3843188690757764, 1.3843188690757762, 2.220446049250313e-16)),
-    (2.5, 5.0, 2.41, 1.01, -0.6, (1.3097330467160482, 1.3097330467160477, 4.440892098500626e-16)),
-    (2.5, 4.0, 2.05, 0.84, 0.0, (0.25809455693324534, 0.25809455693324523, 1.1102230246251565e-16)),
-    (3.0, 3.0, 2.24, 1.35, 0.26, (3.3369817873362075, 3.3369817873362075, 0.0)),
-    (3.0, 3.0, 2.08, 0.94, -0.58, (1.62694304666863, 1.62694304666863, 0.0)),
-    (3.0, 5.0, 3.0, 1.47, 0.27, (3.2663252876861817, 3.266325287686182, 4.440892098500626e-16)),
-    (3.0, 5.0, 2.54, 1.55, -0.33, (2.740617397563156, 2.740617397563156, 0.0)),
-    (3.0, 4.0, 1.81, 1.01, 0.0, (0.6124742286471215, 0.6124742286471215, 0.0)),
-]
-
-
-@pytest.mark.parametrize("aspect, area, L, a, alpha, expected", WIDE_GOLDEN,
-                         ids=[f"{r[0]}x{r[1]}-{r[4]:+}" for r in WIDE_GOLDEN])
-def test_torus_shapes_reports_bit_identical(aspect, area, L, a, alpha, expected):
-    side = math.sqrt(area / aspect)
-    check = glue_robin_check if alpha else glue_neumann_check
-    assert_report_within(check(GluingConfig(FlatTorus(side, side * aspect), L, a, alpha)), expected)
-
-
-# Every s the library evaluates and five generic ones.
-ALL_S = zreg._STANDARD_S + (0.3, 2.7, -1.3, -1.5, -2.5)
-
-
-def seeded_tori(count=40, seed=20261018):
-    """Tori of aspect 1 to 8 (log-uniform) and area 2 to 6."""
-    rng = random.Random(seed)
-    tori = []
-    for _ in range(count):
-        aspect = math.exp(rng.uniform(0.0, math.log(8.0)))
-        side = math.sqrt(rng.uniform(2.0, 6.0) / aspect)
-        tori.append(FlatTorus(side, side * aspect))
-    return tori
+# Tori drawn like the benchmark's torus-shapes stream: aspects 1 to 3,
+# areas 3 and 5 with a Robin check at each sign of alpha, and a Neumann
+# check at area 4.
+@pytest.mark.parametrize("case", cases("wide_torus_reports"))
+def test_torus_shapes_reports_bit_identical(case):
+    check("wide_torus_reports", "wide_torus_residuals", case=case)
 
 
 def test_zeta_points_bit_identical():
-    # 40 tori x 21 s, recorded before the Bessel pass moved to fixed point
-    # (``torus_pins.json``; the test pinned their SHA-256 then), each within
-    # 1e-13 relative
-    got = [zreg.zeta_point(cs, s).value for cs in seeded_tori() for s in ALL_S]
-    want = PINS["zeta_points"]
-    assert (want[0].hex(), want[-1].hex()) == ("-0x1.c83e23ae01a53p+1", "-0x1.8f75117547e14p+7")
-    for i, (g, w) in enumerate(zip(got, want, strict=True)):
-        assert abs(g - w) <= 1e-13 * abs(w), (i // len(ALL_S), ALL_S[i % len(ALL_S)], g, w)
+    # 40 seeded tori of aspect 1 to 8 and area 2 to 6, at every s the
+    # library evaluates and five generic ones
+    check("zeta_points")
 
 
-# aspect 8 (shell 1 at e^(-2 pi 8)) and a near-square torus; recorded
-# before the Bessel pass moved to fixed point
-# (ell1, ell2, L, a, alpha) -> (lhs, rhs, residual)
-ASPECT_GOLDEN = [
-    (1.0, 8.0, 2.0, 0.9, 0.45, (6.831419801941572, 6.831419801941572, 0.0)),
-    (1.0, 8.0, 1.6, 0.7, -0.35, (9.091725417267737, 9.091725417267735, 1.7763568394002505e-15)),
-    (1.0, 1.05, 2.0, 0.9, 0.45, (2.0534698266014706, 2.05346982660147, 4.440892098500626e-16)),
-    (1.0, 1.05, 1.6, 0.7, -0.35, (2.3525070415791087, 2.3525070415791087, 0.0)),
-]
-
-
-@pytest.mark.parametrize("ell1, ell2, L, a, alpha, expected", ASPECT_GOLDEN,
-                         ids=[f"{r[0]}x{r[1]}-{r[4]:+}" for r in ASPECT_GOLDEN])
-def test_aspect_robin_reports_bit_identical(ell1, ell2, L, a, alpha, expected):
-    assert_report_within(glue_robin_check(GluingConfig(FlatTorus(ell1, ell2), L, a, alpha)), expected)
+# aspect 8 (shell 1 at e^(-2 pi 8)) and a near-square torus
+@pytest.mark.parametrize("case", cases("aspect_torus_reports"))
+def test_aspect_robin_reports_bit_identical(case):
+    check("aspect_torus_reports", "aspect_torus_residuals", case=case)
 
 
 # thin tori: aspect 120, 300 and 10^6, whose Poisson sums reach arguments

@@ -1,13 +1,17 @@
-"""Zeta continuation and regularized determinants: closed vs numeric routes."""
+"""Zeta continuation and regularized determinants: closed vs numeric routes.
 
-import json
+The torus shifted determinants at small alpha (``small_alpha`` in
+``goldens.json``) read the torus zeta, a float64 Ewald split that may
+regroup by rounding: 1e-13 relative, phases exact.
+"""
+
 import math
-import os
 import random
 
 import numpy as np
 import pytest
 
+from goldens import check
 from zetaglue import spectra, zreg
 from zetaglue.errors import ConvergenceError, SingularParameterError, ValidationError
 from zetaglue.gluing import GluingConfig, glue_neumann_check, glue_robin_check
@@ -30,15 +34,6 @@ CIRCLE = Circle(TWO_PI)
 CIRCLE_ODD = Circle(3.7)
 TORUS = FlatTorus(TWO_PI, TWO_PI)
 TORUS_ASYM = FlatTorus(TWO_PI, 3.0)
-
-
-def small_alpha_cases():
-    """(torus, alpha) of the ``small_alpha`` pins in ``torus_pins.json``, in
-    order: the 2 pi x 3 torus and aspects 1 to 3 at areas 3, 5 and 12, each
-    at |alpha| <= 1."""
-    tori = [TORUS_ASYM] + [FlatTorus(math.sqrt(area / aspect), math.sqrt(area / aspect) * aspect)
-                           for aspect in (1.0, 1.5, 2.0, 2.5, 3.0) for area in (3.0, 5.0, 12.0)]
-    return [(cs, alpha) for cs in tori for alpha in (-0.95, -0.55, 0.35, 1.0)]
 
 
 class TestZetaPointClosedForms:
@@ -183,14 +178,8 @@ class TestLogDetShifted:
 
     def test_small_alpha_on_tori_is_answered_unchanged(self):
         # aspects 1 to 3 at areas 3, 5 and 12, and the 2 pi x 3 torus, at
-        # |alpha| <= 1: within 1e-13 relative of the values of the route
-        # before it stated an error (``torus_pins.json``), phases exact
-        values = [log_det_shifted(cs, alpha) for cs, alpha in small_alpha_cases()]
-        with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "torus_pins.json")) as f:
-            pinned = json.load(f)["small_alpha"]
-        for d, (log_modulus, phase) in zip(values, pinned, strict=True):
-            assert abs(d.log_modulus - log_modulus) <= 1e-13 * abs(log_modulus), (d, log_modulus)
-            assert d.phase_multiple == phase
+        # |alpha| <= 1, as the route gave them before it stated an error
+        check("small_alpha")
 
     def test_singular_shifts_rejected(self):
         with pytest.raises(SingularParameterError):
