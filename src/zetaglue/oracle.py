@@ -63,30 +63,42 @@ class RelativeLogDet:
 
 def _secular_function(p: SecularProblem) -> Callable:
     """g(k) on an array of k whose positive roots are the eigenfrequencies
-    (mu = k^2) of a pair with at least one Robin end."""
+    (mu = k^2) of a pair with at least one Robin end; ``g(k, True)`` is
+    the pair (g(k), g'(k)), the slope in closed form."""
     L = p.length
     kl, kr = p.bc_left, p.bc_right
     if (kl.kind, kr.kind) == (ROBIN, ROBIN):
         al, ar = kl.alpha, kr.alpha
-        return lambda k: (k * k - al * ar) * np.sin(k * L) - k * (al + ar) * np.cos(k * L)
-    # one Robin end; the other end is Dirichlet or Neumann
-    a = kl.alpha if kl.kind == ROBIN else kr.alpha
-    if DIRICHLET in (kl.kind, kr.kind):
-        return lambda k: k * np.cos(k * L) + a * np.sin(k * L)
-    return lambda k: a * np.cos(k * L) - k * np.sin(k * L)
+        value = lambda k, s, c: (k * k - al * ar) * s - k * (al + ar) * c
+        slope = lambda k, s, c: (2.0 + (al + ar) * L) * k * s + ((k * k - al * ar) * L - al - ar) * c
+    else:  # one Robin end; the other end is Dirichlet or Neumann
+        a = kl.alpha if kl.kind == ROBIN else kr.alpha
+        if DIRICHLET in (kl.kind, kr.kind):
+            value = lambda k, s, c: k * c + a * s
+            slope = lambda k, s, c: (1.0 + a * L) * c - k * L * s
+        else:
+            value = lambda k, s, c: a * c - k * s
+            slope = lambda k, s, c: -(1.0 + a * L) * s - k * L * c
+
+    def g(k, with_slope=False):
+        s, c = np.sin(k * L), np.cos(k * L)
+        return (value(k, s, c), slope(k, s, c)) if with_slope else value(k, s, c)
+
+    return g
 
 
-def _closed_form_roots(p: SecularProblem, count: int) -> List[float]:
+def _closed_form_roots(p: SecularProblem, count: int) -> np.ndarray:
     """Exact eigenvalues for the purely trigonometric pairs."""
-    L = p.length
     pair = (p.bc_left.kind, p.bc_right.kind)
     if pair == (DIRICHLET, DIRICHLET):
-        return [(j * math.pi / L) ** 2 for j in range(1, count + 1)]
-    if pair == (NEUMANN, NEUMANN):
-        return [(j * math.pi / L) ** 2 for j in range(0, count)]
-    if pair in ((DIRICHLET, NEUMANN), (NEUMANN, DIRICHLET)):
-        return [((j - 0.5) * math.pi / L) ** 2 for j in range(1, count + 1)]
-    raise ValidationError("no closed form for this pair")
+        j = np.arange(1, count + 1)
+    elif pair == (NEUMANN, NEUMANN):
+        j = np.arange(count)
+    elif pair in ((DIRICHLET, NEUMANN), (NEUMANN, DIRICHLET)):
+        j = np.arange(1, count + 1) - 0.5
+    else:
+        raise ValidationError("no closed form for this pair")
+    return (j * math.pi / p.length) ** 2
 
 
 def segment_eigenvalues(p: SecularProblem, count: int) -> List[float]:
@@ -97,10 +109,20 @@ def segment_eigenvalues(p: SecularProblem, count: int) -> List[float]:
     all cells at once; every exact zero and every sign change between
     neighbouring samples of a cell is a root.  One root per cell is
     expected for non-negative alpha, but every sign change is taken.
-    All brackets are then bisected together until each is two adjacent
-    floats or has hit an exact zero of g, so the sign change is kept at
-    every step; each root is the end of its bracket with the smaller |g|.
+    All brackets are then refined together by Newton steps on the
+    closed-form slope g'(k), starting from each bracket's secant point.
+    Every iterate replaces the bracket end of its sign, so the sign
+    change is kept at every step; a step that leaves the bracket falls
+    back to its midpoint, and a step below one ulp probes one ulp towards
+    the far end instead.  Each bracket ends as two adjacent floats or an
+    exact zero of g; each root is the end of its bracket with the
+    smaller |g|.
     """
+    return _eigenvalues(p, count).tolist()
+
+
+def _eigenvalues(p: SecularProblem, count: int) -> np.ndarray:
+    """``segment_eigenvalues`` as a float64 array."""
     if count < 1:
         raise ValidationError("count must be >= 1")
     pair = (p.bc_left.kind, p.bc_right.kind)
@@ -140,18 +162,25 @@ def segment_eigenvalues(p: SecularProblem, count: int) -> List[float]:
         first = int(j[-1]) + 1
 
     a, b, ga, gb = (np.concatenate(ends) for ends in zip(*brackets))
-    while True:
-        m = 0.5 * (a + b)
-        live = (a < m) & (m < b)
-        if not live.any():
-            break
-        gm = g(m)
-        side = np.sign(gm) * np.sign(ga)  # 1: root above m, -1: below, 0: m is a root
-        up, down = live & (side >= 0), live & (side <= 0)
-        a, ga = np.where(up, m, a), np.where(up, gm, ga)
-        b, gb = np.where(down, m, b), np.where(down, gm, gb)
-    k = np.where(np.abs(gb) < np.abs(ga), b, a)[:count]
-    return (k * k).tolist()
+    k, at = np.empty_like(a), np.arange(len(a))
+    with np.errstate(all="ignore"):  # exact zeros have a == b; a step by g' = 0 leaves the bracket
+        m = a - ga * ((b - a) / (gb - ga))  # the secant point of each scan bracket
+        while len(at):
+            m = np.where((a < m) & (m < b), m, 0.5 * (a + b))
+            gm, slope = g(m, True)
+            side = np.sign(gm) * np.sign(ga)  # 1: root above m, -1: below, 0: m is a root
+            up, down = side >= 0, side <= 0
+            a, ga = np.where(up, m, a), np.where(up, gm, ga)
+            b, gb = np.where(down, m, b), np.where(down, gm, gb)
+            step = gm / slope  # a Newton step; below one ulp, one ulp towards the far end
+            m = np.where(np.abs(step) <= np.spacing(m), np.nextafter(m, np.where(up, b, a)), m - step)
+            mid = 0.5 * (a + b)
+            live = (a < mid) & (mid < b)
+            if not live.all():  # retire the brackets that are down to adjacent floats
+                k[at[~live]] = np.where(np.abs(gb) < np.abs(ga), b, a)[~live]
+                at, a, b, ga, gb, m = (x[live] for x in (at, a, b, ga, gb, m))
+    k = k[:count]
+    return k * k
 
 
 def _counting_weight(bc: BoundaryCondition) -> int:
@@ -197,10 +226,9 @@ def relative_log_det(
     offset = twice_offset // 2
 
     def positive(prob, n):
-        vals = segment_eigenvalues(prob, n)
-        zeros = sum(1 for v in vals if v <= 1e-24)
-        out = [v for v in vals if v > 1e-24]
-        return out, zeros
+        vals = _eigenvalues(prob, n)
+        zero = vals <= 1e-24
+        return vals[~zero], int(zero.sum())
 
     ev_p, z_p = positive(p, count + abs(offset) + 2)
     ev_r, z_r = positive(reference, count + abs(offset) + 2)
@@ -212,9 +240,8 @@ def relative_log_det(
     elif shift < 0:
         head = -math.fsum(math.log(v) for v in ev_r[:-shift])
         ev_r = ev_r[-shift:]
-    n_avail = min(len(ev_p), len(ev_r))
-    n0 = min(count, n_avail) // 4
-    ratios = [math.log(a / b) for a, b in zip(ev_p[: 4 * n0], ev_r[: 4 * n0])]
+    n0 = min(count, len(ev_p), len(ev_r)) // 4
+    ratios = np.log(ev_p[: 4 * n0] / ev_r[: 4 * n0]).tolist()
 
     s1 = math.fsum(ratios[:n0])
     s2 = math.fsum(ratios[: 2 * n0])

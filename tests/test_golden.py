@@ -9,7 +9,7 @@ mirrors run on the numeric backend's Gauss-Legendre rules and on numpy
 passes over their stored modes, which move values by rounding only
 (at most 3.6e-15 seen): their reports are held to 16 ulp or 1e-14,
 whichever is larger, and their tail bounds to 1e-12 relative.  The oracle
-bisects each root down to adjacent floats, within Brent's stopping rule
+refines each root down to adjacent floats, within Brent's stopping rule
 plus one ulp of the roots its log-determinants were recorded with, so
 those are held to 1e-12 absolute.  The scipy reference scan pins its own
 eigenvalues by digest: it is test code, not library output.

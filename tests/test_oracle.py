@@ -83,29 +83,78 @@ PAIRS = {
 }
 
 
-class TestSegmentEigenvalues:
-    @pytest.mark.parametrize("pair", sorted(PAIRS))
-    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.9, 3.0])
-    @pytest.mark.parametrize("L", [1.0, 2.5])
-    def test_matches_scalar_scan(self, pair, alpha, L):
-        p = SecularProblem(L, *PAIRS[pair](alpha))
-        assert_within_brent_tolerance(segment_eigenvalues(p, 300), scalar_scan_eigenvalues(p, 300))
+# the oracle checks of the benchmark's sweep: R/R over D/D at count 1024,
+# so segment_eigenvalues(p, 1026)
+BENCH_ALPHAS = (0.25, 0.5, 0.9)
+BENCH_LENGTHS = (1.0, 1.5, 2.0, 2.5, 3.0)
+BENCH_COUNT = 1026
 
-    @pytest.mark.parametrize("pair", sorted(PAIRS))
-    @pytest.mark.parametrize("alpha", [0.25, 0.9, 3.0])
-    @pytest.mark.parametrize("L", [1.0, 2.5])
-    def test_each_root_is_certified_by_a_sign_change(self, pair, alpha, L):
+
+def cases(alphas, lengths, pairs=sorted(PAIRS), count=300):
+    """(pair, alpha, L, count) over a grid; at count 300 the ids are those
+    of stacked pair, alpha and L parametrizations."""
+    tag = "" if count == 300 else f"-{count}"
+    return [
+        pytest.param(pair, alpha, L, count, id=f"{L}-{alpha}-{pair}{tag}")
+        for L in lengths
+        for alpha in alphas
+        for pair in pairs
+    ]
+
+
+def counted_evaluations(monkeypatch):
+    """Spy on ``oracle._secular_function``: the shape of every array that
+    an evaluation of g (with or without its slope) receives, in order."""
+    shapes = []
+    secular = oracle._secular_function
+
+    def counting(p):
+        g = secular(p)
+
+        def counted(k, *args):
+            shapes.append(np.shape(k))
+            return g(k, *args)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "_secular_function", counting)
+    return shapes
+
+
+class TestSegmentEigenvalues:
+    @pytest.mark.parametrize(
+        "pair,alpha,L,count",
+        cases((0.0, 0.25, 0.9, 3.0), (1.0, 2.5)) + cases((0.5,), (1.5,), ["RD"], BENCH_COUNT),
+    )
+    def test_matches_scalar_scan(self, pair, alpha, L, count):
+        p = SecularProblem(L, *PAIRS[pair](alpha))
+        assert_within_brent_tolerance(segment_eigenvalues(p, count), scalar_scan_eigenvalues(p, count))
+
+    @pytest.mark.parametrize(
+        "pair,alpha,L,count",
+        cases((0.25, 0.9, 3.0), (1.0, 2.5)) + cases((0.9,), (3.0,), count=BENCH_COUNT),
+    )
+    def test_each_root_is_certified_by_a_sign_change(self, pair, alpha, L, count):
         # each k is an exact zero of g, or g changes sign between k and a
         # neighbouring float whose |g| is no smaller; sqrt recovers k from
         # mu = k * k exactly
         p = SecularProblem(L, *PAIRS[pair](alpha))
         g = oracle._secular_function(p)
-        for mu in segment_eigenvalues(p, 300):
+        for mu in segment_eigenvalues(p, count):
             k = math.sqrt(mu)
             assert k * k == mu
             below, at, above = g(np.array([math.nextafter(k, 0.0), k, math.nextafter(k, math.inf)]))
             across = [v for v in (below, above) if (v < 0.0) != (at < 0.0)]
             assert at == 0.0 or any(abs(at) <= abs(v) for v in across), k
+
+    @pytest.mark.parametrize("pair,alpha,L,count", cases(BENCH_ALPHAS, BENCH_LENGTHS, ["NR", "RD", "RR"], BENCH_COUNT))
+    def test_roots_take_at_most_12_evaluations(self, pair, alpha, L, count, monkeypatch):
+        # one sign scan of 25 samples in each of count + 1 cells, then the
+        # Newton phase: about 5 evaluations where bisection took about 49
+        shapes = counted_evaluations(monkeypatch)
+        segment_eigenvalues(SecularProblem(L, *PAIRS[pair](alpha)), count)
+        assert shapes[0] == (count + 1, 25)
+        assert len(shapes) <= 12, shapes
 
     def test_dirichlet_pair(self):
         got = segment_eigenvalues(SecularProblem(1.0, BC.dirichlet(), BC.dirichlet()), 3)
@@ -210,6 +259,20 @@ class TestRelativeLogDet:
         fitted_c = max(abs(r) * (k + 1) ** 2 for k, r in enumerate(ratios))
         assert fitted_c < 5.0
         assert abs(ratios[-1]) < 5.0 / n**2
+
+    @pytest.mark.parametrize("count", [256, 1024, 4096])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9, 3.0])
+    @pytest.mark.parametrize("L", [1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_error_estimate_bounds_the_distance_from_the_closed_form(self, L, alpha, count):
+        # R/R over D/D against ln(alpha (L alpha + 2) / L), and N/R over D/D
+        # against the closed-form cylinders on the point; the worst
+        # distance is 0.045 of the estimate (L = 3, alpha = 3, count 256)
+        dd = SecularProblem(L, BC.dirichlet(), BC.dirichlet())
+        rr = relative_log_det(SecularProblem(L, BC.robin(alpha), BC.robin(alpha)), dd, count)
+        assert abs(rr.value - math.log(alpha * (L * alpha + 2.0) / L)) <= rr.error_estimate
+        nr = relative_log_det(SecularProblem(L, BC.neumann(), BC.robin(alpha)), dd, count)
+        expect = closed_log_det(L, BC.neumann(), BC.robin(alpha)) - closed_log_det(L, BC.dirichlet(), BC.dirichlet())
+        assert abs(nr.value - expect) <= nr.error_estimate
 
     def test_extrapolated_values_cauchy_beyond_1e3(self):
         # the extrapolated relative determinants stabilise to 1e-8 once

@@ -450,6 +450,30 @@ class TestHeatTrace:
         with pytest.raises(InsufficientSpectrumError):
             heat_trace(cs, 1e-4)
 
+    def test_stored_weyl_tail_bounds_in_the_truncation_regime(self):
+        # the numeric backend's regime: lam = max_eigenvalue and t < 1, where
+        # the Weyl tail beyond the list is at least 1.2 times the true
+        # tail of the torus beyond it.  The true tail is heat_trace less
+        # the listed sum where that difference resolves (t < 0.05), else a
+        # direct sum up to lam + 40 / 0.05, which leaves out e^-40 of it.
+        torus = FlatTorus(TWO_PI, 4.8 * math.pi)
+        mirror = explicit_mirror(torus, 200.0)
+        lam = mirror.max_eigenvalue
+
+        def arrays(cutoff):
+            entries = enumerate_spectrum(torus, cutoff)
+            return np.array([e.eigenvalue for e in entries]), np.array([e.multiplicity for e in entries])
+
+        listed_mu, listed_mult = arrays(lam)
+        mu, mult = arrays(lam + 40.0 / 0.05)
+        mu, mult = mu[mu > lam], mult[mu > lam]
+        for t in np.geomspace(1e-3, 1.0, 201)[:-1]:
+            if t < 0.05:
+                tail = heat_trace(torus, t) - float(listed_mult @ np.exp(-t * listed_mu))
+            else:
+                tail = float(mult @ np.exp(-t * mu))
+            assert heat_tail_bound(mirror, lam, t) >= 1.2 * tail, t
+
     def test_tail_bound_actually_bounds(self):
         cs = Circle(TWO_PI)
         lam, t = 25.0, 0.3
