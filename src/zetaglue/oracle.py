@@ -2,7 +2,11 @@
 
 Eigenvalues of -d^2/du^2 on [0, L] under Dirichlet/Neumann/Robin end
 conditions are found as certified bracketed roots of the transcendental
-secular equation in the frequency k (mu = k^2).  Relative
+secular equation in the frequency k (mu = k^2).  One per-end rule gives
+both the secular function g = A sin F and the Pruefer phase
+F(k) = kL + phi_l(k) + phi_r(k), which increases for non-negative Robin
+parameters (Birkhoff & Rota, Ordinary Differential Equations): its
+half-integer levels bracket the roots with no scan.  Relative
 log-determinants are then formed directly from eigenvalue ratios against
 a reference problem with the same length: the log-ratio terms decay like
 1/k^2, so the partial sums converge with an O(1/n) remainder that is
@@ -33,6 +37,8 @@ __all__ = [
     "relative_log_det",
 ]
 
+MAX_COUNT = 10**6  # eigenvalues per list: about a second of roots
+
 
 @dataclass(frozen=True)
 class SecularProblem:
@@ -46,10 +52,9 @@ class SecularProblem:
         if not 0 < self.length < math.inf:
             raise ValidationError(f"segment length must be finite and > 0, got {self.length}")
         for bc in (self.bc_left, self.bc_right):
-            if bc.kind == ROBIN and bc.alpha < 0:
-                raise ValidationError(
-                    "the oracle supports non-negative Robin parameters only"
-                )
+            # below 1e-150, g near k = alpha underflows to an exact zero
+            if bc.kind == ROBIN and not bc.alpha >= 1e-150:
+                raise ValidationError("the oracle supports Robin parameters of 0 or from 1e-150 up only")
 
 
 @dataclass(frozen=True)
@@ -61,110 +66,95 @@ class RelativeLogDet:
     zero_modes: Tuple[int, int]  # excluded from (problem, reference)
 
 
+# Each end as (c, s) = (cos phi, sin phi) of its phase phi up to a positive
+# factor, and s' = ds/dk (c is constant in k), from alpha and k; under the
+# oracle's sign convention an eigenfunction is sin(kx + phi_l).
+_ENDS = {
+    DIRICHLET: lambda alpha, k: (1.0, 0.0, 0.0),
+    NEUMANN: lambda alpha, k: (0.0, 1.0, 0.0),
+    ROBIN: lambda alpha, k: (alpha, k, 1.0),
+}
+
+
 def _secular_function(p: SecularProblem) -> Callable:
-    """g(k) on an array of k whose positive roots are the eigenfrequencies
-    (mu = k^2) of a pair with at least one Robin end; ``g(k, True)`` is
-    the pair (g(k), g'(k)), the slope in closed form."""
+    """g(k) = A sin F(k), A > 0, on an array of k; its positive roots are
+    the eigenfrequencies (mu = k^2) of a pair with a Robin end.
+    ``g(k, True)`` is the pair (g(k), g'(k)), the slope in closed form."""
     L = p.length
-    kl, kr = p.bc_left, p.bc_right
-    if (kl.kind, kr.kind) == (ROBIN, ROBIN):
-        al, ar = kl.alpha, kr.alpha
-        value = lambda k, s, c: (k * k - al * ar) * s - k * (al + ar) * c
-        slope = lambda k, s, c: (2.0 + (al + ar) * L) * k * s + ((k * k - al * ar) * L - al - ar) * c
-    else:  # one Robin end; the other end is Dirichlet or Neumann
-        a = kl.alpha if kl.kind == ROBIN else kr.alpha
-        if DIRICHLET in (kl.kind, kr.kind):
-            value = lambda k, s, c: k * c + a * s
-            slope = lambda k, s, c: (1.0 + a * L) * c - k * L * s
-        else:
-            value = lambda k, s, c: a * c - k * s
-            slope = lambda k, s, c: -(1.0 + a * L) * s - k * L * c
 
     def g(k, with_slope=False):
+        (cl, sl, dsl), (cr, sr, dsr) = (_ENDS[bc.kind](bc.alpha, k) for bc in (p.bc_left, p.bc_right))
+        u, v = cl * cr - sl * sr, sl * cr + cl * sr  # A cos and A sin of phi_l + phi_r
         s, c = np.sin(k * L), np.cos(k * L)
-        return (value(k, s, c), slope(k, s, c)) if with_slope else value(k, s, c)
+        if not with_slope:
+            return u * s + v * c
+        du, dv = -(dsl * sr + sl * dsr), dsl * cr + cl * dsr
+        return u * s + v * c, du * s + dv * c + L * (u * c - v * s)
 
     return g
 
 
-def _closed_form_roots(p: SecularProblem, count: int) -> np.ndarray:
-    """Exact eigenvalues for the purely trigonometric pairs."""
-    pair = (p.bc_left.kind, p.bc_right.kind)
-    if pair == (DIRICHLET, DIRICHLET):
-        j = np.arange(1, count + 1)
-    elif pair == (NEUMANN, NEUMANN):
-        j = np.arange(count)
-    elif pair in ((DIRICHLET, NEUMANN), (NEUMANN, DIRICHLET)):
-        j = np.arange(1, count + 1) - 0.5
-    else:
-        raise ValidationError("no closed form for this pair")
-    return (j * math.pi / p.length) ** 2
+def _phase_function(p: SecularProblem) -> Callable:
+    """The Pruefer phase F(k) = kL + phi_l(k) + phi_r(k) on an array of k:
+    the pair (F(k), F'(k))."""
+    L = p.length
+
+    def phase(k):
+        value, slope = k * L, L
+        for bc in (p.bc_left, p.bc_right):
+            c, s, ds = _ENDS[bc.kind](bc.alpha, k)
+            r = np.hypot(c, s)  # phi' = c s' / r^2, with no r^2 to underflow
+            value, slope = value + np.arctan2(s, c), slope + c / r * ds / r
+        return value, slope
+
+    return phase
 
 
 def segment_eigenvalues(p: SecularProblem, count: int) -> List[float]:
-    """First ``count`` eigenvalues, ascending.
+    """First ``count`` eigenvalues, ascending; 1 <= count <= MAX_COUNT.
 
-    Trigonometric pairs are exact; Robin pairs are certified bracketed
-    roots.  Each pi/L cell of the frequency axis is sampled at 25 points,
-    all cells at once; every exact zero and every sign change between
-    neighbouring samples of a cell is a root.  One root per cell is
-    expected for non-negative alpha, but every sign change is taken.
-    All brackets are then refined together by Newton steps on the
-    closed-form slope g'(k), starting from each bracket's secant point.
-    Every iterate replaces the bracket end of its sign, so the sign
-    change is kept at every step; a step that leaves the bracket falls
-    back to its midpoint, and a step below one ulp probes one ulp towards
-    the far end instead.  Each bracket ends as two adjacent floats or an
-    exact zero of g; each root is the end of its bracket with the
-    smaller |g|.
+    Pairs without a Robin end are exact: k_n = (n - w/2) pi/L, with w the
+    counting weight.  With a Robin end, root n solves F(k) = n pi, and F
+    increases and is concave.  Newton steps on F from max(n - 2, 0) pi/L
+    climb, with no overshoot, to within pi/4 below F = (n - 1/2) pi for
+    n = 1, ..., count + 1.  There |g| >= A/sqrt(2), so rounding cannot
+    flip its sign, and F crosses one multiple of pi between neighbours:
+    each pair of neighbours brackets one root.  Newton steps on g' refine
+    all brackets at once from their secant points; each iterate replaces
+    the bracket end of its sign, a step that leaves the bracket falls back
+    to its midpoint, and a step below one ulp probes one ulp towards the
+    far end.  Each bracket ends as two adjacent floats or an exact zero of
+    g; its root is the end with the smaller |g|.
     """
+    _check_count(count, 1)
     return _eigenvalues(p, count).tolist()
+
+
+def _check_count(count: int, least: int) -> None:
+    if not least <= count <= MAX_COUNT:  # refused before any array is built
+        raise ValidationError(f"count must be in [{least}, {MAX_COUNT}], got {count}")
 
 
 def _eigenvalues(p: SecularProblem, count: int) -> np.ndarray:
     """``segment_eigenvalues`` as a float64 array."""
-    if count < 1:
-        raise ValidationError("count must be >= 1")
-    pair = (p.bc_left.kind, p.bc_right.kind)
-    if ROBIN not in pair:
-        return _closed_form_roots(p, count)
+    L = p.length
+    if ROBIN not in (p.bc_left.kind, p.bc_right.kind):
+        return ((np.arange(1, count + 1) - 0.5 * _counting_weight(p)) * math.pi / L) ** 2
+
+    phase = _phase_function(p)
+    n = np.arange(1, count + 2)
+    target, t = (n - 0.5) * math.pi, np.maximum(n - 2, 0) * (math.pi / L)
+    f, slope = phase(t)
+    while (target - f > 0.25 * math.pi).any():  # Newton from below on a concave F never overshoots
+        t = t + (target - f) / slope
+        f, slope = phase(t)
 
     g = _secular_function(p)
-    cell = math.pi / p.length
-    n_scan = 24
-    max_cells = 10 * count + 100
-    steps = np.arange(1, n_scan + 1)
-    brackets = []
-    found = first = 0
-    while found < count:
-        if first >= max_cells:
-            raise ValidationError("root search exhausted its scan range")
-        need = count - found
-        j = np.arange(first, min(first + need + 1, max_cells))
-        lo, hi = j * cell, (j + 1) * cell
-        t = np.empty((len(j), n_scan + 1))
-        t[:, 0] = lo
-        t[:, 1:] = lo[:, None] + (hi - lo)[:, None] * steps / n_scan
-        if first == 0:
-            t[0, 0] = 1e-12 * cell  # step off k = 0, a root of g unless an end is Neumann
-        v = g(t)
-        prev_v, next_v = v[:, :-1], v[:, 1:]
-        zero = prev_v == 0.0
-        change = ~zero & (next_v != 0.0) & ((prev_v < 0.0) != (next_v < 0.0))
-        cells, points = np.nonzero(zero | change)
-        if len(cells) >= need:
-            # finish the cell that holds the last root needed
-            last = np.searchsorted(cells, cells[need - 1], side="right")
-            cells, points = cells[:last], points[:last]
-        right = points + change[cells, points]  # an exact zero is a bracket of width 0
-        brackets.append((t[cells, points], t[cells, right], v[cells, points], v[cells, right]))
-        found += len(cells)
-        first = int(j[-1]) + 1
-
-    a, b, ga, gb = (np.concatenate(ends) for ends in zip(*brackets))
+    gt = g(t)
+    a, b, ga, gb = t[:-1], t[1:], gt[:-1], gt[1:]
     k, at = np.empty_like(a), np.arange(len(a))
-    with np.errstate(all="ignore"):  # exact zeros have a == b; a step by g' = 0 leaves the bracket
-        m = a - ga * ((b - a) / (gb - ga))  # the secant point of each scan bracket
+    with np.errstate(all="ignore"):  # a step by g' = 0 leaves the bracket
+        m = a - ga * ((b - a) / (gb - ga))  # the secant point of each bracket
         while len(at):
             m = np.where((a < m) & (m < b), m, 0.5 * (a + b))
             gm, slope = g(m, True)
@@ -179,18 +169,14 @@ def _eigenvalues(p: SecularProblem, count: int) -> np.ndarray:
             if not live.all():  # retire the brackets that are down to adjacent floats
                 k[at[~live]] = np.where(np.abs(gb) < np.abs(ga), b, a)[~live]
                 at, a, b, ga, gb, m = (x[live] for x in (at, a, b, ga, gb, m))
-    k = k[:count]
     return k * k
 
 
-def _counting_weight(bc: BoundaryCondition) -> int:
-    """High-frequency counting class of one end: Dirichlet 0, else 1.
-
-    Robin ends are asymptotically Neumann-like (the root offset decays
-    like 1/k), so each non-Dirichlet end adds half an eigenvalue to the
-    counting function.
-    """
-    return 0 if bc.kind == DIRICHLET else 1
+def _counting_weight(p: SecularProblem) -> int:
+    """The ends that are not Dirichlet: each adds half an eigenvalue to the
+    high-frequency counting function (a Robin end is Neumann-like, its root
+    offset decaying like 1/k)."""
+    return sum(bc.kind != DIRICHLET for bc in (p.bc_left, p.bc_right))
 
 
 def relative_log_det(
@@ -209,15 +195,9 @@ def relative_log_det(
     """
     if p.length != reference.length:
         raise ValidationError("relative determinants need a common length")
-    if count < 16:
-        raise ValidationError("count is too small for the extrapolation")
+    _check_count(count, 16)  # fewer leave too few terms for the extrapolation
 
-    twice_offset = (
-        _counting_weight(p.bc_left)
-        + _counting_weight(p.bc_right)
-        - _counting_weight(reference.bc_left)
-        - _counting_weight(reference.bc_right)
-    )
+    twice_offset = _counting_weight(p) - _counting_weight(reference)
     if twice_offset % 2 != 0:
         raise ValidationError(
             "sorted-index pairing is invalid: the two problems differ by a "
@@ -227,7 +207,7 @@ def relative_log_det(
 
     def positive(prob, n):
         vals = _eigenvalues(prob, n)
-        zero = vals <= 1e-24
+        zero = vals == 0.0  # only the closed-form pairs have zero modes, and exactly
         return vals[~zero], int(zero.sum())
 
     ev_p, z_p = positive(p, count + abs(offset) + 2)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from zetaglue import oracle
-from zetaglue.cylinder import DIRICHLET, ROBIN, CylinderSpec, log_det_cylinder
+from zetaglue import cli, oracle
+from zetaglue.cylinder import DIRICHLET, NEUMANN, ROBIN, CylinderSpec, log_det_cylinder
 from zetaglue.cylinder import BoundaryCondition as BC
 from zetaglue.errors import ValidationError
 from zetaglue.oracle import SecularProblem, relative_log_det, segment_eigenvalues
@@ -36,7 +36,9 @@ def scalar_scan_eigenvalues(p, count):
     """Reference: the root search one sample and one cell at a time, each
     bracket refined by scipy's brentq at xtol = rtol = 1e-15."""
     if ROBIN not in (p.bc_left.kind, p.bc_right.kind):
-        return oracle._closed_form_roots(p, count)
+        # k = j pi / L from j = 1 (D/D), 1/2 (N/D and D/N) or 0 (N/N)
+        first = 1.0 - 0.5 * [p.bc_left.kind, p.bc_right.kind].count(NEUMANN)
+        return [((first + j) * math.pi / p.length) ** 2 for j in range(count)]
     g = scalar_secular_function(p)
     cell = math.pi / p.length
     roots = []
@@ -80,6 +82,9 @@ PAIRS = {
     "RN": lambda a: (BC.robin(a), BC.neumann()),
     "DR": lambda a: (BC.dirichlet(), BC.robin(a)),
     "RD": lambda a: (BC.robin(a), BC.dirichlet()),
+    # unequal Robin ends: (0.25, 0.9) at alpha = 0.25, (1e-3, 3) at alpha = 3
+    "RRx": lambda a: (BC.robin(a), BC.robin(3.6 * a)),
+    "RlR": lambda a: (BC.robin(1e-3), BC.robin(a)),
 }
 
 
@@ -102,22 +107,23 @@ def cases(alphas, lengths, pairs=sorted(PAIRS), count=300):
     ]
 
 
-def counted_evaluations(monkeypatch):
-    """Spy on ``oracle._secular_function``: the shape of every array that
-    an evaluation of g (with or without its slope) receives, in order."""
+def counted_evaluations(monkeypatch, name="_secular_function"):
+    """Spy on ``oracle._secular_function`` (or ``_phase_function``): the
+    shape of every array that an evaluation of g (with or without its
+    slope), or of the phase, receives, in order."""
     shapes = []
-    secular = oracle._secular_function
+    factory = getattr(oracle, name)
 
     def counting(p):
-        g = secular(p)
+        f = factory(p)
 
         def counted(k, *args):
             shapes.append(np.shape(k))
-            return g(k, *args)
+            return f(k, *args)
 
         return counted
 
-    monkeypatch.setattr(oracle, "_secular_function", counting)
+    monkeypatch.setattr(oracle, name, counting)
     return shapes
 
 
@@ -149,12 +155,45 @@ class TestSegmentEigenvalues:
 
     @pytest.mark.parametrize("pair,alpha,L,count", cases(BENCH_ALPHAS, BENCH_LENGTHS, ["NR", "RD", "RR"], BENCH_COUNT))
     def test_roots_take_at_most_12_evaluations(self, pair, alpha, L, count, monkeypatch):
-        # one sign scan of 25 samples in each of count + 1 cells, then the
-        # Newton phase: about 5 evaluations where bisection took about 49
+        # at most 4 evaluations of the phase place the count + 1 bracket
+        # ends, g is evaluated once there, then the Newton phase: 7 to 11
+        # evaluations of g in all (measured), where bisection took about 49
+        shapes = counted_evaluations(monkeypatch)
+        phases = counted_evaluations(monkeypatch, "_phase_function")
+        segment_eigenvalues(SecularProblem(L, *PAIRS[pair](alpha)), count)
+        assert shapes[0] == (count + 1,)
+        assert len(shapes) <= 12, shapes
+        assert len(phases) <= 4, phases
+
+    @pytest.mark.parametrize("pair,alpha,L,count", cases((1e-3,), (0.1, 1.0), ["NR", "RD", "RR"], BENCH_COUNT))
+    def test_small_alpha_roots_take_at_most_20_evaluations(self, pair, alpha, L, count, monkeypatch):
+        # the first root sits near k = sqrt(2 alpha / L), where g is nearly
+        # cubic in k; 8 to 19 evaluations of g measured
         shapes = counted_evaluations(monkeypatch)
         segment_eigenvalues(SecularProblem(L, *PAIRS[pair](alpha)), count)
-        assert shapes[0] == (count + 1, 25)
-        assert len(shapes) <= 12, shapes
+        assert len(shapes) <= 20, shapes
+
+    def test_half_decade_alpha_sweep_keeps_every_root_in_its_cell(self):
+        # tiny alpha puts each root within rounding of its cell's lower end,
+        # where brackets taken from the cells lose or repeat roots; each
+        # list must ascend strictly, root n must lie in the n-th pi/L cell
+        # (a rounded product, so up to one ulp of k below it) and each root
+        # must keep its sign change, as in the certificate test
+        n = np.arange(1, BENCH_COUNT + 1)
+        for alpha in 10.0 ** (np.arange(-40, 21) / 2):
+            for L in (0.3, 1.0, 2.5):
+                for pair in ("RR", "NR", "RD"):
+                    p = SecularProblem(L, *PAIRS[pair](alpha))
+                    k = np.sqrt(oracle._eigenvalues(p, BENCH_COUNT))
+                    where = (pair, L, alpha)
+                    assert np.all(np.diff(k) > 0.0), where
+                    assert np.all((n - 1) * math.pi / L <= np.nextafter(k, math.inf)), where
+                    assert np.all(k <= n * math.pi / L), where
+                    below, at, above = oracle._secular_function(p)(
+                        np.stack([np.nextafter(k, 0.0), k, np.nextafter(k, math.inf)])
+                    )
+                    across = [((v < 0.0) != (at < 0.0)) & (np.abs(at) <= np.abs(v)) for v in (below, above)]
+                    assert np.all((at == 0.0) | across[0] | across[1]), where
 
     def test_dirichlet_pair(self):
         got = segment_eigenvalues(SecularProblem(1.0, BC.dirichlet(), BC.dirichlet()), 3)
@@ -203,6 +242,22 @@ class TestSegmentEigenvalues:
     def test_rejects_negative_robin(self):
         with pytest.raises(ValidationError):
             SecularProblem(1.0, BC.robin(-1.0), BC.robin(-1.0))
+
+    def test_rejects_robin_below_1e_150(self):
+        # below it g underflows to an exact zero at a bracket end
+        SecularProblem(1.0, BC.neumann(), BC.robin(1e-150))
+        with pytest.raises(ValidationError):
+            SecularProblem(1.0, BC.neumann(), BC.robin(1e-151))
+
+    def test_rejects_a_count_above_a_million(self):
+        # refused before any array is built, so this allocates nothing
+        p = SecularProblem(1.0, BC.robin(1.0), BC.robin(1.0))
+        ref = SecularProblem(1.0, BC.dirichlet(), BC.dirichlet())
+        for call in (lambda: segment_eigenvalues(p, 10**12), lambda: relative_log_det(p, ref, 10**12)):
+            with pytest.raises(ValidationError, match="count"):
+                call()
+        code, rep = cli.run({"command": "oracle-compare", "length": 1.0, "alpha": 1.0, "count": 10**12})
+        assert code == cli.EXIT_VALIDATION, rep
 
 
 class TestRelativeLogDet:
@@ -273,6 +328,16 @@ class TestRelativeLogDet:
         nr = relative_log_det(SecularProblem(L, BC.neumann(), BC.robin(alpha)), dd, count)
         expect = closed_log_det(L, BC.neumann(), BC.robin(alpha)) - closed_log_det(L, BC.dirichlet(), BC.dirichlet())
         assert abs(nr.value - expect) <= nr.error_estimate
+
+    @pytest.mark.parametrize("L", [1.0, 2.5])
+    @pytest.mark.parametrize("alpha", [1e-26, 1e-30, 1e-100])
+    def test_tiny_robin_parameters_keep_their_first_root(self, L, alpha):
+        # the first root k ~ sqrt(2 alpha / L) lies far below pi / L, and
+        # its eigenvalue 2 alpha / L is positive, not a zero mode
+        dd = SecularProblem(L, BC.dirichlet(), BC.dirichlet())
+        rel = relative_log_det(SecularProblem(L, BC.robin(alpha), BC.robin(alpha)), dd, 1024)
+        assert rel.zero_modes == (0, 0)
+        assert abs(rel.value - math.log(alpha * (L * alpha + 2.0) / L)) <= 1e-12
 
     def test_extrapolated_values_cauchy_beyond_1e3(self):
         # the extrapolated relative determinants stabilise to 1e-8 once
